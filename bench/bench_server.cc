@@ -4,14 +4,15 @@
 // round-trip latency and aggregate qps per level.
 //
 // The second half measures the overload point the admission control is
-// built for: with every worker and queue slot occupied by deliberately
+// built for: with every engine slot and wait slot occupied by deliberately
 // slow statements, excess requests must be REJECTED (kResourceExhausted +
 // retry-after) in a small fraction of the service time — an overloaded
 // server drains its backlog at rejection speed, not service speed.
 //
 // `--json=PATH` additionally writes the numbers as a JSON document (the
-// checked-in BENCH_server.json is this output). Knobs: XORATOR_OPS
-// (requests per connection), XORATOR_FULL=1 for the larger corpus.
+// checked-in BENCH_server.json is this output with XORATOR_OPS=500). Knobs:
+// XORATOR_OPS (requests per connection), XORATOR_FULL=1 for the larger
+// corpus.
 
 #include <algorithm>
 #include <atomic>
@@ -124,7 +125,7 @@ struct OverloadPoint {
   size_t non_rejections = 0;
 };
 
-/// Saturates a deliberately small server (2 workers, 2 queue slots) with
+/// Saturates a deliberately small server (2 engine slots, 2 wait slots) with
 /// slow statements, then times how fast excess requests bounce off the
 /// admission control.
 Result<OverloadPoint> MeasureOverload(ordb::Database* db, int probes) {
@@ -164,8 +165,8 @@ Result<OverloadPoint> MeasureOverload(ordb::Database* db, int probes) {
     return warm;
   }
 
-  // Fill both workers and both queue slots, one blocker at a time so none
-  // of them bounces off the queue cap.
+  // Fill both engine slots and both wait slots, one blocker at a time so
+  // none of them bounces off the wait cap.
   std::vector<std::thread> blockers;
   for (int b = 0; b < 4; ++b) {
     const uint64_t admitted_before = srv->server_stats().statements_admitted;
@@ -302,7 +303,7 @@ int Run(int argc, char** argv) {
                                  overload->rejection_p50_ms
                            : 0;
   std::printf(
-      "\n== Overload point (2 workers + 2 queue slots saturated) ==\n"
+      "\n== Overload point (2 engine slots + 2 wait slots saturated) ==\n"
       "service p50      %s ms (the slow statement, run solo)\n"
       "rejection p50    %s ms   p99 %s ms   (%zu rejected, %zu slipped in)\n"
       "rejection is %sx faster than service: an overloaded server sheds\n"

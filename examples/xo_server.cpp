@@ -4,10 +4,10 @@
 //   ./build/examples/xo_server [port] [plays]
 //
 // Builds a Hybrid-mapped database from `plays` generated plays (default 3),
-// starts the thread-pool socket server on `port` (default 4715; 0 picks an
-// ephemeral port), prints the address, and serves until stdin closes or a
-// `quit` line arrives — then drains in flight statements and prints the
-// admission counters. Point ./build/examples/xo_client at it.
+// starts the thread-per-connection socket server on `port` (default 4715;
+// 0 picks an ephemeral port), prints the address, and serves until stdin
+// closes or a `quit` line arrives — then drains in flight statements and
+// prints the admission counters. Point ./build/examples/xo_client at it.
 //
 //   ./build/examples/xo_server --smoke
 //

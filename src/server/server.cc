@@ -1,6 +1,10 @@
 #include "server/server.h"
 
+#include <algorithm>
+#include <chrono>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "ordb/health.h"
 #include "ordb/sql.h"
@@ -9,17 +13,11 @@ namespace xorator::server {
 
 namespace {
 
-/// Acceptor poll granularity: how often the accept loop wakes to check for
-/// shutdown and reap finished connection threads.
-constexpr int64_t kAcceptTickMillis = 50;
-
-/// Connection-thread poll granularity while its statement is queued or
-/// running: each tick re-checks completion and probes the socket for a
-/// client disconnect.
-constexpr int64_t kDisconnectProbeMillis = 20;
-
-/// Shutdown drain poll granularity.
-constexpr int64_t kDrainTickMillis = 20;
+/// The acceptor's tick: how often it wakes to check for shutdown, reap
+/// finished connection threads and probe the sockets of connections with a
+/// statement in flight for a client disconnect. Shutdown's drain loop runs
+/// the same watch at the same pace.
+constexpr int64_t kTickMillis = 20;
 
 /// Renders a QueryResult into the wire shape (values become their display
 /// strings; the examples and tests want text anyway, and it keeps the
@@ -48,6 +46,55 @@ std::string EncodeResultOrError(const ResultPayload& result) {
   return EncodeError(ErrorFromStatus(frame.status()));
 }
 
+/// Result of running one statement: the encoded response frame plus
+/// whether the statement succeeded (for the ok/error counters).
+struct Outcome {
+  std::string frame;
+  bool ok = false;
+};
+
+/// Runs one admitted statement that holds an engine slot against `db` and
+/// encodes the response.
+Outcome RunStatement(ordb::Database* db, FrameType type,
+                     const QueryRequest& request, uint64_t server_query_id,
+                     std::chrono::steady_clock::time_point admitted_at) {
+  // The deadline is measured from admission: the slot wait counts against
+  // the budget, and a statement that died waiting is answered without
+  // touching the engine — an overloaded server drains its backlog at
+  // rejection speed, not service speed.
+  ordb::QueryOptions query_options;
+  query_options.max_memory_bytes = request.max_memory_bytes;
+  query_options.query_id = server_query_id;
+  query_options.skip_quarantined = request.skip_quarantined;
+  if (request.deadline_millis > 0) {
+    const auto waited = std::chrono::duration_cast<std::chrono::milliseconds>(
+                            std::chrono::steady_clock::now() - admitted_at)
+                            .count();
+    if (waited >= static_cast<int64_t>(request.deadline_millis)) {
+      return {EncodeError(ErrorFromStatus(Status::DeadlineExceeded(
+                  "deadline of " + std::to_string(request.deadline_millis) +
+                  "ms expired after " + std::to_string(waited) +
+                  "ms in the admission queue"))),
+              false};
+    }
+    query_options.deadline_millis =
+        request.deadline_millis - static_cast<uint64_t>(waited);
+  }
+
+  if (type == FrameType::kExecute) {
+    Status executed = db->Execute(request.sql, query_options);
+    if (!executed.ok()) {
+      return {EncodeError(ErrorFromStatus(executed)), false};
+    }
+    return {EncodeResultOrError(ResultPayload{}), true};
+  }
+  Result<ordb::QueryResult> result = db->Query(request.sql, query_options);
+  if (!result.ok()) {
+    return {EncodeError(ErrorFromStatus(result.status())), false};
+  }
+  return {EncodeResultOrError(RenderResult(result.value())), true};
+}
+
 }  // namespace
 
 Server::Server(ordb::Database* db, const ServerOptions& options)
@@ -63,12 +110,6 @@ Result<std::unique_ptr<Server>> Server::Start(ordb::Database* db,
       server->listener_,
       Listen(options.port, static_cast<int>(options.max_connections) + 16));
   ASSIGN_OR_RETURN(server->port_, BoundPort(server->listener_));
-  const size_t workers =
-      options.worker_threads == 0 ? 1 : options.worker_threads;
-  server->workers_.reserve(workers);
-  for (size_t i = 0; i < workers; ++i) {
-    server->workers_.emplace_back([s = server.get()] { s->WorkerLoop(); });
-  }
   server->acceptor_ = std::thread([s = server.get()] { s->AcceptLoop(); });
   return server;
 }
@@ -96,15 +137,14 @@ void Server::AcceptLoop() {
     for (const std::unique_ptr<Connection>& conn : finished) {
       conn->thread.join();
     }
+    WatchStatements();
 
-    Result<Socket> accepted =
-        Accept(listener_, Deadline::After(kAcceptTickMillis));
+    Result<Socket> accepted = Accept(listener_, Deadline::After(kTickMillis));
     if (!accepted.ok()) {
       // The deadline is the idle tick; any other error (the listener going
       // away under Shutdown) is re-checked against draining_ at the top.
       if (accepted.status().code() != StatusCode::kDeadlineExceeded) {
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(kAcceptTickMillis));
+        std::this_thread::sleep_for(std::chrono::milliseconds(kTickMillis));
       }
       continue;
     }
@@ -199,7 +239,7 @@ void Server::ServeConnection(Connection* conn) {
           keep_serving = false;
           break;
         }
-        HandleStatement(conn, header->type, std::move(request).value());
+        HandleStatement(conn, header->type, request.value());
         break;
       }
       case FrameType::kCancel: {
@@ -239,7 +279,7 @@ void Server::ServeConnection(Connection* conn) {
 }
 
 void Server::HandleStatement(Connection* conn, FrameType type,
-                             QueryRequest request) {
+                             const QueryRequest& request) {
   // Graceful degradation: shed mutations at admission while the engine
   // cannot write. The health latch's own status rides the wire — state
   // name, latched detail, retry-after hint — so the client's backoff layer
@@ -257,17 +297,20 @@ void Server::HandleStatement(Connection* conn, FrameType type,
     }
   }
 
-  auto task = std::make_shared<Task>();
-  task->type = type;
-  task->request = std::move(request);
-
   Status rejection = Status::OK();
+  std::chrono::steady_clock::time_point admitted_at;
+  uint64_t server_query_id = 0;
+  bool cancelled = false;
   {
     xo::MutexLock lock(&mu_);
+    // Slots are handed straight from a finishing statement to the oldest
+    // waiter, so statements wait exactly when every slot is busy.
+    const bool must_wait =
+        busy_slots_ >= std::max<size_t>(options_.worker_threads, 1);
     if (draining_) {
       ++stats_.statements_rejected_draining;
       rejection = Status::Unavailable("server is shutting down");
-    } else if (queue_.size() >= options_.max_queue_depth) {
+    } else if (must_wait && stats_.queue_depth >= options_.max_queue_depth) {
       // Admission control: reject fast instead of queuing into collapse.
       ++stats_.statements_rejected_queue;
       rejection =
@@ -276,20 +319,27 @@ void Server::HandleStatement(Connection* conn, FrameType type,
                                     " statements queued)")
               .WithRetryAfter(options_.retry_after_millis);
     } else {
-      task->server_query_id = next_server_query_id_++;
-      task->admitted_at = std::chrono::steady_clock::now();
+      server_query_id = next_server_query_id_++;
+      admitted_at = std::chrono::steady_clock::now();
       ++stats_.statements_admitted;
-      ++in_flight_;
-      queue_.push_back(task);
-      stats_.queue_depth = queue_.size();
-      if (stats_.queue_depth > stats_.peak_queue_depth) {
-        stats_.peak_queue_depth = stats_.queue_depth;
+      conn->server_query_id = server_query_id;
+      conn->client_query_id = request.query_id;
+      conn->cancel_requested = false;
+      conn->abandoned = false;
+      if (must_wait) {
+        conn->waiting = true;
+        ++stats_.queue_depth;
+        if (stats_.queue_depth > stats_.peak_queue_depth) {
+          stats_.peak_queue_depth = stats_.queue_depth;
+        }
+        // The statement that hands over its slot clears `waiting`.
+        while (conn->waiting) {
+          conn->slot_cv.Wait(&mu_);
+        }
+      } else {
+        ++busy_slots_;
       }
-      tasks_[task->server_query_id] = task;
-      if (task->request.query_id != 0) {
-        by_client_id_[task->request.query_id] = task;
-      }
-      work_cv_.Signal();
+      cancelled = conn->cancel_requested;
     }
   }
   if (!rejection.ok()) {
@@ -297,69 +347,79 @@ void Server::HandleStatement(Connection* conn, FrameType type,
     return;
   }
 
-  // Wait for the worker, watching the socket: a client that disconnects
-  // mid-query gets its statement cancelled instead of burning a worker for
-  // nobody.
-  bool probe_disconnect = true;
-  for (;;) {
-    bool fire_cancel = false;
-    {
-      xo::MutexLock lock(&mu_);
-      if (task->done) break;
-      if (probe_disconnect && !task->cancel_requested &&
-          PeerDisconnected(conn->socket)) {
-        task->cancel_requested = true;
-        task->abandoned = true;
-        probe_disconnect = false;
-        fire_cancel = true;
-        ++stats_.cancelled_on_disconnect;
-      }
-      if (!fire_cancel) {
-        // Wake on the completion broadcast or the next disconnect probe
-        // tick; spurious wakeups just re-run the checks.
-        done_cv_.WaitFor(&mu_, kDisconnectProbeMillis);
-        continue;
-      }
-    }
-    // Engine call outside the server lock (class comment). Cancel only
-    // touches the engine's leaf guard registry and never blocks; NotFound
-    // means the task is still queued (the worker honors cancel_requested
-    // at pickup) or already finished.
-    Status cancelled = db_->Cancel(task->server_query_id);
-    cancelled.IgnoreError();
+  Outcome outcome;
+  if (cancelled) {
+    // Cancelled (or abandoned) while waiting: answer without running.
+    outcome.frame = EncodeError(ErrorFromStatus(
+        Status::Cancelled("statement cancelled while queued")));
+  } else {
+    outcome = RunStatement(db_, type, request, server_query_id, admitted_at);
   }
 
-  std::string response;
   bool abandoned;
   {
     xo::MutexLock lock(&mu_);
-    response = std::move(task->response);
-    abandoned = task->abandoned || response.empty();
+    ReleaseSlot();
+    if (outcome.ok) {
+      ++stats_.statements_ok;
+    } else {
+      ++stats_.statements_error;
+    }
+    abandoned = conn->abandoned;
+    conn->server_query_id = 0;
+    conn->client_query_id = 0;
   }
   if (!abandoned) {
-    SendFrame(conn, response);
+    SendFrame(conn, outcome.frame);
   }
 }
 
-void Server::HandleCancel(Connection* conn, const CancelRequest& request) {
-  uint64_t server_id = 0;
-  {
-    xo::MutexLock lock(&mu_);
-    auto it = by_client_id_.find(request.query_id);
-    if (it != by_client_id_.end()) {
-      it->second->cancel_requested = true;
-      server_id = it->second->server_query_id;
+void Server::ReleaseSlot() {
+  // Server ids grow with admission, so the lowest waiting id has waited
+  // longest.
+  Connection* oldest = nullptr;
+  if (stats_.queue_depth > 0) {
+    for (const std::unique_ptr<Connection>& conn : connections_) {
+      if (conn->waiting && (oldest == nullptr || conn->server_query_id <
+                                                     oldest->server_query_id)) {
+        oldest = conn.get();
+      }
     }
   }
-  if (server_id == 0) {
+  if (oldest == nullptr) {
+    --busy_slots_;
+    return;
+  }
+  oldest->waiting = false;
+  --stats_.queue_depth;
+  oldest->slot_cv.Signal();
+}
+
+void Server::HandleCancel(Connection* conn, const CancelRequest& request) {
+  // Client-chosen ids need not be unique: every in-flight statement
+  // carrying the id is cancelled. Id 0 means "none" and names nothing.
+  std::vector<uint64_t> server_ids;
+  {
+    xo::MutexLock lock(&mu_);
+    for (const std::unique_ptr<Connection>& other : connections_) {
+      if (request.query_id != 0 && other->server_query_id != 0 &&
+          other->client_query_id == request.query_id) {
+        other->cancel_requested = true;
+        server_ids.push_back(other->server_query_id);
+      }
+    }
+  }
+  if (server_ids.empty()) {
     SendError(conn, Status::NotFound("no in-flight statement with query id " +
                                      std::to_string(request.query_id)));
     return;
   }
-  // Reaches the statement if it is already running; a still-queued one is
-  // covered by the cancel_requested flag the worker checks at pickup.
-  Status cancelled = db_->Cancel(server_id);
-  cancelled.IgnoreError();
+  // Reaches a statement that is already running; a waiting one is covered
+  // by the cancel_requested flag it checks when it gets its slot.
+  for (uint64_t id : server_ids) {
+    Status cancelled = db_->Cancel(id);
+    cancelled.IgnoreError();
+  }
   SendFrame(conn, EncodeResultOrError(ResultPayload{}));
 }
 
@@ -391,95 +451,52 @@ void Server::HandleStats(Connection* conn) {
   SendFrame(conn, EncodeStats(stats));
 }
 
-Server::TaskOutcome Server::RunTask(Task* task) {
-  // The deadline is measured from admission: queue wait counts against the
-  // budget, and a statement that died in the queue is answered without
-  // touching the engine — an overloaded server drains its backlog at
-  // rejection speed, not service speed.
-  ordb::QueryOptions query_options;
-  query_options.max_memory_bytes = task->request.max_memory_bytes;
-  query_options.query_id = task->server_query_id;
-  query_options.skip_quarantined = task->request.skip_quarantined;
-  if (task->request.deadline_millis > 0) {
-    const auto waited = std::chrono::duration_cast<std::chrono::milliseconds>(
-                            std::chrono::steady_clock::now() -
-                            task->admitted_at)
-                            .count();
-    if (waited >= static_cast<int64_t>(task->request.deadline_millis)) {
-      return {EncodeError(ErrorFromStatus(Status::DeadlineExceeded(
-                  "deadline of " +
-                  std::to_string(task->request.deadline_millis) +
-                  "ms expired after " + std::to_string(waited) +
-                  "ms in the admission queue"))),
-              false};
-    }
-    query_options.deadline_millis =
-        task->request.deadline_millis - static_cast<uint64_t>(waited);
-  }
-
-  if (task->type == FrameType::kExecute) {
-    Status executed = db_->Execute(task->request.sql, query_options);
-    if (!executed.ok()) {
-      return {EncodeError(ErrorFromStatus(executed)), false};
-    }
-    return {EncodeResultOrError(ResultPayload{}), true};
-  }
-  Result<ordb::QueryResult> result =
-      db_->Query(task->request.sql, query_options);
-  if (!result.ok()) {
-    return {EncodeError(ErrorFromStatus(result.status())), false};
-  }
-  return {EncodeResultOrError(RenderResult(result.value())), true};
-}
-
-void Server::WorkerLoop() {
-  for (;;) {
-    std::shared_ptr<Task> task;
-    {
-      xo::MutexLock lock(&mu_);
-      while (queue_.empty() && !stopping_) {
-        work_cv_.Wait(&mu_);
-      }
-      if (queue_.empty()) return;  // stopping_ and fully drained
-      task = queue_.front();
-      queue_.pop_front();
-      stats_.queue_depth = queue_.size();
-      task->started = true;
-      if (task->cancel_requested) {
-        // Cancelled (or abandoned) while queued: answer without running.
-        task->response = EncodeError(ErrorFromStatus(
-            Status::Cancelled("statement cancelled while queued")));
-        task->done = true;
-        ++stats_.statements_error;
-        FinishTaskLocked(task);
-        continue;
-      }
-    }
-
-    TaskOutcome outcome = RunTask(task.get());
-
+size_t Server::WatchStatements() {
+  struct InFlight {
+    Connection* conn;
+    uint64_t server_query_id;
+    bool cancel_requested;
+  };
+  std::vector<InFlight> in_flight;
+  {
     xo::MutexLock lock(&mu_);
-    if (outcome.ok) {
-      ++stats_.statements_ok;
-    } else {
-      ++stats_.statements_error;
-    }
-    task->response = std::move(outcome.frame);
-    task->done = true;
-    FinishTaskLocked(task);
-  }
-}
-
-void Server::FinishTaskLocked(const std::shared_ptr<Task>& task) {
-  tasks_.erase(task->server_query_id);
-  if (task->request.query_id != 0) {
-    auto it = by_client_id_.find(task->request.query_id);
-    if (it != by_client_id_.end() && it->second == task) {
-      by_client_id_.erase(it);
+    for (const std::unique_ptr<Connection>& conn : connections_) {
+      if (conn->server_query_id != 0) {
+        in_flight.push_back(
+            {conn.get(), conn->server_query_id, conn->cancel_requested});
+      }
     }
   }
-  --in_flight_;
-  done_cv_.SignalAll();
+  // The socket probes and the engine calls run outside the server lock.
+  // The Connection pointers stay valid without it because only the
+  // acceptor, or Shutdown after joining it, destroys Connections — and this
+  // runs on one of those two threads.
+  std::vector<uint64_t> cancel;
+  for (const InFlight& st : in_flight) {
+    if (st.cancel_requested) {
+      cancel.push_back(st.server_query_id);
+      continue;
+    }
+    // A client that disconnects mid-statement gets it cancelled instead of
+    // burning an engine slot for nobody.
+    if (!PeerDisconnected(st.conn->socket)) continue;
+    xo::MutexLock lock(&mu_);
+    if (st.conn->server_query_id != st.server_query_id ||
+        st.conn->cancel_requested) {
+      continue;  // finished or cancelled since the snapshot
+    }
+    st.conn->cancel_requested = true;
+    st.conn->abandoned = true;
+    ++stats_.cancelled_on_disconnect;
+    cancel.push_back(st.server_query_id);
+  }
+  // NotFound means the statement is still waiting for its slot (it checks
+  // cancel_requested there) or already finished.
+  for (uint64_t id : cancel) {
+    Status cancelled = db_->Cancel(id);
+    cancelled.IgnoreError();
+  }
+  return in_flight.size();
 }
 
 void Server::SendFrame(Connection* conn, std::string_view frame) {
@@ -495,17 +512,17 @@ void Server::SendError(Connection* conn, const Status& status) {
 }
 
 void Server::Shutdown() {
-  {
-    xo::MutexLock lock(&mu_);
-    if (shut_down_) return;
-    if (draining_) {
-      // Another thread is mid-shutdown; wait for it to finish.
-      while (!shut_down_) {
-        done_cv_.WaitFor(&mu_, kDrainTickMillis);
+  for (;;) {
+    {
+      xo::MutexLock lock(&mu_);
+      if (shut_down_) return;
+      if (!draining_) {
+        draining_ = true;
+        break;
       }
-      return;
     }
-    draining_ = true;
+    // Another thread is mid-shutdown; wait for it to finish.
+    std::this_thread::sleep_for(std::chrono::milliseconds(kTickMillis));
   }
 
   // Stop accepting. The acceptor polls with a short tick and re-checks
@@ -517,37 +534,23 @@ void Server::Shutdown() {
   if (acceptor_.joinable()) acceptor_.join();
   listener_.Close();
 
-  // Drain: let in-flight statements finish for the grace window.
+  // Drain: let in-flight statements finish for the grace window. The
+  // acceptor is gone, so this thread keeps up the disconnect watch.
   const Deadline drain = Deadline::After(options_.drain_timeout_millis);
-  std::vector<uint64_t> running;
+  while (WatchStatements() > 0 && !drain.Expired()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(kTickMillis));
+  }
+  // Hard timeout: cancel every straggler. Waiting statements are answered
+  // kCancelled when they get their slot; the watch fires Database::Cancel
+  // at running ones until every statement has been answered.
   {
     xo::MutexLock lock(&mu_);
-    while (in_flight_ > 0 && !drain.Expired()) {
-      done_cv_.WaitFor(&mu_, kDrainTickMillis);
-    }
-    // Hard timeout: cancel every straggler. Queued tasks die at pickup via
-    // cancel_requested; running ones via their query guard.
-    for (const auto& [id, task] : tasks_) {
-      task->cancel_requested = true;
-      if (task->started && !task->done) {
-        running.push_back(id);
-      }
+    for (const std::unique_ptr<Connection>& conn : connections_) {
+      if (conn->server_query_id != 0) conn->cancel_requested = true;
     }
   }
-  for (uint64_t id : running) {
-    Status cancelled = db_->Cancel(id);
-    cancelled.IgnoreError();
-  }
-
-  // Stop the workers. They first drain the (now fully cancelled) queue —
-  // every admitted statement gets a response — then exit.
-  {
-    xo::MutexLock lock(&mu_);
-    stopping_ = true;
-    work_cv_.SignalAll();
-  }
-  for (std::thread& worker : workers_) {
-    worker.join();
+  while (WatchStatements() > 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(kTickMillis));
   }
 
   // End the connections. Read-half only: a thread blocked in its idle
@@ -568,7 +571,6 @@ void Server::Shutdown() {
 
   xo::MutexLock lock(&mu_);
   shut_down_ = true;
-  done_cv_.SignalAll();
 }
 
 ServerStats Server::server_stats() const {

@@ -2,14 +2,11 @@
 #define XORATOR_SERVER_SERVER_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/mutex.h"
@@ -23,24 +20,28 @@ namespace xorator::server {
 
 /// Server configuration. The defaults suit tests and the example binary;
 /// production-shaped loads tune max_connections / worker_threads /
-/// max_queue_depth together (queue depth bounds memory under overload,
-/// worker count bounds engine concurrency).
+/// max_queue_depth together (connections bound the threads, engine slots
+/// bound engine concurrency, the wait cap bounds the backlog under
+/// overload).
 struct ServerOptions {
   /// TCP port on 127.0.0.1 (0 = ephemeral; read the choice via port()).
   uint16_t port = 0;
   /// Admission cap on concurrent connections; excess connections get a
   /// fast kResourceExhausted + retry-after and are closed.
   size_t max_connections = 64;
-  /// Worker threads executing admitted statements against the Database.
+  /// Engine slots: how many admitted statements may run against the
+  /// Database at once (0 counts as 1). Each connection thread runs its own
+  /// statement; one that finds every slot busy waits for a slot.
   size_t worker_threads = 4;
-  /// Admission cap on queued statements (in flight = queued + running);
-  /// excess statements get kResourceExhausted + retry-after.
+  /// Admission cap on statements waiting for an engine slot (running ones
+  /// do not count); a statement that would wait beyond it gets
+  /// kResourceExhausted + retry-after.
   size_t max_queue_depth = 128;
   /// How long Shutdown() lets in-flight statements drain before
   /// cancelling them.
   int64_t drain_timeout_millis = 5000;
   /// Retry-after hint attached to admission rejections (connection cap
-  /// and queue cap).
+  /// and wait cap).
   uint32_t retry_after_millis = 25;
   /// Per-frame I/O budget: reading a request payload after its header, and
   /// writing a response. A peer that stalls longer mid-frame is dropped.
@@ -56,9 +57,10 @@ struct ServerStats {
   uint64_t connections_rejected = 0;
   uint64_t connections_closed = 0;
   uint64_t active_connections = 0;
-  /// Statements that passed admission into the queue.
+  /// Statements that passed admission (and then ran or waited for a slot).
   uint64_t statements_admitted = 0;
-  /// Statements rejected because the queue was at max_queue_depth.
+  /// Statements rejected because max_queue_depth statements were already
+  /// waiting for an engine slot.
   uint64_t statements_rejected_queue = 0;
   /// Mutations shed at admission because the engine was read-only/failed.
   uint64_t statements_shed_readonly = 0;
@@ -71,28 +73,34 @@ struct ServerStats {
   uint64_t cancelled_on_disconnect = 0;
   /// Frames that failed header or payload decode.
   uint64_t malformed_frames = 0;
-  /// Current and high-water queue depth (queued, not yet picked up).
+  /// Current and high-water count of statements waiting for an engine
+  /// slot.
   uint64_t queue_depth = 0;
   uint64_t peak_queue_depth = 0;
 };
 
-/// The xorator network front end (DESIGN.md section 17): a thread-pool
-/// socket server speaking the server/protocol.h frame protocol over the
-/// embedded Database.
+/// The xorator network front end (DESIGN.md section 17): a
+/// thread-per-connection socket server speaking the server/protocol.h frame
+/// protocol over the embedded Database. An acceptor thread admits
+/// connections and watches in-flight statements; each connection thread
+/// decodes its requests and runs its own statements, at most
+/// worker_threads of them at once across the server.
 ///
 /// Robustness contract:
-///   * Admission control — connection count and statement queue depth are
-///     both bounded; excess load is rejected fast with a retryable
-///     kResourceExhausted carrying a retry-after hint, so overload sheds
-///     in microseconds instead of queuing into collapse.
+///   * Admission control — connection count and the number of statements
+///     waiting for an engine slot are both bounded; excess load is
+///     rejected fast with a retryable kResourceExhausted carrying a
+///     retry-after hint, so overload sheds in microseconds instead of
+///     queuing into collapse.
 ///   * Deadline & budget propagation — frame fields become QueryOptions;
-///     the deadline is measured from admission, so time spent queued
-///     counts against it, and a statement whose deadline expired in the
-///     queue is answered kDeadlineExceeded without touching the engine.
+///     the deadline is measured from admission, so time spent waiting for
+///     a slot counts against it, and a statement whose deadline expired
+///     while it waited is answered kDeadlineExceeded without touching the
+///     engine.
 ///   * Disconnect cancellation — every admitted statement runs under a
-///     server-assigned QueryGuard id; the connection thread watches the
-///     socket while its statement is in flight and fires Database::Cancel
-///     the moment the client goes away.
+///     server-assigned QueryGuard id; the acceptor probes the socket of
+///     every connection with a statement in flight once per tick and fires
+///     Database::Cancel the moment the client goes away.
 ///   * Graceful degradation — mutations are shed at admission with the
 ///     health latch's own status (state, detail, retry-after) while the
 ///     engine is read-only; STATS advertises the degraded state.
@@ -103,15 +111,16 @@ struct ServerStats {
 /// Locking: one xo::Mutex at rank kServer — above kStatement, per the
 /// descending-acquire rule, because connection threads call into the
 /// engine. The lock is never held across an engine call (Database::Cancel,
-/// which only touches the engine's leaf guard registry, included); waits
-/// go through xo::CondVar.
+/// which only touches the engine's leaf guard registry, included) or a
+/// socket call; a statement waiting for a slot sleeps on its connection's
+/// xo::CondVar until a finishing statement hands the slot over.
 ///
 /// Thread safety: Start/Shutdown/port/server_stats are safe from any
 /// thread; Shutdown is idempotent.
 class Server {
  public:
-  /// Binds, listens, and starts the acceptor + worker threads. `db` must
-  /// outlive the returned server.
+  /// Binds, listens, and starts the acceptor thread. `db` must outlive the
+  /// returned server.
   [[nodiscard]] static Result<std::unique_ptr<Server>> Start(
       ordb::Database* db, const ServerOptions& options = {});
 
@@ -132,77 +141,63 @@ class Server {
   [[nodiscard]] ServerStats server_stats() const XO_EXCLUDES(mu_);
 
  private:
-  /// One admitted statement moving through the queue. Shared between the
-  /// owning connection thread and the worker that picks it up; all fields
-  /// after `admitted_at` are guarded by the server lock.
-  struct Task {
-    FrameType type = FrameType::kQuery;
-    QueryRequest request;
-    /// Server-assigned guard id (never 0): every admitted statement is
-    /// cancellable regardless of the client-chosen request.query_id.
-    uint64_t server_query_id = 0;
-    std::chrono::steady_clock::time_point admitted_at{};
-
-    /// Cancel was requested (CANCEL frame or client disconnect) — a worker
-    /// picking the task up answers kCancelled without running it.
-    bool cancel_requested = false;
-    /// The client is gone; the worker still finishes (the engine call is
-    /// already cancelled) but nobody sends the response.
-    bool abandoned = false;
-    bool started = false;
-    bool done = false;
-    /// Encoded response frame, set before done flips true.
-    std::string response;
-  };
-
-  /// One live client connection: the socket plus the thread serving it.
+  /// One live client connection: the socket, the thread serving it, and
+  /// the one statement it has in flight (waiting for a slot or running).
+  /// The statement fields are guarded by the server lock: the connection
+  /// thread sets and clears them, CANCEL frames, the disconnect watch and
+  /// Shutdown flag them.
   struct Connection {
     Socket socket;
     std::thread thread;
     std::atomic<bool> finished{false};
+
+    /// Server-assigned guard id of the statement in flight (0 = none).
+    uint64_t server_query_id = 0;
+    /// Its client-chosen query_id (0 = none), named by CANCEL frames.
+    uint64_t client_query_id = 0;
+    /// CANCEL frame, disconnect or shutdown: a statement still waiting is
+    /// answered kCancelled when it gets its slot, without running.
+    bool cancel_requested = false;
+    /// The client is gone: the statement finishes, nobody gets a response.
+    bool abandoned = false;
+    /// The statement waits for an engine slot. The statement handing over
+    /// its slot clears the flag and signals slot_cv.
+    bool waiting = false;
+    xo::CondVar slot_cv;
   };
 
   Server(ordb::Database* db, const ServerOptions& options);
 
   /// Acceptor loop: admits or fast-rejects connections, reaps finished
-  /// connection threads.
+  /// connection threads, and runs WatchStatements once per tick.
   void AcceptLoop() XO_EXCLUDES(mu_);
 
-  /// Per-connection loop: frame parse, admission, response.
+  /// Per-connection loop: frame parse, admission, execution, response.
   void ServeConnection(Connection* conn) XO_EXCLUDES(mu_);
 
-  /// Worker loop: pops tasks, runs them against the Database, publishes
-  /// responses.
-  void WorkerLoop() XO_EXCLUDES(mu_);
+  /// Handles one QUERY/EXECUTE frame on its connection thread: admission,
+  /// slot wait, execution, response send.
+  void HandleStatement(Connection* conn, FrameType type,
+                       const QueryRequest& request) XO_EXCLUDES(mu_);
 
-  /// Handles one QUERY/EXECUTE frame on a connection thread: admission,
-  /// queue wait with disconnect watch, response send.
-  void HandleStatement(Connection* conn, FrameType type, QueryRequest request)
-      XO_EXCLUDES(mu_);
-
-  /// Handles a CANCEL frame: resolves the client-chosen id to the admitted
-  /// statement and cancels it.
+  /// Handles a CANCEL frame: cancels every in-flight statement carrying
+  /// the client-chosen id.
   void HandleCancel(Connection* conn, const CancelRequest& request)
       XO_EXCLUDES(mu_);
 
   /// Handles a STATS frame: engine resilience rows + server counters.
   void HandleStats(Connection* conn) XO_EXCLUDES(mu_);
 
-  /// Result of running one task: the encoded response frame plus whether
-  /// the statement succeeded (for the ok/error counters).
-  struct TaskOutcome {
-    std::string frame;
-    bool ok = false;
-  };
+  /// One tick of the in-flight watch: flags statements whose client
+  /// disconnected, then fires Database::Cancel at every statement with a
+  /// cancel requested (each tick, so a cancel that beat the statement's
+  /// guard registration still lands). Returns the statements in flight.
+  /// Runs only on the acceptor, or on Shutdown after joining it.
+  size_t WatchStatements() XO_EXCLUDES(mu_);
 
-  /// Runs one popped task against the Database and encodes the response.
-  /// Called without the server lock (the task's request fields are
-  /// immutable once queued).
-  [[nodiscard]] TaskOutcome RunTask(Task* task);
-
-  /// Completion bookkeeping once a task's `done` flipped true: deregisters
-  /// it, decrements in_flight_, broadcasts done_cv_.
-  void FinishTaskLocked(const std::shared_ptr<Task>& task) XO_REQUIRES(mu_);
+  /// Gives up the caller's engine slot: hands it to the statement that has
+  /// waited longest, or frees it when none waits.
+  void ReleaseSlot() XO_REQUIRES(mu_);
 
   /// Sends an encoded frame with the per-frame I/O deadline (best effort:
   /// a send failure just ends the connection).
@@ -218,33 +213,21 @@ class Server {
 
   /// The server lock (rank kServer; see the class comment).
   mutable xo::Mutex mu_{xo::LockRank::kServer};
-  /// Signalled when work arrives or the server starts draining.
-  xo::CondVar work_cv_;
-  /// Broadcast when any task completes (connection threads and Shutdown
-  /// both wait on it).
-  xo::CondVar done_cv_;
 
   /// Draining: no new statements, in-flight ones may finish.
   bool draining_ XO_GUARDED_BY(mu_) = false;
-  /// Stopping: workers exit once the queue is empty.
-  bool stopping_ XO_GUARDED_BY(mu_) = false;
-  std::deque<std::shared_ptr<Task>> queue_ XO_GUARDED_BY(mu_);
-  /// Queued + running statements (drain waits for this to hit zero).
-  size_t in_flight_ XO_GUARDED_BY(mu_) = 0;
+  /// Engine slots taken by running statements. A freed slot goes straight
+  /// to a waiter, so statements wait only while every slot is busy.
+  size_t busy_slots_ XO_GUARDED_BY(mu_) = 0;
   uint64_t next_server_query_id_ XO_GUARDED_BY(mu_) = 1;
-  /// Every queued or running task by server-assigned id — the shutdown
-  /// path's cancel fan-out. Entries are removed on completion.
-  std::unordered_map<uint64_t, std::shared_ptr<Task>> tasks_
-      XO_GUARDED_BY(mu_);
-  /// Client-chosen query_id -> the admitted task, for CANCEL frames from
-  /// other connections. Entries are removed on completion.
-  std::unordered_map<uint64_t, std::shared_ptr<Task>> by_client_id_
-      XO_GUARDED_BY(mu_);
+  /// stats_.queue_depth doubles as the count of slot waiters.
   ServerStats stats_ XO_GUARDED_BY(mu_);
 
+  /// Every live connection: the registry CANCEL frames, the disconnect
+  /// watch and Shutdown search. Only the acceptor (and Shutdown, after
+  /// joining it) adds or destroys entries.
   std::vector<std::unique_ptr<Connection>> connections_ XO_GUARDED_BY(mu_);
   std::thread acceptor_;
-  std::vector<std::thread> workers_;
   /// Set once Shutdown() has fully run (threads joined).
   bool shut_down_ XO_GUARDED_BY(mu_) = false;
 };

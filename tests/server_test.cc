@@ -1,14 +1,17 @@
 // End-to-end tests of the network front end (DESIGN.md section 17): the
-// thread-pool socket server (src/server/server.h), the wire protocol, and
-// the retrying client — exercised over real loopback sockets against a
-// live Database.
+// thread-per-connection socket server (src/server/server.h), the wire
+// protocol, and the retrying client — exercised over real loopback sockets
+// against a live Database.
 //
 // The robustness contract under test:
-//   * admission control (connection cap + bounded statement queue) rejects
-//     excess load fast with a retryable kResourceExhausted + retry-after;
+//   * admission control (connection cap + bounded wait for an engine slot)
+//     rejects excess load fast with a retryable kResourceExhausted +
+//     retry-after;
 //   * deadlines propagate from the frame into the engine's query guard,
-//     measured from admission so queue wait counts;
-//   * a client that disconnects mid-query gets its statement cancelled;
+//     measured from admission so the slot wait counts;
+//   * a client that disconnects mid-query gets its statement cancelled, and
+//     a cancel or disconnect that lands while a statement waits for its
+//     slot answers it without running;
 //   * mutations are shed with the health latch's own status while the
 //     engine is read-only, and STATS advertises the degraded state;
 //   * Shutdown() drains in-flight statements before closing.
@@ -419,6 +422,211 @@ TEST(ServerTest, CancelReachesAcrossConnections) {
   EXPECT_EQ(db->buffer_pool()->PinnedFrameCount(), 0u);
 }
 
+TEST(ServerTest, CancelReachesEveryStatementSharingAClientId) {
+  auto db = MakeDb();
+  auto started = Server::Start(db.get());
+  ASSERT_TRUE(started.ok()) << started.status().ToString();
+  std::unique_ptr<Server> srv = std::move(*started);
+
+  // Client-chosen ids are not unique: two connections may reuse one.
+  constexpr uint64_t kSharedId = 7;
+  std::thread slow([&] {
+    Client client(ClientFor(*srv));
+    CallOptions call;
+    call.query_id = kSharedId;
+    auto r = client.Query(kSlowSql, call);
+    EXPECT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kCancelled)
+        << r.status().ToString();
+  });
+  ASSERT_TRUE(PollUntil(
+      [&] { return srv->server_stats().statements_admitted >= 1; }, 5000));
+
+  // A fast statement under the same id starts and finishes while the slow
+  // one is still running; its completion must not hide the slow one.
+  Client fast(ClientFor(*srv));
+  CallOptions call;
+  call.query_id = kSharedId;
+  auto quick = fast.Query("SELECT a FROM t", call);
+  ASSERT_TRUE(quick.ok()) << quick.status().ToString();
+
+  Status cancelled = fast.Cancel(kSharedId);
+  EXPECT_TRUE(cancelled.ok()) << cancelled.ToString();
+  slow.join();
+  EXPECT_EQ(db->buffer_pool()->PinnedFrameCount(), 0u);
+}
+
+// -- Statements waiting for an engine slot. ---------------------------------
+
+/// A UDF that blocks its statement until Open() and counts its calls (the
+/// 10 s timeout turns a wedged test into a clean failure).
+struct Gate {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool open = false;
+  int calls = 0;
+
+  void Open() {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      open = true;
+    }
+    cv.notify_all();
+  }
+  int Calls() {
+    std::lock_guard<std::mutex> lock(mu);
+    return calls;
+  }
+};
+
+/// Registers `gate(x)` on `db`; kGateSql calls it once per execution.
+std::shared_ptr<Gate> RegisterGate(ordb::Database* db) {
+  auto gate = std::make_shared<Gate>();
+  ordb::ScalarFunction fn;
+  fn.name = "gate";
+  fn.return_type = ordb::TypeId::kInteger;
+  fn.arity = 1;
+  fn.impl =
+      [gate](const std::vector<ordb::Value>& args) -> Result<ordb::Value> {
+    std::unique_lock<std::mutex> lock(gate->mu);
+    ++gate->calls;
+    if (!gate->cv.wait_for(lock, std::chrono::seconds(10),
+                           [&gate] { return gate->open; })) {
+      return Status::Internal("gate timed out");
+    }
+    return args[0];
+  };
+  EXPECT_TRUE(db->functions()->RegisterScalar(std::move(fn)).ok());
+  return gate;
+}
+const char kGateSql[] = "SELECT gate(a) AS g FROM t WHERE a = 1";
+
+TEST(ServerTest, WaitingStatementIsCancelledWithoutRunning) {
+  auto db = MakeDb();
+  std::shared_ptr<Gate> gate = RegisterGate(db.get());
+  ServerOptions options;
+  options.worker_threads = 1;
+  auto started = Server::Start(db.get(), options);
+  ASSERT_TRUE(started.ok()) << started.status().ToString();
+  std::unique_ptr<Server> srv = std::move(*started);
+
+  // The first gate statement holds the only engine slot.
+  std::thread holder([&] {
+    Client client(ClientFor(*srv));
+    auto r = client.Query(kGateSql);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+  });
+  ASSERT_TRUE(PollUntil([&] { return gate->Calls() == 1; }, 5000))
+      << "first statement never entered the engine";
+
+  // Two more wait behind it: one is cancelled by id, the other loses its
+  // client. Neither may ever reach the gate.
+  constexpr uint64_t kQueryId = 77;
+  std::thread by_id([&] {
+    Client client(ClientFor(*srv));
+    CallOptions call;
+    call.query_id = kQueryId;
+    auto r = client.Query(kGateSql, call);
+    EXPECT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kCancelled)
+        << r.status().ToString();
+  });
+  ASSERT_TRUE(
+      PollUntil([&] { return srv->server_stats().queue_depth == 1; }, 5000))
+      << "the statement to cancel never waited";
+  {
+    auto connected = server::Connect("127.0.0.1", srv->port(),
+                                     server::Deadline::After(1000));
+    ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+    server::Socket socket = std::move(*connected);
+    server::QueryRequest request;
+    request.sql = kGateSql;
+    ASSERT_TRUE(
+        server::WriteFull(
+            socket,
+            server::EncodeQueryRequest(server::FrameType::kQuery, request),
+            server::Deadline::After(1000))
+            .ok());
+    ASSERT_TRUE(
+        PollUntil([&] { return srv->server_stats().queue_depth == 2; }, 5000))
+        << "the statement to abandon never waited";
+
+    Client canceller(ClientFor(*srv));
+    Status cancelled = canceller.Cancel(kQueryId);
+    EXPECT_TRUE(cancelled.ok()) << cancelled.ToString();
+  }  // socket closes here, while its statement waits
+  EXPECT_TRUE(PollUntil(
+      [&] { return srv->server_stats().cancelled_on_disconnect == 1; }, 5000))
+      << "disconnect of a waiting statement was never noticed";
+
+  gate->Open();
+  holder.join();
+  by_id.join();
+  EXPECT_TRUE(PollUntil(
+      [&] {
+        const ServerStats s = srv->server_stats();
+        return s.statements_ok + s.statements_error == s.statements_admitted;
+      },
+      10000))
+      << "a waiting statement never terminated";
+
+  const ServerStats stats = srv->server_stats();
+  EXPECT_EQ(stats.statements_admitted, 3u);
+  EXPECT_EQ(stats.statements_ok, 1u);
+  EXPECT_EQ(stats.statements_error, 2u);
+  EXPECT_EQ(stats.cancelled_on_disconnect, 1u);
+  EXPECT_EQ(gate->Calls(), 1);
+}
+
+TEST(ServerTest, WaitingStatementsRunInAdmissionOrder) {
+  auto db = MakeDb();
+  std::shared_ptr<Gate> gate = RegisterGate(db.get());
+  // note(x) records the order in which statements reach the engine.
+  auto order = std::make_shared<std::vector<std::string>>();
+  auto order_mu = std::make_shared<std::mutex>();
+  ordb::ScalarFunction note;
+  note.name = "note";
+  note.return_type = ordb::TypeId::kInteger;
+  note.arity = 1;
+  note.impl = [order, order_mu](const std::vector<ordb::Value>& args)
+      -> Result<ordb::Value> {
+    std::lock_guard<std::mutex> lock(*order_mu);
+    order->push_back(args[0].ToString());
+    return args[0];
+  };
+  ASSERT_TRUE(db->functions()->RegisterScalar(std::move(note)).ok());
+  ServerOptions options;
+  options.worker_threads = 1;
+  auto started = Server::Start(db.get(), options);
+  ASSERT_TRUE(started.ok()) << started.status().ToString();
+  std::unique_ptr<Server> srv = std::move(*started);
+
+  std::vector<std::thread> clients;
+  clients.emplace_back([&] {
+    Client client(ClientFor(*srv));
+    EXPECT_TRUE(client.Query(kGateSql).ok());
+  });
+  ASSERT_TRUE(PollUntil([&] { return gate->Calls() == 1; }, 5000));
+  // Three statements line up behind the gate, one at a time.
+  for (int a = 1; a <= 3; ++a) {
+    clients.emplace_back([&, a] {
+      Client client(ClientFor(*srv));
+      auto r = client.Query("SELECT note(a) AS n FROM t WHERE a = " +
+                            std::to_string(a));
+      EXPECT_TRUE(r.ok()) << r.status().ToString();
+    });
+    ASSERT_TRUE(PollUntil(
+        [&] {
+          return srv->server_stats().queue_depth == static_cast<uint64_t>(a);
+        },
+        5000));
+  }
+  gate->Open();
+  for (std::thread& c : clients) c.join();
+  std::lock_guard<std::mutex> lock(*order_mu);
+  EXPECT_EQ(*order, (std::vector<std::string>{"1", "2", "3"}));
+}
+
 // -- Graceful degradation. --------------------------------------------------
 
 TEST(ServerTest, ReadOnlyEngineShedsWritesWithStateDetailAndHint) {
@@ -744,6 +952,46 @@ TEST(ServerTest, ShutdownDrainsInFlightStatements) {
   // The listener is gone: new connections fail instead of hanging.
   Client late(ClientFor(*srv, /*max_retries=*/0));
   EXPECT_FALSE(late.Query("SELECT a FROM t").ok());
+}
+
+TEST(ServerTest, ShutdownHardTimeoutAnswersRunningAndWaitingStatements) {
+  auto db = MakeDb();
+  ServerOptions options;
+  options.worker_threads = 1;
+  options.drain_timeout_millis = 50;
+  auto started = Server::Start(db.get(), options);
+  ASSERT_TRUE(started.ok()) << started.status().ToString();
+  std::unique_ptr<Server> srv = std::move(*started);
+
+  // The slow scan holds the only engine slot far past the drain window and
+  // a second statement waits behind it: the hard timeout must answer both.
+  auto expect_cancelled = [&](const char* sql) {
+    Client client(ClientFor(*srv));
+    auto r = client.Query(sql);
+    EXPECT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kCancelled)
+        << sql << ": " << r.status().ToString();
+  };
+  std::thread running([&] { expect_cancelled(kSlowSql); });
+  ASSERT_TRUE(PollUntil(
+      [&] {
+        const ServerStats s = srv->server_stats();
+        return s.statements_admitted == 1 && s.queue_depth == 0;
+      },
+      5000));
+  std::thread waiting([&] { expect_cancelled("SELECT a FROM t"); });
+  ASSERT_TRUE(
+      PollUntil([&] { return srv->server_stats().queue_depth == 1; }, 5000));
+
+  srv->Shutdown();
+  running.join();
+  waiting.join();
+
+  const ServerStats stats = srv->server_stats();
+  EXPECT_EQ(stats.statements_ok, 0u);
+  EXPECT_EQ(stats.statements_error, 2u);
+  EXPECT_EQ(stats.active_connections, 0u);
+  EXPECT_EQ(db->buffer_pool()->PinnedFrameCount(), 0u);
 }
 
 // -- The server chaos soak (the chaos-soak CI job's server leg). ------------

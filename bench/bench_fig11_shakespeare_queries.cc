@@ -2,8 +2,9 @@
 // for queries QS1-QS6 and loading time on the Shakespeare data set, at
 // scale factors DSx1/x2/x4/x8.
 //
-// Environment: XORATOR_PLAYS, XORATOR_MAX_SCALE (default 8 at full scale,
-// 4 otherwise), XORATOR_RUNS (default 5, the paper's protocol).
+// Environment: XORATOR_PLAYS, XORATOR_MAX_SCALE (default 8), XORATOR_RUNS
+// (default 3; 5, the paper's protocol, at full scale).
+// `--json PATH` also writes the numbers as JSON (BENCH_fig11.json).
 
 #include <cstdio>
 
@@ -16,7 +17,7 @@
 namespace xorator {
 namespace {
 
-int Run() {
+int Run(const std::string& json_path) {
   bool full = benchutil::FullScale();
   datagen::ShakespeareOptions gen_opts;
   gen_opts.plays = bench::EnvInt("PLAYS", full ? 37 : 8);
@@ -44,10 +45,22 @@ int Run() {
     return 1;
   }
   bench::PrintFigure(*result, benchutil::ShakespeareQueries(), scales);
+  if (!json_path.empty()) {
+    Status written = bench::WriteFigureJson(
+        json_path, "fig11", std::to_string(gen_opts.plays) + " plays", runs,
+        *result);
+    if (!written.ok()) {
+      std::fprintf(stderr, "error: %s\n", written.ToString().c_str());
+      return 1;
+    }
+    std::printf("\nwrote %s\n", json_path.c_str());
+  }
   return 0;
 }
 
 }  // namespace
 }  // namespace xorator
 
-int main() { return xorator::Run(); }
+int main(int argc, char** argv) {
+  return xorator::Run(xorator::bench::JsonPathArg(argc, argv));
+}

@@ -7,6 +7,7 @@
 // as the Hybrid joins outgrow the sort heap and fall back to sort-merge.
 //
 // Environment: XORATOR_SIGMOD_DOCS, XORATOR_MAX_SCALE, XORATOR_RUNS.
+// `--json PATH` also writes the numbers as JSON (BENCH_fig13.json).
 
 #include <cstdio>
 
@@ -19,7 +20,7 @@
 namespace xorator {
 namespace {
 
-int Run() {
+int Run(const std::string& json_path) {
   bool full = benchutil::FullScale();
   datagen::SigmodOptions gen_opts;
   gen_opts.documents = bench::EnvInt("SIGMOD_DOCS", full ? 3000 : 400);
@@ -47,10 +48,22 @@ int Run() {
     return 1;
   }
   bench::PrintFigure(*result, benchutil::SigmodQueries(), scales);
+  if (!json_path.empty()) {
+    Status written = bench::WriteFigureJson(
+        json_path, "fig13", std::to_string(gen_opts.documents) + " documents",
+        runs, *result);
+    if (!written.ok()) {
+      std::fprintf(stderr, "error: %s\n", written.ToString().c_str());
+      return 1;
+    }
+    std::printf("\nwrote %s\n", json_path.c_str());
+  }
   return 0;
 }
 
 }  // namespace
 }  // namespace xorator
 
-int main() { return xorator::Run(); }
+int main(int argc, char** argv) {
+  return xorator::Run(xorator::bench::JsonPathArg(argc, argv));
+}

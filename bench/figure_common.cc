@@ -1,6 +1,8 @@
 #include "figure_common.h"
 
 #include <cstdlib>
+#include <fstream>
+#include <thread>
 
 namespace xorator::bench {
 
@@ -14,6 +16,45 @@ int EnvInt(const char* name, int fallback) {
   const char* value = std::getenv(full.c_str());
   if (value == nullptr || value[0] == '\0') return fallback;
   return std::atoi(value);
+}
+
+std::string JsonPathArg(int argc, char** argv) {
+  for (int i = 1; i + 1 < argc; ++i) {
+    if (std::string(argv[i]) == "--json") return argv[i + 1];
+  }
+  return "";
+}
+
+Status WriteFigureJson(const std::string& path, const std::string& figure,
+                       const std::string& corpus, int runs,
+                       const FigureResult& result) {
+  std::ofstream out(path);
+  if (!out) return Status::IOError("cannot write " + path);
+  auto cells = [&out](const std::vector<FigureCell>& list, bool with_query) {
+    for (size_t i = 0; i < list.size(); ++i) {
+      const FigureCell& c = list[i];
+      out << "    {";
+      if (with_query) out << "\"query\": \"" << c.query_id << "\", ";
+      out << "\"scale\": " << c.scale << ", \"hybrid_ms\": " << c.hybrid_ms
+          << ", \"xorator_ms\": " << c.xorator_ms << "}"
+          << (i + 1 < list.size() ? "," : "") << "\n";
+    }
+  };
+  out << "{\n  \"benchmark\": \"" << figure << "\",\n"
+      << "  \"nproc\": " << std::thread::hardware_concurrency() << ",\n"
+      << "  \"build_type\": \"" << XO_BENCH_BUILD_TYPE << "\",\n"
+      << "  \"commit\": \"" << XO_BENCH_COMMIT << "\",\n"
+      << "  \"corpus\": \"" << corpus << "\",\n"
+      << "  \"runs\": " << runs << ",\n  \"queries\": [\n";
+  cells(result.cells, true);
+  out << "  ],\n  \"loading\": [\n";
+  cells(result.loading, false);
+  out << "  ],\n  \"hybrid_data_bytes\": " << result.hybrid_data_bytes
+      << ",\n  \"xorator_data_bytes\": " << result.xorator_data_bytes
+      << "\n}\n";
+  out.close();
+  if (!out) return Status::IOError("failed writing " + path);
+  return Status::OK();
 }
 
 Result<FigureResult> RunFigure(

@@ -53,6 +53,17 @@ void PrintFigure(const FigureResult& result,
 /// `fallback`.
 int EnvInt(const char* name, int fallback);
 
+/// The PATH of a `--json PATH` argument, or "".
+std::string JsonPathArg(int argc, char** argv);
+
+/// Writes `result` to `path` as JSON: Hybrid/XORator milliseconds per query
+/// and scale, load times per scale, database sizes, and the host context
+/// (CPU count, build type and the commit at CMake configure time).
+/// `corpus` describes the base corpus (e.g. "8 plays").
+Status WriteFigureJson(const std::string& path, const std::string& figure,
+                       const std::string& corpus, int runs,
+                       const FigureResult& result);
+
 }  // namespace xorator::bench
 
 #endif  // XORATOR_BENCH_FIGURE_COMMON_H_

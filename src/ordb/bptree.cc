@@ -180,12 +180,15 @@ Result<BPlusTree::SplitResult> BPlusTree::InsertRecursive(PageId node_id,
       RETURN_IF_ERROR(node_ref.Release());
       return SplitResult{};
     }
-    // Split the leaf: left keeps the lower half.
+    // Split the leaf: left keeps the lower half. An entry landing past the
+    // last one (ordered inserts: every CreateIndex backfill, which reads
+    // the heap in RID order) starts an empty right leaf instead, so
+    // ascending runs leave full leaves behind rather than half-empty ones.
     XO_ASSIGN_OR_RETURN(PageRef right_ref, pool_->Create());
     ++page_count_;
     char* right = right_ref.data();
     SetLeaf(right, true);
-    size_t mid = count / 2;
+    size_t mid = pos == count ? count : count / 2;
     size_t right_count = count - mid;
     XO_ASSIGN_OR_RETURN(
         std::string_view upper_half,
@@ -197,9 +200,10 @@ Result<BPlusTree::SplitResult> BPlusTree::InsertRecursive(PageId node_id,
     SetLink(right, Link(node));
     SetCount(node, static_cast<uint16_t>(mid));
     SetLink(node, right_ref.id());
-    // Insert into the proper half.
-    char* target = pos <= mid ? node : right;
-    size_t tpos = pos <= mid ? pos : pos - mid;
+    // Insert into the proper half (an appended entry always goes right).
+    const bool left = pos < count && pos <= mid;
+    char* target = left ? node : right;
+    size_t tpos = left ? pos : pos - mid;
     uint16_t tcount = Count(target);
     RETURN_IF_ERROR(
         ShiftEntries(target, tpos + 1, tpos, tcount - tpos, kLeafEntryBytes));

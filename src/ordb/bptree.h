@@ -31,6 +31,10 @@ inline uint64_t IntIndexKey(int64_t v) {
 /// executor rechecking the predicate on the heap tuple). Duplicate keys are
 /// supported — entries are unique on (key, rid).
 ///
+/// Leaf splits move half the entries to the new right leaf, except that an
+/// entry landing past a full leaf's last entry moves alone, so ascending
+/// inserts (every index backfill) leave full leaves behind.
+///
 /// Deletion is "lazy": the entry is removed from its leaf but nodes are not
 /// rebalanced, which is adequate for this engine's bulk-load-then-query
 /// usage.

@@ -2,6 +2,21 @@
 
 namespace xorator::ordb {
 
+double ColumnStats::EqFraction(uint64_t hash, uint64_t rows) const {
+  if (rows == 0) return 0;
+  uint64_t listed_rows = 0;
+  for (const auto& [value, count] : mcv) {
+    if (value == hash) {
+      return static_cast<double>(count) / static_cast<double>(rows);
+    }
+    listed_rows += count;
+  }
+  const double other_values = ndv - static_cast<double>(mcv.size());
+  if (other_values <= 0 || listed_rows >= rows) return 0;
+  return static_cast<double>(rows - listed_rows) / other_values /
+         static_cast<double>(rows);
+}
+
 const IndexInfo* TableInfo::FindIndex(std::string_view column) const {
   for (const IndexInfo* idx : indexes) {
     if (idx->column == column) return idx;

@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/mutex.h"
@@ -16,9 +17,22 @@
 namespace xorator::ordb {
 
 /// Per-column statistics gathered by RunStats (the engine's "runstats").
+/// Kept in memory only: a reopened database has none until RunStats. XADT
+/// columns get none (ndv stays 0).
 struct ColumnStats {
+  /// Longest most-common-values list RunStats keeps per column.
+  static constexpr size_t kMaxMcv = 16;
+
   /// Estimated number of distinct values.
   double ndv = 0;
+  /// Most common values as (Value::Hash, rows), most frequent first: up to
+  /// kMaxMcv values that occur on more than one row.
+  std::vector<std::pair<uint64_t, uint64_t>> mcv;
+
+  /// Estimated fraction of a `rows`-row table whose value hashes to `hash`:
+  /// its MCV count when listed, else the rows the list leaves spread evenly
+  /// over the distinct values it leaves.
+  double EqFraction(uint64_t hash, uint64_t rows) const;
 };
 
 /// Optimizer statistics for a table (the paper's runstats output).

@@ -1,13 +1,15 @@
 #include "ordb/database.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <set>
-#include <unordered_set>
+#include <unordered_map>
 
 #include "common/span.h"
 #include "common/str_util.h"
 #include "common/varint.h"
+#include "ordb/row_codec.h"
 
 namespace xorator::ordb {
 
@@ -591,12 +593,14 @@ Status Database::CreateIndexLocked(const std::string& table,
   while (true) {
     XO_ASSIGN_OR_RETURN(bool ok, scanner.Next(&rid, &record));
     if (!ok) break;
-    XO_ASSIGN_OR_RETURN(Tuple row, DecodeTuple(t->schema, record));
-    const Value& v = row[index->column_index];
+    // Read the one column in place: decoding whole rows would copy every
+    // XADT fragment.
+    XO_ASSIGN_OR_RETURN(RowView row, RowView::Parse(t->schema, record));
+    const ValueView v = row.column(static_cast<size_t>(index->column_index));
     if (v.is_null()) continue;
     uint64_t key = index->key_type == TypeId::kInteger
                        ? IntIndexKey(v.AsInt())
-                       : Hash64(v.AsString());
+                       : Hash64(v.bytes());
     XO_RETURN_NOT_OK(index->tree->Insert(key, rid.Encode()));
   }
   return Status::OK();
@@ -642,8 +646,13 @@ Status Database::BulkInsertLocked(const std::string& table,
 Status Database::RunStats() {
   XO_RETURN_NOT_OK(health_.CheckWritable());
   xo::WriterLock lock(&mu_);
+  using Count = std::pair<uint64_t, uint64_t>;  // (value hash, rows)
+  auto more_common = [](const Count& a, const Count& b) {
+    return a.second != b.second ? a.second > b.second : a.first < b.first;
+  };
   for (TableInfo* t : catalog_.tables()) {
-    std::vector<std::unordered_set<uint64_t>> distinct(t->schema.size());
+    std::vector<std::unordered_map<uint64_t, uint64_t>> counts(
+        t->schema.size());
     HeapFile::Scanner scanner = t->heap->Scan();
     Rid rid;
     std::string record;
@@ -652,15 +661,30 @@ Status Database::RunStats() {
       XO_ASSIGN_OR_RETURN(bool ok, scanner.Next(&rid, &record));
       if (!ok) break;
       ++rows;
-      XO_ASSIGN_OR_RETURN(Tuple row, DecodeTuple(t->schema, record));
-      for (size_t i = 0; i < row.size(); ++i) {
-        // Cap the per-column set so runstats stays cheap on huge tables.
-        if (distinct[i].size() < 1u << 20) distinct[i].insert(row[i].Hash());
+      XO_ASSIGN_OR_RETURN(RowView row, RowView::Parse(t->schema, record));
+      for (size_t i = 0; i < t->schema.size(); ++i) {
+        // XADT columns get no statistics: no plan or advisor decision reads
+        // them, and hashing every fragment would dominate the scan.
+        if (t->schema.columns[i].type == TypeId::kXadt) continue;
+        const uint64_t hash = row.column(i).ToValue().Hash();
+        // Cap the per-column map so runstats stays cheap on huge tables;
+        // values already in it keep counting.
+        auto it = counts[i].find(hash);
+        if (it != counts[i].end()) {
+          ++it->second;
+        } else if (counts[i].size() < 1u << 20) {
+          counts[i].emplace(hash, 1);
+        }
       }
     }
     t->stats.row_count = rows;
     for (size_t i = 0; i < t->schema.size(); ++i) {
-      t->stats.columns[i].ndv = static_cast<double>(distinct[i].size());
+      ColumnStats& cs = t->stats.columns[i];
+      cs.ndv = static_cast<double>(counts[i].size());
+      cs.mcv.resize(std::min(counts[i].size(), ColumnStats::kMaxMcv));
+      std::partial_sort_copy(counts[i].begin(), counts[i].end(),
+                             cs.mcv.begin(), cs.mcv.end(), more_common);
+      while (!cs.mcv.empty() && cs.mcv.back().second < 2) cs.mcv.pop_back();
     }
     t->stats.collected = true;
   }
@@ -761,15 +785,36 @@ Result<Value> EvalAst(const sql::AstExpr& e, const TableSchema& schema,
   return Status::Internal("unhandled AST node");
 }
 
-void CollectIndexableColumns(const sql::AstExpr& e,
-                             std::vector<std::string>* out) {
+/// A column compared for equality, with the literal it is compared
+/// against (nullptr when the other side is not a literal, e.g. a join).
+struct Equality {
+  std::string column;
+  const Value* literal = nullptr;
+};
+
+void CollectEqualities(const sql::AstExpr& e, std::vector<Equality>* out) {
   using sql::AstExpr;
   if (e.kind == AstExpr::Kind::kCompare && e.op == CompareOp::kEq) {
-    for (const auto& c : e.children) {
-      if (c->kind == AstExpr::Kind::kColumn) out->push_back(c->name);
+    for (size_t i = 0; i < 2; ++i) {
+      const AstExpr& side = *e.children[i];
+      const AstExpr& other = *e.children[1 - i];
+      if (side.kind != AstExpr::Kind::kColumn) continue;
+      out->push_back({side.name, other.kind == AstExpr::Kind::kLiteral
+                                     ? &other.literal
+                                     : nullptr});
     }
   }
-  for (const auto& c : e.children) CollectIndexableColumns(*c, out);
+  for (const auto& c : e.children) CollectEqualities(*c, out);
+}
+
+/// True when `plan` reads `index` through an IndexScan.
+bool PlanScansIndex(const Operator& plan, const IndexInfo* index) {
+  const auto* scan = dynamic_cast<const IndexScanOp*>(&plan);
+  if (scan != nullptr && scan->index() == index) return true;
+  for (const Operator* child : plan.Children()) {
+    if (PlanScansIndex(*child, index)) return true;
+  }
+  return false;
 }
 
 }  // namespace
@@ -826,23 +871,26 @@ Result<QueryResult> Database::RunDelete(const sql::DeleteStmt& stmt) {
 Status Database::AdviseIndexes(const std::vector<std::string>& queries) {
   XO_RETURN_NOT_OK(health_.CheckWritable());
   xo::WriterLock lock(&mu_);
-  std::set<std::pair<std::string, std::string>> wanted;
+  using Column = std::pair<std::string, std::string>;  // (table, column)
+  std::vector<sql::Statement> selects;
+  std::set<Column> wanted;
+  std::set<Column> rare_literal_only;
   for (const std::string& q : queries) {
     auto parsed = sql::ParseSql(q);
     if (!parsed.ok()) continue;
     if (parsed->kind != sql::Statement::Kind::kSelect) continue;
     const sql::SelectStmt& stmt = parsed->select;
     if (stmt.where == nullptr) continue;
-    std::vector<std::string> cols;
-    CollectIndexableColumns(*stmt.where, &cols);
+    std::vector<Equality> equalities;
+    CollectEqualities(*stmt.where, &equalities);
     // Resolve alias.col / col names against the statement's FROM clause.
-    for (const std::string& name : cols) {
+    for (const Equality& eq : equalities) {
       std::string alias;
-      std::string col = name;
-      size_t dot = name.find('.');
+      std::string col = eq.column;
+      size_t dot = eq.column.find('.');
       if (dot != std::string::npos) {
-        alias = name.substr(0, dot);
-        col = name.substr(dot + 1);
+        alias = eq.column.substr(0, dot);
+        col = eq.column.substr(dot + 1);
       }
       for (const sql::TableRef& ref : stmt.from) {
         if (ref.is_function) continue;
@@ -853,21 +901,55 @@ Status Database::AdviseIndexes(const std::vector<std::string>& queries) {
         if (idx < 0) continue;
         if (t->schema.columns[idx].type == TypeId::kXadt) continue;
         // Like DB2's Index Wizard, skip columns where an equality match is
-        // unselective (more than ~50 rows per distinct value).
-        if (t->stats.collected && t->stats.row_count > 100 &&
-            t->stats.columns[idx].ndv <
-                static_cast<double>(t->stats.row_count) * 0.02) {
-          continue;
+        // unselective: a join column with more than ~50 rows per distinct
+        // value, a literal matching more than 2% of the rows.
+        // Small tables and tables without statistics pass both rules.
+        const ColumnStats& cs = t->stats.columns[idx];
+        const uint64_t rows = t->stats.row_count;
+        const bool exempt = !t->stats.collected || rows <= 100;
+        const bool ndv_selective =
+            exempt || cs.ndv >= static_cast<double>(rows) * 0.02;
+        if (eq.literal == nullptr) {
+          if (ndv_selective) wanted.emplace(ref.table, col);
+        } else if (exempt ||
+                   cs.EqFraction(eq.literal->Hash(), rows) <= 0.02) {
+          (ndv_selective ? wanted : rare_literal_only).emplace(ref.table, col);
         }
-        wanted.emplace(ref.table, col);
       }
     }
+    selects.push_back(std::move(*parsed));
   }
   for (const auto& [table, col] : wanted) {
     const TableInfo* t = catalog_.FindTable(table);
     if (t != nullptr && t->FindIndex(col) == nullptr) {
       XO_RETURN_NOT_OK(CreateIndexLocked(table, col));
     }
+  }
+  // A low-NDV column wanted only for a rare literal is built only when a
+  // plan would use it (DB2's Index Wizard plans against virtual indexes the
+  // same way): a treeless stub stands in for the index while every advised
+  // statement is planned, never opened.
+  Planner planner(&catalog_, &functions_, options_.planner);
+  for (const auto& [table, col] : rare_literal_only) {
+    TableInfo* t = catalog_.FindTable(table);
+    if (t->FindIndex(col) != nullptr) continue;
+    IndexInfo stub;
+    stub.name = "what-if";
+    stub.table = table;
+    stub.column = col;
+    stub.column_index = t->schema.ColumnIndex(col);
+    stub.key_type = t->schema.columns[stub.column_index].type;
+    t->indexes.push_back(&stub);
+    bool used = false;
+    for (const sql::Statement& s : selects) {
+      auto plan = planner.PlanSelect(s.select);
+      if (plan.ok() && PlanScansIndex(**plan, &stub)) {
+        used = true;
+        break;
+      }
+    }
+    t->indexes.pop_back();
+    if (used) XO_RETURN_NOT_OK(CreateIndexLocked(table, col));
   }
   return Status::OK();
 }
@@ -1013,8 +1095,35 @@ Result<QueryResult> Database::RunPragma(const sql::PragmaStmt& stmt) {
          Value::Bool(report.wrapped)});
     return result;
   }
-  return Status::InvalidArgument("unknown pragma '" + stmt.name +
-                                 "' (try PRAGMA health or PRAGMA scrub)");
+  if (EqualsIgnoreCase(stmt.name, "stats")) {
+    QueryResult result;
+    result.columns = {"table", "column", "rows", "ndv", "mcv_rows",
+                      "index_pages"};
+    for (const TableInfo* t : catalog_.tables()) {
+      for (size_t i = 0; i < t->schema.size(); ++i) {
+        const ColumnDef& c = t->schema.columns[i];
+        if (c.type == TypeId::kXadt) continue;
+        const ColumnStats& cs = t->stats.columns[i];
+        std::string mcv;
+        for (const auto& [hash, rows] : cs.mcv) {
+          mcv += (mcv.empty() ? "" : ",") + std::to_string(rows);
+        }
+        const IndexInfo* index = t->FindIndex(c.name);
+        const uint64_t index_pages =
+            index == nullptr ? 0 : index->tree->page_count();
+        result.rows.push_back(
+            {Value::Varchar(t->name), Value::Varchar(c.name),
+             Value::Int(static_cast<int64_t>(t->stats.row_count)),
+             Value::Int(static_cast<int64_t>(cs.ndv)),
+             Value::Varchar(std::move(mcv)),
+             Value::Int(static_cast<int64_t>(index_pages))});
+      }
+    }
+    return result;
+  }
+  return Status::InvalidArgument(
+      "unknown pragma '" + stmt.name +
+      "' (try PRAGMA health, PRAGMA scrub or PRAGMA stats)");
 }
 
 }  // namespace xorator::ordb

@@ -235,7 +235,12 @@ class Database {
   [[nodiscard]] Status RunStats() XO_EXCLUDES(mu_);
 
   /// Creates indexes useful for `queries` (the paper's "DB2 Index Wizard"):
-  /// every column compared for equality against a literal or another column.
+  /// columns compared for equality against another column when they have
+  /// at least one distinct value per ~50 rows, and against a literal when
+  /// it matches at most 2% of the rows (most-common-values statistics). A
+  /// low-NDV column wanted only for a rare literal is built only when
+  /// planning `queries` against a stand-in index shows an IndexScan on it.
+  /// `PRAGMA stats` shows the statistics behind each decision.
   [[nodiscard]] Status AdviseIndexes(const std::vector<std::string>& queries)
       XO_EXCLUDES(mu_);
 
@@ -284,8 +289,9 @@ class Database {
       XO_REQUIRES_SHARED(mu_);
   [[nodiscard]] Result<QueryResult> RunDelete(const sql::DeleteStmt& stmt)
       XO_REQUIRES(mu_);
-  /// PRAGMA dispatch (health introspection, scrub slices). Shared lock:
-  /// pragmas only touch internally-synchronized components.
+  /// PRAGMA dispatch (health introspection, scrub slices, optimizer
+  /// statistics). Shared lock: pragmas only touch internally-synchronized
+  /// components, or read statistics that only exclusive statements write.
   [[nodiscard]] Result<QueryResult> RunPragma(const sql::PragmaStmt& stmt)
       XO_REQUIRES_SHARED(mu_);
   /// Row-building body of ResilienceStats()/PRAGMA health.

@@ -90,6 +90,7 @@ class IndexScanOp : public Operator {
   [[nodiscard]] Status Open(ExecContext* ctx) override;
   [[nodiscard]] Result<bool> Next(Tuple* out) override;
   std::string Label() const override;
+  const IndexInfo* index() const { return index_; }
 
  private:
   const TableInfo* table_;

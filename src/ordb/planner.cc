@@ -174,51 +174,8 @@ void FlattenConjuncts(const AstExpr& e, std::vector<const AstExpr*>* out) {
   out->push_back(&e);
 }
 
-/// Crude selectivity model for base-table cardinality estimation.
-double EstimateSelectivity(const AstExpr& e, const TableInfo& table,
-                           const Scope& scope) {
-  switch (e.kind) {
-    case AstExpr::Kind::kCompare: {
-      if (e.op != CompareOp::kEq) return 0.3;
-      // col = literal: 1/ndv when stats exist.
-      const AstExpr* col = nullptr;
-      if (e.children[0]->kind == AstExpr::Kind::kColumn &&
-          e.children[1]->kind == AstExpr::Kind::kLiteral) {
-        col = e.children[0].get();
-      } else if (e.children[1]->kind == AstExpr::Kind::kColumn &&
-                 e.children[0]->kind == AstExpr::Kind::kLiteral) {
-        col = e.children[1].get();
-      }
-      if (col != nullptr && table.stats.collected) {
-        auto res = scope.Resolve(col->name);
-        if (res.ok()) {
-          // Map the qualified name back to the table's local column.
-          std::string local = res->qualified.substr(
-              res->qualified.find('.') + 1);
-          int idx = table.schema.ColumnIndex(local);
-          if (idx >= 0 && table.stats.columns[idx].ndv > 0) {
-            return 1.0 / table.stats.columns[idx].ndv;
-          }
-        }
-      }
-      return 0.05;
-    }
-    case AstExpr::Kind::kLike:
-      return 0.25;
-    case AstExpr::Kind::kAnd:
-      return EstimateSelectivity(*e.children[0], table, scope) *
-             EstimateSelectivity(*e.children[1], table, scope);
-    case AstExpr::Kind::kOr:
-      return std::min(1.0,
-                      EstimateSelectivity(*e.children[0], table, scope) +
-                          EstimateSelectivity(*e.children[1], table, scope));
-    default:
-      return 0.5;
-  }
-}
-
-/// Recognizes `col = literal` for index-scan selection; returns the column
-/// AST node and the literal.
+/// Recognizes `col = literal` (index-scan choice, selectivity); returns
+/// the column AST node and the literal.
 bool MatchColumnEqLiteral(const AstExpr& e, const AstExpr** col,
                           const Value** literal) {
   if (e.kind != AstExpr::Kind::kCompare || e.op != CompareOp::kEq) {
@@ -237,6 +194,44 @@ bool MatchColumnEqLiteral(const AstExpr& e, const AstExpr** col,
     return true;
   }
   return false;
+}
+
+/// Crude selectivity model for base-table cardinality estimation.
+double EstimateSelectivity(const AstExpr& e, const TableInfo& table,
+                           const Scope& scope) {
+  switch (e.kind) {
+    case AstExpr::Kind::kCompare: {
+      if (e.op != CompareOp::kEq) return 0.3;
+      // col = literal: the literal's share of rows when stats exist.
+      const AstExpr* col;
+      const Value* literal;
+      if (MatchColumnEqLiteral(e, &col, &literal) && table.stats.collected) {
+        auto res = scope.Resolve(col->name);
+        if (res.ok()) {
+          // Map the qualified name back to the table's local column.
+          std::string local = res->qualified.substr(
+              res->qualified.find('.') + 1);
+          int idx = table.schema.ColumnIndex(local);
+          if (idx >= 0 && table.stats.columns[idx].ndv > 0) {
+            return table.stats.columns[idx].EqFraction(literal->Hash(),
+                                                       table.stats.row_count);
+          }
+        }
+      }
+      return 0.05;
+    }
+    case AstExpr::Kind::kLike:
+      return 0.25;
+    case AstExpr::Kind::kAnd:
+      return EstimateSelectivity(*e.children[0], table, scope) *
+             EstimateSelectivity(*e.children[1], table, scope);
+    case AstExpr::Kind::kOr:
+      return std::min(1.0,
+                      EstimateSelectivity(*e.children[0], table, scope) +
+                          EstimateSelectivity(*e.children[1], table, scope));
+    default:
+      return 0.5;
+  }
 }
 
 /// Recognizes `colA = colB` across two different items.
@@ -332,10 +327,12 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt) {
     const FromItem& item = items[i];
     std::vector<Conjunct*> filters = base_filters(i);
     OperatorPtr op;
-    // Prefer an index scan for a `col = literal` filter.
+    // Prefer an index scan for a `col = literal` filter, the most
+    // selective one when several columns are indexed.
     Conjunct* index_filter = nullptr;
     const IndexInfo* index = nullptr;
     Value index_key;
+    double best_selectivity = 0;
     for (Conjunct* c : filters) {
       const AstExpr* col;
       const Value* literal;
@@ -344,11 +341,13 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt) {
       if (!res.ok() || res->item != i) continue;
       std::string local = res->qualified.substr(res->qualified.find('.') + 1);
       const IndexInfo* idx = item.table->FindIndex(local);
-      if (idx != nullptr) {
+      if (idx == nullptr) continue;
+      double selectivity = EstimateSelectivity(*c->ast, *item.table, scope);
+      if (index == nullptr || selectivity < best_selectivity) {
         index_filter = c;
         index = idx;
         index_key = *literal;
-        break;
+        best_selectivity = selectivity;
       }
     }
     if (index != nullptr) {

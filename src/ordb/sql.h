@@ -99,7 +99,7 @@ struct DeleteStmt {
 };
 
 /// A parsed PRAGMA: an engine maintenance/introspection command
-/// (`PRAGMA health`, `PRAGMA scrub`, `PRAGMA scrub(256)`).
+/// (`PRAGMA health`, `PRAGMA scrub`, `PRAGMA scrub(256)`, `PRAGMA stats`).
 struct PragmaStmt {
   std::string name;
   int64_t arg = -1;

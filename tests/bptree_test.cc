@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <random>
 #include <set>
@@ -78,6 +79,70 @@ TEST_F(BPlusTreeTest, DeleteEntries) {
   EXPECT_FALSE(tree->Delete(50, 50).ok());
   EXPECT_EQ(tree->entry_count(), 99u);
   ASSERT_TRUE(tree->CheckInvariants().ok());
+}
+
+// Entries per leaf: the node header and 16-byte (key, rid) entries after
+// the page header.
+constexpr uint64_t kLeafCapacity = (kPageSize - kPageHeaderBytes - 8) / 16;
+
+TEST_F(BPlusTreeTest, AscendingInsertsFillLeaves) {
+  auto tree = BPlusTree::Create(&pool_);
+  ASSERT_TRUE(tree.ok());
+  for (uint64_t k = 0; k < 10 * kLeafCapacity; ++k) {
+    ASSERT_TRUE(tree->Insert(k, k).ok());
+  }
+  // Ten full leaves (an eleventh for the split that filled the tenth) and
+  // one root; 50/50 splits would leave ~20 half-empty leaves.
+  EXPECT_LE(tree->page_count(), 12u);
+  ASSERT_TRUE(tree->CheckInvariants().ok());
+  auto all = tree->FindRange(0, UINT64_MAX);
+  ASSERT_TRUE(all.ok());
+  ASSERT_EQ(all->size(), 10 * kLeafCapacity);
+  for (uint64_t k = 0; k < all->size(); ++k) EXPECT_EQ((*all)[k], k);
+}
+
+TEST_F(BPlusTreeTest, DuplicateRunsAcrossFilledLeafBoundaries) {
+  // An index backfill: (key, rid) ascending, each key a run of duplicates
+  // that crosses leaf boundaries.
+  auto tree = BPlusTree::Create(&pool_);
+  ASSERT_TRUE(tree.ok());
+  const uint64_t kRun = 300;
+  const uint64_t kN = 4 * kLeafCapacity;
+  for (uint64_t rid = 0; rid < kN; ++rid) {
+    ASSERT_TRUE(tree->Insert(rid / kRun, rid).ok());
+  }
+  EXPECT_LE(tree->page_count(), 6u);
+  ASSERT_TRUE(tree->CheckInvariants().ok());
+  for (uint64_t key = 0; key * kRun < kN; ++key) {
+    auto found = tree->Find(key);
+    ASSERT_TRUE(found.ok());
+    const uint64_t end = std::min(kN, (key + 1) * kRun);
+    ASSERT_EQ(found->size(), end - key * kRun) << key;
+    for (uint64_t i = 0; i < found->size(); ++i) {
+      EXPECT_EQ((*found)[i], key * kRun + i);
+    }
+  }
+  // Delete the entries on both sides of the first leaf boundary, then put
+  // one back into the middle of a full leaf (a 50/50 split).
+  const uint64_t boundary = kLeafCapacity;
+  for (uint64_t rid = boundary - 2; rid < boundary + 2; ++rid) {
+    ASSERT_TRUE(tree->Delete(rid / kRun, rid).ok()) << rid;
+  }
+  ASSERT_TRUE(tree->Insert(boundary / kRun, boundary).ok());
+  ASSERT_TRUE(tree->Insert(0, kN + 1).ok());
+  ASSERT_TRUE(tree->CheckInvariants().ok());
+  auto run = tree->Find(boundary / kRun);
+  ASSERT_TRUE(run.ok());
+  std::set<uint64_t> got(run->begin(), run->end());
+  EXPECT_EQ(got.count(boundary), 1u);
+  EXPECT_EQ(got.count(boundary - 1), 0u);
+  EXPECT_EQ(got.count(boundary + 1), 0u);
+  EXPECT_TRUE(std::is_sorted(run->begin(), run->end()));
+  auto first = tree->Find(0);
+  ASSERT_TRUE(first.ok());
+  ASSERT_EQ(first->size(), kRun + 1);
+  EXPECT_EQ(first->back(), kN + 1);
+  EXPECT_EQ(tree->entry_count(), kN - 4 + 2);
 }
 
 TEST_F(BPlusTreeTest, IntKeyOrderPreserving) {

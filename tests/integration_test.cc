@@ -214,6 +214,58 @@ TEST_F(ShakespeareIntegrationTest, QS6SecondLineCountsAgree) {
   EXPECT_EQ(h, x);
 }
 
+TEST(SkewedParentCodeTest, XoratorQs6ScansRareParentCodeIndex) {
+  // With 24 speeches per scene, 'PROLOGUE' marks under 2% of the speeches
+  // (3-value speech_parentCODE). The advisor indexes it for XORator, whose
+  // QS6 scans speech directly, but not for Hybrid, whose QS6 reaches speech
+  // through an index join where the literal is a residual filter.
+  datagen::ShakespeareOptions opts;
+  opts.plays = 4;
+  opts.acts_per_play = 3;
+  opts.scenes_per_act = 3;
+  opts.speeches_per_scene = 24;
+  auto corpus = datagen::ShakespeareGenerator(opts).GenerateCorpus();
+  std::vector<const xml::Node*> docs;
+  for (const auto& d : corpus) docs.push_back(d.get());
+  ExperimentOptions options;
+  options.advisor_queries = AdvisorQueries();
+  options.mapping = Mapping::kHybrid;
+  auto hybrid = BuildExperimentDb(datagen::kShakespeareDtd, docs, options);
+  ASSERT_TRUE(hybrid.ok()) << hybrid.status().ToString();
+  options.mapping = Mapping::kXorator;
+  auto xorator = BuildExperimentDb(datagen::kShakespeareDtd, docs, options);
+  ASSERT_TRUE(xorator.ok()) << xorator.status().ToString();
+
+  const benchutil::PaperQuery& qs6 = benchutil::ShakespeareQueries()[5];
+  auto x = xorator->db->Explain(qs6.xorator_sql);
+  ASSERT_TRUE(x.ok()) << x.status().ToString();
+  EXPECT_NE(x->find("IndexScan(speech AS speech ON speech_parentCODE = "
+                    "PROLOGUE)"),
+            std::string::npos)
+      << *x;
+  auto h = hybrid->db->Explain(qs6.hybrid_sql);
+  ASSERT_TRUE(h.ok()) << h.status().ToString();
+  EXPECT_EQ(h->find("ON speech_parentCODE"), std::string::npos) << *h;
+  EXPECT_EQ(
+      hybrid->db->catalog()->FindTable("speech")->FindIndex(
+          "speech_parentCODE"),
+      nullptr);
+
+  // The same answer through the index: QS6SecondLineCountsAgree's counts.
+  int64_t hc = Count(&*hybrid,
+                     "SELECT COUNT(*) AS n FROM prologue, speech, line "
+                     "WHERE speech_parentID = prologueID "
+                     "AND speech_parentCODE = 'PROLOGUE' "
+                     "AND line_parentID = speechID AND line_childOrder = 2");
+  int64_t xc = Count(&*xorator,
+                     "SELECT COUNT(*) AS n FROM speech, "
+                     "table(unnest(getElmIndex(speech_line, '', 'LINE', 2, "
+                     "2), 'LINE')) u "
+                     "WHERE speech_parentCODE = 'PROLOGUE'");
+  EXPECT_GT(hc, 0);
+  EXPECT_EQ(hc, xc);
+}
+
 TEST_F(ShakespeareIntegrationTest, UdfOverheadQueriesAgree) {
   for (const auto& q : benchutil::UdfOverheadQueries()) {
     QueryResult builtin = RunSql(hybrid_, q.hybrid_sql);

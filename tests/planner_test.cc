@@ -65,6 +65,27 @@ TEST_F(PlannerTest, IndexScanChosenForEqualityWithIndex) {
             std::string::npos);
 }
 
+TEST_F(PlannerTest, IndexScanPicksMostSelectiveEquality) {
+  // v = 'value-3' matches 1/7 of big, fk = 7 matches 1/100: the index scan
+  // goes through fk although v is listed first.
+  ASSERT_TRUE(db_->Execute("CREATE INDEX iv ON big (v)").ok());
+  ASSERT_TRUE(db_->Execute("CREATE INDEX ifk ON big (fk)").ok());
+  ASSERT_TRUE(db_->RunStats().ok());
+  const std::string sql =
+      "SELECT id FROM big WHERE v = 'value-3' AND fk = 7";
+  std::string plan = Plan(sql);
+  EXPECT_NE(plan.find("IndexScan(big AS big ON fk = 7)"), std::string::npos)
+      << plan;
+  EXPECT_NE(plan.find("Filter(big.v = 'value-3')"), std::string::npos)
+      << plan;
+  auto r = db_->Query(sql);
+  ASSERT_TRUE(r.ok());
+  // Rows with fk = 7 (i % 100 == 7) whose v is 'value-3' (i % 7 == 3).
+  size_t expected = 0;
+  for (int i = 0; i < 2000; ++i) expected += i % 100 == 7 && i % 7 == 3;
+  EXPECT_EQ(r->rows.size(), expected);
+}
+
 TEST_F(PlannerTest, IndexJoinRequiresSelectiveOuter) {
   ASSERT_TRUE(db_->Execute("CREATE INDEX i2 ON big (fk)").ok());
   ASSERT_TRUE(db_->RunStats().ok());

@@ -1,19 +1,33 @@
 #ifndef XORATOR_XADT_SCANNER_H_
 #define XORATOR_XADT_SCANNER_H_
 
+#include <cstdint>
 #include <string>
-#include <vector>
 #include <string_view>
+#include <vector>
 
 #include "common/lifetime.h"
 #include "common/result.h"
+#include "xml/lexer.h"
 
 namespace xorator::xadt {
 
+/// First byte of an encoded XADT value: its representation (xadt.h).
+inline constexpr char kRawMarker = 'R';
+inline constexpr char kCompressedMarker = 'C';
+inline constexpr char kDirectoryMarker = 'D';
+
+/// Token opcodes of the compressed representation.
+inline constexpr uint8_t kTokStart = 0x01;
+inline constexpr uint8_t kTokEnd = 0x02;
+inline constexpr uint8_t kTokText = 0x03;
+
 /// A pull-based event scanner over an encoded XADT value (either
-/// representation), used by the XADT methods to evaluate path/keyword/order
-/// predicates without materializing a DOM — the streaming equivalent of the
-/// paper's C-string implementation.
+/// representation): the XADT methods evaluate path/keyword/order
+/// predicates over its events without materializing a DOM — the streaming
+/// equivalent of the paper's C-string implementation — and xadt::Decode
+/// builds the DOM from the same events. The raw form is lexed by
+/// xml::Lexer under its grammar and depth limit, without size limits.
 ///
 /// Events carry byte offsets into the encoded value so that matched
 /// fragments can be emitted by copying the original byte range:
@@ -21,26 +35,16 @@ namespace xorator::xadt {
 ///     (the '<' in the raw form, the start opcode in the compressed form);
 ///   * a kEnd event's `end_offset` is one past the last byte of the element.
 /// Self-closing raw elements produce a kStart immediately followed by a
-/// kEnd.
+/// kEnd. Attributes are skipped unless DecodeAttributes asks for them.
 ///
 /// The scanner is a gsl::Pointer into the encoded bytes (DESIGN.md
 /// section 14): it never copies them, so Clang builds reject constructing
 /// one over a temporary owner in a single statement.
 class XO_GSL_POINTER(char) FragmentScanner {
  public:
-  enum class EventKind { kStart, kEnd, kText, kEof };
-
-  struct Event {
-    EventKind kind = EventKind::kEof;
-    /// Element name (valid until the next call) for kStart/kEnd.
-    std::string_view name;
-    /// Decoded character data for kText.
-    std::string_view text;
-    /// Byte offset of the event start (kStart) in the encoded value.
-    size_t offset = 0;
-    /// One past the last byte (kEnd).
-    size_t end_offset = 0;
-  };
+  using EventKind = xml::TokenKind;
+  /// kStart/kEnd carry the element name, kText the decoded character data.
+  using Event = xml::Token;
 
   /// `bytes` must outlive the scanner (enforced on Clang builds via the
   /// lifetime-bound parameter). Accepts all three representations (raw,
@@ -52,6 +56,10 @@ class XO_GSL_POINTER(char) FragmentScanner {
   /// The returned Event's views point into the scanner (and its bytes);
   /// they are valid only until the next call.
   [[nodiscard]] Result<Event> Next() XO_LIFETIME_BOUND;
+
+  /// Passes the attributes of the most recent kStart event to `sink`, one
+  /// at a time, so a DOM builder can charge each before storing it.
+  [[nodiscard]] Status DecodeAttributes(const xml::AttributeSink& sink);
 
   bool compressed() const { return compressed_; }
 
@@ -82,9 +90,9 @@ class XO_GSL_POINTER(char) FragmentScanner {
   }
 
  private:
-  explicit FragmentScanner(std::string_view bytes) : bytes_(bytes) {}
+  explicit FragmentScanner(std::string_view bytes)
+      : bytes_(bytes), lexer_(bytes, 0, {}) {}
 
-  [[nodiscard]] Result<Event> NextRaw();
   [[nodiscard]] Result<Event> NextCompressed();
   [[nodiscard]] Status ParseDictionary(size_t dict_begin);
 
@@ -96,15 +104,14 @@ class XO_GSL_POINTER(char) FragmentScanner {
   size_t payload_base_ = 0;
   std::vector<std::pair<size_t, size_t>> top_ranges_;
   size_t content_begin_ = 1;
+  /// Raw form (and the empty value): the XML lexer over the payload.
+  xml::Lexer lexer_;
+  // Compressed form: cursor, dictionary, open element names (views into
+  // dict_), and where the last start token's attribute list begins.
   size_t pos_ = 0;
-  // Raw form: stack of open element names (string_views into bytes_);
-  // compressed form: stack of dictionary ids.
-  std::vector<std::string_view> open_;
   std::vector<std::string> dict_;
-  // Scratch for decoded entity text and synthesized end events.
-  std::string text_scratch_;
-  bool pending_self_close_ = false;
-  size_t pending_end_offset_ = 0;
+  std::vector<std::string_view> open_;
+  size_t attrs_pos_ = 0;
 };
 
 }  // namespace xorator::xadt

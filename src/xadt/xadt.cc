@@ -2,13 +2,11 @@
 
 #include "xadt/scanner.h"
 
-#include <functional>
 #include <map>
 
 #include "common/str_util.h"
 #include "common/varint.h"
 #include "ordb/query_guard.h"
-#include "xml/parser.h"
 #include "xml/serializer.h"
 
 namespace xorator::xadt {
@@ -28,15 +26,6 @@ class ExpansionBudget {
  private:
   ordb::TrackedArena arena_;
 };
-
-constexpr char kRawMarker = 'R';
-constexpr char kCompressedMarker = 'C';
-constexpr char kDirectoryMarker = 'D';
-
-// Token opcodes of the compressed representation.
-constexpr uint8_t kTokStart = 0x01;
-constexpr uint8_t kTokEnd = 0x02;
-constexpr uint8_t kTokText = 0x03;
 
 void CollectNames(const xml::Node& node,
                   std::map<std::string, uint64_t>* dict,
@@ -72,113 +61,30 @@ void EncodeNode(const xml::Node& node,
   out->push_back(static_cast<char>(kTokEnd));
 }
 
-Result<std::unique_ptr<xml::Node>> DecodeCompressed(std::string_view bytes) {
-  size_t pos = 1;
-  XO_ASSIGN_OR_RETURN(uint64_t name_count, GetVarint(bytes, &pos));
-  if (name_count > bytes.size() - pos) {
-    return Status::ParseError("XADT dictionary count exceeds value size");
-  }
-  std::vector<std::string> names;
-  names.reserve(name_count);
-  for (uint64_t i = 0; i < name_count; ++i) {
-    XO_ASSIGN_OR_RETURN(uint64_t len, GetVarint(bytes, &pos));
-    // Subtraction form: pos <= size() after GetVarint, so this cannot
-    // wrap the way `pos + len` could.
-    if (len > bytes.size() - pos) {
-      return Status::ParseError("truncated XADT dictionary");
-    }
-    names.emplace_back(bytes.substr(pos, len));
-    pos += len;
-  }
-  auto root = xml::Node::Element("#fragment");
-  std::vector<xml::Node*> stack = {root.get()};
-  // This loop bypasses FragmentScanner, so it polls the statement guard
-  // and charges DOM expansion itself: a small compressed value can decode
-  // to a much larger tree, and hostile token streams must stay both
-  // cancellable and budget-bounded.
-  ordb::QueryGuard* guard = ordb::CurrentGuard();
-  ExpansionBudget budget;
-  while (pos < bytes.size()) {
-    if (guard != nullptr) {
-      RETURN_IF_ERROR(guard->CheckPoint());
-    }
-    uint8_t op = static_cast<uint8_t>(bytes[pos++]);
-    switch (op) {
-      case kTokStart: {
-        XO_ASSIGN_OR_RETURN(uint64_t tag, GetVarint(bytes, &pos));
-        if (tag >= names.size()) {
-          return Status::ParseError("XADT tag id out of range");
-        }
-        auto elem = xml::Node::Element(names[tag]);
-        XO_ASSIGN_OR_RETURN(uint64_t nattrs, GetVarint(bytes, &pos));
-        for (uint64_t i = 0; i < nattrs; ++i) {
-          XO_ASSIGN_OR_RETURN(uint64_t name_id, GetVarint(bytes, &pos));
-          XO_ASSIGN_OR_RETURN(uint64_t len, GetVarint(bytes, &pos));
-          if (name_id >= names.size() || len > bytes.size() - pos) {
-            return Status::ParseError("bad XADT attribute token");
-          }
-          RETURN_IF_ERROR(budget.Charge(names[name_id].size() + len));
-          elem->AddAttribute(names[name_id],
-                             std::string(bytes.substr(pos, len)));
-          pos += len;
-        }
-        RETURN_IF_ERROR(budget.Charge(sizeof(xml::Node) + names[tag].size()));
-        xml::Node* raw = stack.back()->AddChild(std::move(elem));
-        stack.push_back(raw);
-        break;
-      }
-      case kTokEnd:
-        if (stack.size() <= 1) {
-          return Status::ParseError("unbalanced XADT end token");
-        }
-        stack.pop_back();
-        break;
-      case kTokText: {
-        XO_ASSIGN_OR_RETURN(uint64_t len, GetVarint(bytes, &pos));
-        if (len > bytes.size() - pos) {
-          return Status::ParseError("truncated XADT text token");
-        }
-        RETURN_IF_ERROR(budget.Charge(sizeof(xml::Node) + len));
-        stack.back()->AddChild(
-            xml::Node::Text(std::string(bytes.substr(pos, len))));
-        pos += len;
-        break;
-      }
-      default:
-        return Status::ParseError("unknown XADT token opcode");
+// The (start, length) of every top-level fragment in an encoded payload.
+Result<std::vector<std::pair<size_t, size_t>>> TopLevelRanges(
+    std::string_view payload) {
+  XO_ASSIGN_OR_RETURN(FragmentScanner scanner,
+                      FragmentScanner::Create(payload));
+  std::vector<std::pair<size_t, size_t>> ranges;
+  size_t depth = 0;
+  size_t open_offset = 0;
+  while (true) {
+    XO_ASSIGN_OR_RETURN(auto event, scanner.Next());
+    if (event.kind == FragmentScanner::EventKind::kEof) return ranges;
+    if (event.kind == FragmentScanner::EventKind::kStart && depth++ == 0) {
+      open_offset = event.offset;
+    } else if (event.kind == FragmentScanner::EventKind::kEnd && --depth == 0) {
+      ranges.emplace_back(open_offset, event.end_offset - open_offset);
     }
   }
-  if (stack.size() != 1) {
-    return Status::ParseError("unbalanced XADT start token");
-  }
-  return root;
-}
-
-}  // namespace
-
-namespace {
-
-/// Strips a directory prefix, returning the embedded 'R'/'C' payload (the
-/// input itself when no directory is present). Malformed directories yield
-/// an empty view, which downstream decoding rejects.
-std::string_view StripDirectory(std::string_view bytes XO_LIFETIME_BOUND) {
-  if (bytes.empty() || bytes[0] != kDirectoryMarker) return bytes;
-  size_t pos = 1;
-  auto count = GetVarint(bytes, &pos);
-  if (!count.ok()) return std::string_view();
-  for (uint64_t i = 0; i < *count; ++i) {
-    if (!GetVarint(bytes, &pos).ok() || !GetVarint(bytes, &pos).ok()) {
-      return std::string_view();
-    }
-  }
-  return bytes.substr(pos);
 }
 
 }  // namespace
 
 bool IsCompressed(std::string_view bytes) {
-  std::string_view payload = StripDirectory(bytes);
-  return !payload.empty() && payload[0] == kCompressedMarker;
+  auto scanner = FragmentScanner::Create(bytes);
+  return scanner.ok() && scanner->compressed();
 }
 
 bool HasDirectory(std::string_view bytes) {
@@ -213,31 +119,14 @@ std::string Encode(const std::vector<const xml::Node*>& fragments,
 std::string EncodeWithDirectory(const std::vector<const xml::Node*>& fragments,
                                 bool compressed) {
   std::string payload = Encode(fragments, compressed);
-  // Locate the (start, length) of every top-level fragment in the payload.
-  std::vector<std::pair<size_t, size_t>> ranges;
-  auto scanner = FragmentScanner::Create(payload);
-  if (scanner.ok()) {
-    size_t depth = 0;
-    size_t open_offset = 0;
-    while (true) {
-      auto event = scanner->Next();
-      if (!event.ok() || event->kind == FragmentScanner::EventKind::kEof) {
-        break;
-      }
-      if (event->kind == FragmentScanner::EventKind::kStart) {
-        if (depth == 0) open_offset = event->offset;
-        ++depth;
-      } else if (event->kind == FragmentScanner::EventKind::kEnd) {
-        --depth;
-        if (depth == 0) {
-          ranges.emplace_back(open_offset, event->end_offset - open_offset);
-        }
-      }
-    }
-  }
+  auto ranges = TopLevelRanges(payload);
+  // A payload the scanner rejects (say, a DOM nested deeper than the
+  // lexer's depth limit) is stored without a directory rather than with a
+  // short one; the XADT methods then report its error themselves.
+  if (!ranges.ok()) return payload;
   std::string out(1, kDirectoryMarker);
-  PutVarint(&out, ranges.size());
-  for (const auto& [start, len] : ranges) {
+  PutVarint(&out, ranges->size());
+  for (const auto& [start, len] : *ranges) {
     PutVarint(&out, start);
     PutVarint(&out, len);
   }
@@ -246,21 +135,48 @@ std::string EncodeWithDirectory(const std::vector<const xml::Node*>& fragments,
 }
 
 Result<std::unique_ptr<xml::Node>> Decode(std::string_view bytes) {
-  bytes = StripDirectory(bytes);
-  if (bytes.empty()) return xml::Node::Element("#fragment");
-  if (bytes[0] == kRawMarker) {
-    return xml::ParseFragment(bytes.substr(1));
+  XO_ASSIGN_OR_RETURN(FragmentScanner scanner, FragmentScanner::Create(bytes));
+  // A small value can decode to a much larger tree: every node is charged
+  // against the statement's budget, and the scanner polls its guard.
+  ExpansionBudget budget;
+  auto root = xml::Node::Element("#fragment");
+  std::vector<xml::Node*> stack = {root.get()};
+  while (true) {
+    XO_ASSIGN_OR_RETURN(auto event, scanner.Next());
+    switch (event.kind) {
+      case FragmentScanner::EventKind::kEof:
+        return root;
+      case FragmentScanner::EventKind::kStart: {
+        RETURN_IF_ERROR(budget.Charge(sizeof(xml::Node) + event.name.size()));
+        xml::Node* elem = stack.back()->AddChild(
+            xml::Node::Element(std::string(event.name)));
+        // Charged before it is stored: a compressed start token can name
+        // one long dictionary entry for thousands of attributes.
+        RETURN_IF_ERROR(scanner.DecodeAttributes(
+            [&](std::string_view name, std::string value) -> Status {
+              RETURN_IF_ERROR(budget.Charge(name.size() + value.size()));
+              elem->AddAttribute(std::string(name), std::move(value));
+              return Status::OK();
+            }));
+        stack.push_back(elem);
+        break;
+      }
+      case FragmentScanner::EventKind::kEnd:
+        stack.pop_back();
+        break;
+      case FragmentScanner::EventKind::kText:
+        RETURN_IF_ERROR(budget.Charge(sizeof(xml::Node) + event.text.size()));
+        stack.back()->AddChild(xml::Node::Text(std::string(event.text)));
+        break;
+    }
   }
-  if (bytes[0] == kCompressedMarker) {
-    return DecodeCompressed(bytes);
-  }
-  return Status::ParseError("unknown XADT representation marker");
 }
 
 Result<std::string> ToXmlString(std::string_view bytes) {
-  bytes = StripDirectory(bytes);
-  if (bytes.empty()) return std::string();
-  if (bytes[0] == kRawMarker) return std::string(bytes.substr(1));
+  XO_ASSIGN_OR_RETURN(FragmentScanner scanner, FragmentScanner::Create(bytes));
+  if (!scanner.compressed()) {
+    return std::string(bytes.substr(scanner.content_begin()));
+  }
   XO_ASSIGN_OR_RETURN(auto root, Decode(bytes));
   std::string out;
   xml::SerializeTo(*root, &out);
@@ -326,9 +242,6 @@ Result<std::string> GetElm(std::string_view in, std::string_view root_elm,
     XO_ASSIGN_OR_RETURN(auto event, scanner.Next());
     switch (event.kind) {
       case FragmentScanner::EventKind::kEof:
-        if (depth != 0) {
-          return Status::ParseError("unbalanced XADT fragment");
-        }
         return out;
       case FragmentScanner::EventKind::kStart:
         if (event.name == root_elm) {

@@ -26,7 +26,7 @@ namespace xorator::xadt {
 /// representation as their input.
 
 /// True if `bytes` holds the compressed representation (looking through a
-/// directory prefix when present).
+/// directory prefix when present; false when that directory is malformed).
 bool IsCompressed(std::string_view bytes);
 
 /// True if `bytes` carries the directory-prefixed representation.
@@ -51,7 +51,10 @@ std::string EncodeWithDirectory(const std::vector<const xml::Node*>& fragments,
                                 bool compressed);
 
 /// Decodes an XADT value into a DOM forest under a synthetic `#fragment`
-/// root node.
+/// root node: the inverse of Encode, keeping every text node (whitespace
+/// included) in either representation. One DOM builder over
+/// FragmentScanner events serves all representations, charging each node
+/// to the statement's bound guard. A malformed directory is kCorruption.
 [[nodiscard]] Result<std::unique_ptr<xml::Node>> Decode(std::string_view bytes);
 
 /// Renders an XADT value back to XML text (no enclosing root).

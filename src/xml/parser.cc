@@ -1,396 +1,87 @@
 #include "xml/parser.h"
 
-#include <cctype>
-#include <cstdint>
-#include <string>
+#include <vector>
 
 #include "common/str_util.h"
+#include "xml/lexer.h"
 
 namespace xorator::xml {
 
 namespace {
 
-bool IsNameStartChar(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_' || c == ':';
-}
-bool IsNameChar(char c) {
-  return IsNameStartChar(c) || std::isdigit(static_cast<unsigned char>(c)) ||
-         c == '-' || c == '.';
-}
-
-/// Recursive-descent XML parser over a string_view cursor.
-class Parser {
- public:
-  Parser(std::string_view input, const ParseOptions& options)
-      : input_(input), options_(options) {}
-
-  Result<Document> ParseDocument() {
-    XO_RETURN_NOT_OK(CheckInputSize());
-    Document doc;
-    XO_RETURN_NOT_OK(SkipProlog(&doc));
-    if (AtEnd() || Peek() != '<') {
-      return Error("expected root element");
-    }
-    XO_ASSIGN_OR_RETURN(doc.root, ParseElement());
-    SkipMisc();
-    if (!AtEnd()) return Error("content after root element");
-    return doc;
-  }
-
-  Result<std::unique_ptr<Node>> ParseFragmentNodes() {
-    XO_RETURN_NOT_OK(CheckInputSize());
-    auto root = Node::Element("#fragment");
-    XO_RETURN_NOT_OK(ParseContentInto(root.get(), /*close_tag=*/""));
-    if (!AtEnd()) return Error("unexpected '</' in fragment");
-    return root;
-  }
-
- private:
-  bool AtEnd() const { return pos_ >= input_.size(); }
-  char Peek() const { return input_[pos_]; }
-  char PeekAt(size_t off) const {
-    return pos_ + off < input_.size() ? input_[pos_ + off] : '\0';
-  }
-  void Advance() {
-    if (input_[pos_] == '\n') {
-      ++line_;
-      col_ = 1;
-    } else {
-      ++col_;
-    }
-    ++pos_;
-  }
-  bool ConsumeIf(std::string_view token) {
-    if (input_.substr(pos_).substr(0, token.size()) == token) {
-      for (size_t i = 0; i < token.size(); ++i) Advance();
-      return true;
-    }
-    return false;
-  }
-  void SkipWhitespace() {
-    while (!AtEnd() && std::isspace(static_cast<unsigned char>(Peek()))) {
-      Advance();
-    }
-  }
-
-  Status Error(std::string msg) const {
-    return Status::ParseError(msg + " at line " + std::to_string(line_) +
-                              ", column " + std::to_string(col_));
-  }
-
-  Status CheckInputSize() const {
-    const ParserLimits& limits = options_.limits;
-    if (limits.max_input_bytes != 0 && input_.size() > limits.max_input_bytes) {
-      return Status::ParseError(
-          "input of " + std::to_string(input_.size()) +
-          " bytes exceeds the parser limit of " +
-          std::to_string(limits.max_input_bytes) + " bytes");
-    }
+// Copies the attributes of the lexer's most recent start tag onto `elem`.
+Status AddAttributes(Lexer* lexer, Node* elem) {
+  return lexer->DecodeAttributes([elem](std::string_view name,
+                                        std::string value) {
+    elem->AddAttribute(std::string(name), std::move(value));
     return Status::OK();
-  }
+  });
+}
 
-  Status CheckTokenBytes(size_t bytes, std::string_view what) const {
-    const ParserLimits& limits = options_.limits;
-    if (limits.max_token_bytes != 0 && bytes > limits.max_token_bytes) {
-      return Error(std::string(what) + " longer than the parser limit of " +
-                   std::to_string(limits.max_token_bytes) + " bytes");
-    }
-    return Status::OK();
-  }
-
-  Result<std::string> ParseName() {
-    if (AtEnd() || !IsNameStartChar(Peek())) return Error("expected name");
-    size_t start = pos_;
-    while (!AtEnd() && IsNameChar(Peek())) Advance();
-    XO_RETURN_NOT_OK(CheckTokenBytes(pos_ - start, "name"));
-    return std::string(input_.substr(start, pos_ - start));
-  }
-
-  // Skips the XML declaration, comments, PIs, whitespace and DOCTYPE before
-  // the root element.
-  Status SkipProlog(Document* doc) {
-    while (true) {
-      SkipWhitespace();
-      if (ConsumeIf("<?")) {
-        XO_RETURN_NOT_OK(SkipUntil("?>"));
-      } else if (ConsumeIf("<!--")) {
-        XO_RETURN_NOT_OK(SkipUntil("-->"));
-      } else if (input_.substr(pos_).substr(0, 9) == "<!DOCTYPE") {
-        XO_RETURN_NOT_OK(ParseDoctype(doc));
-      } else {
+// Appends the lexer's tokens under `parent` until `parent`'s own end tag
+// (a document root) or the end of input (a fragment). Iterative: the open
+// elements live on `stack`, bounded by ParserLimits::max_depth.
+Status BuildContent(Lexer* lexer, const ParseOptions& options, Node* parent) {
+  std::vector<Node*> stack = {parent};
+  while (true) {
+    XO_ASSIGN_OR_RETURN(Token token, lexer->Next());
+    switch (token.kind) {
+      case TokenKind::kEof:
         return Status::OK();
+      case TokenKind::kStart: {
+        Node* elem =
+            stack.back()->AddChild(Node::Element(std::string(token.name)));
+        XO_RETURN_NOT_OK(AddAttributes(lexer, elem));
+        stack.push_back(elem);
+        break;
       }
-    }
-  }
-
-  Status ParseDoctype(Document* doc) {
-    ConsumeIf("<!DOCTYPE");
-    SkipWhitespace();
-    XO_ASSIGN_OR_RETURN(doc->doctype_name, ParseName());
-    SkipWhitespace();
-    // Optional external id (SYSTEM "..."/PUBLIC "..." "..."): skipped.
-    while (!AtEnd() && Peek() != '[' && Peek() != '>') Advance();
-    if (!AtEnd() && Peek() == '[') {
-      Advance();
-      size_t start = pos_;
-      int depth = 1;  // '[' nests only via conditional sections; rare.
-      while (!AtEnd()) {
-        if (Peek() == '[') ++depth;
-        if (Peek() == ']') {
-          --depth;
-          if (depth == 0) break;
+      case TokenKind::kEnd:
+        stack.pop_back();
+        if (stack.empty()) return Status::OK();
+        break;
+      case TokenKind::kText:
+        if (token.cdata ||
+            !(options.strip_whitespace_text && StripWhitespace(token.text).empty())) {
+          stack.back()->AddChild(Node::Text(std::string(token.text)));
         }
-        Advance();
-      }
-      if (AtEnd()) return Error("unterminated DOCTYPE internal subset");
-      doc->internal_subset = std::string(input_.substr(start, pos_ - start));
-      Advance();  // ']'
-      SkipWhitespace();
-    }
-    if (AtEnd() || Peek() != '>') return Error("expected '>' after DOCTYPE");
-    Advance();
-    return Status::OK();
-  }
-
-  Status SkipUntil(std::string_view token) {
-    size_t found = input_.find(token, pos_);
-    if (found == std::string_view::npos) {
-      return Error(std::string("unterminated construct, expected '") +
-                   std::string(token) + "'");
-    }
-    while (pos_ < found + token.size()) Advance();
-    return Status::OK();
-  }
-
-  void SkipMisc() {
-    while (true) {
-      SkipWhitespace();
-      if (ConsumeIf("<!--")) {
-        if (!SkipUntil("-->").ok()) return;
-      } else if (ConsumeIf("<?")) {
-        if (!SkipUntil("?>").ok()) return;
-      } else {
-        return;
-      }
+        break;
     }
   }
-
-  Result<std::unique_ptr<Node>> ParseElement() {
-    // Depth bound: one recursion level per open element, so a
-    // deeply-nested bomb fails here instead of exhausting the stack.
-    if (options_.limits.max_depth != 0 &&
-        depth_ >= options_.limits.max_depth) {
-      return Error("element nesting deeper than the parser limit of " +
-                   std::to_string(options_.limits.max_depth));
-    }
-    ++depth_;
-    auto result = ParseElementAtDepth();
-    --depth_;
-    return result;
-  }
-
-  Result<std::unique_ptr<Node>> ParseElementAtDepth() {
-    if (!ConsumeIf("<")) return Error("expected '<'");
-    XO_ASSIGN_OR_RETURN(std::string name, ParseName());
-    auto elem = Node::Element(name);
-    // Attributes.
-    while (true) {
-      SkipWhitespace();
-      if (AtEnd()) return Error("unterminated start tag");
-      if (Peek() == '>' || Peek() == '/') break;
-      XO_ASSIGN_OR_RETURN(std::string attr_name, ParseName());
-      SkipWhitespace();
-      if (AtEnd() || Peek() != '=') return Error("expected '=' in attribute");
-      Advance();
-      SkipWhitespace();
-      XO_ASSIGN_OR_RETURN(std::string attr_value, ParseQuoted());
-      elem->AddAttribute(std::move(attr_name), std::move(attr_value));
-    }
-    if (ConsumeIf("/>")) return elem;
-    if (!ConsumeIf(">")) return Error("expected '>'");
-    XO_RETURN_NOT_OK(ParseContentInto(elem.get(), name));
-    return elem;
-  }
-
-  Result<std::string> ParseQuoted() {
-    if (AtEnd() || (Peek() != '"' && Peek() != '\'')) {
-      return Error("expected quoted value");
-    }
-    char quote = Peek();
-    Advance();
-    size_t start = pos_;
-    while (!AtEnd() && Peek() != quote) Advance();
-    if (AtEnd()) return Error("unterminated quoted value");
-    XO_RETURN_NOT_OK(CheckTokenBytes(pos_ - start, "attribute value"));
-    std::string_view raw = input_.substr(start, pos_ - start);
-    Advance();
-    return DecodeEntities(raw);
-  }
-
-  // Parses element content until the matching close tag (or end of input if
-  // `close_tag` is empty, the fragment case).
-  Status ParseContentInto(Node* elem, std::string_view close_tag) {
-    std::string pending_text;
-    auto flush_text = [&]() -> Status {
-      if (pending_text.empty()) return Status::OK();
-      XO_ASSIGN_OR_RETURN(std::string decoded, DecodeEntities(pending_text));
-      pending_text.clear();
-      bool all_space = true;
-      for (char c : decoded) {
-        if (!std::isspace(static_cast<unsigned char>(c))) {
-          all_space = false;
-          break;
-        }
-      }
-      if (!(options_.strip_whitespace_text && all_space)) {
-        elem->AddChild(Node::Text(std::move(decoded)));
-      }
-      return Status::OK();
-    };
-
-    while (true) {
-      if (AtEnd()) {
-        if (close_tag.empty()) {
-          XO_RETURN_NOT_OK(flush_text());
-          return Status::OK();
-        }
-        return Error("unexpected end of input inside <" +
-                     std::string(close_tag) + ">");
-      }
-      if (Peek() == '<') {
-        if (PeekAt(1) == '/') {
-          XO_RETURN_NOT_OK(flush_text());
-          if (close_tag.empty()) return Status::OK();
-          ConsumeIf("</");
-          XO_ASSIGN_OR_RETURN(std::string name, ParseName());
-          SkipWhitespace();
-          if (!ConsumeIf(">")) return Error("expected '>' in end tag");
-          if (name != close_tag) {
-            return Error("mismatched end tag </" + name + ">, expected </" +
-                         std::string(close_tag) + ">");
-          }
-          return Status::OK();
-        }
-        if (ConsumeIf("<!--")) {
-          XO_RETURN_NOT_OK(SkipUntil("-->"));
-          continue;
-        }
-        if (ConsumeIf("<![CDATA[")) {
-          size_t found = input_.find("]]>", pos_);
-          if (found == std::string_view::npos) {
-            return Error("unterminated CDATA section");
-          }
-          XO_RETURN_NOT_OK(CheckTokenBytes(found - pos_, "CDATA section"));
-          XO_RETURN_NOT_OK(flush_text());
-          std::string cdata(input_.substr(pos_, found - pos_));
-          elem->AddChild(Node::Text(std::move(cdata)));
-          while (pos_ < found + 3) Advance();
-          continue;
-        }
-        if (ConsumeIf("<?")) {
-          XO_RETURN_NOT_OK(SkipUntil("?>"));
-          continue;
-        }
-        XO_RETURN_NOT_OK(flush_text());
-        XO_ASSIGN_OR_RETURN(auto child, ParseElement());
-        elem->AddChild(std::move(child));
-        continue;
-      }
-      pending_text.push_back(Peek());
-      XO_RETURN_NOT_OK(CheckTokenBytes(pending_text.size(), "text run"));
-      Advance();
-    }
-  }
-
-  std::string_view input_;
-  ParseOptions options_;
-  size_t pos_ = 0;
-  size_t depth_ = 0;
-  int line_ = 1;
-  int col_ = 1;
-};
+}
 
 }  // namespace
 
-Result<std::string> DecodeEntities(std::string_view raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (size_t i = 0; i < raw.size();) {
-    if (raw[i] != '&') {
-      out.push_back(raw[i++]);
-      continue;
-    }
-    size_t semi = raw.find(';', i);
-    if (semi == std::string_view::npos) {
-      return Status::ParseError("unterminated entity reference");
-    }
-    std::string_view name = raw.substr(i + 1, semi - i - 1);
-    if (name == "amp") {
-      out.push_back('&');
-    } else if (name == "lt") {
-      out.push_back('<');
-    } else if (name == "gt") {
-      out.push_back('>');
-    } else if (name == "quot") {
-      out.push_back('"');
-    } else if (name == "apos") {
-      out.push_back('\'');
-    } else if (!name.empty() && name[0] == '#') {
-      uint32_t code = 0;
-      bool ok = name.size() > 1;
-      if (name.size() > 2 && (name[1] == 'x' || name[1] == 'X')) {
-        for (size_t k = 2; k < name.size(); ++k) {
-          char c = name[k];
-          int digit;
-          if (c >= '0' && c <= '9') digit = c - '0';
-          else if (c >= 'a' && c <= 'f') digit = c - 'a' + 10;
-          else if (c >= 'A' && c <= 'F') digit = c - 'A' + 10;
-          else { ok = false; break; }
-          code = code * 16 + digit;
-        }
-      } else {
-        for (size_t k = 1; k < name.size(); ++k) {
-          char c = name[k];
-          if (c < '0' || c > '9') { ok = false; break; }
-          code = code * 10 + (c - '0');
-        }
-      }
-      if (!ok) return Status::ParseError("bad character reference");
-      // UTF-8 encode.
-      if (code < 0x80) {
-        out.push_back(static_cast<char>(code));
-      } else if (code < 0x800) {
-        out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-        out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-      } else if (code < 0x10000) {
-        out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-        out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-        out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-      } else {
-        out.push_back(static_cast<char>(0xF0 | (code >> 18)));
-        out.push_back(static_cast<char>(0x80 | ((code >> 12) & 0x3F)));
-        out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-        out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-      }
-    } else {
-      return Status::ParseError("unknown entity '&" + std::string(name) +
-                                ";'");
-    }
-    i = semi + 1;
-  }
-  return out;
-}
-
 Result<Document> ParseDocument(std::string_view input,
                                const ParseOptions& options) {
-  Parser parser(input, options);
-  return parser.ParseDocument();
+  Lexer lexer(input, 0, options.limits);
+  Document doc;
+  // Prolog: XML declaration, comments, PIs, whitespace and DOCTYPE.
+  while (true) {
+    XO_RETURN_NOT_OK(lexer.SkipMisc());
+    if (!lexer.AtDoctype()) break;
+    XO_RETURN_NOT_OK(lexer.LexDoctype(&doc.doctype_name, &doc.internal_subset));
+  }
+  // The lexer skips an empty CDATA section (it carries no character data),
+  // so one here must be rejected before asking for the root token.
+  if (lexer.AtCdata()) return lexer.Error("expected root element");
+  XO_ASSIGN_OR_RETURN(Token root, lexer.Next());
+  if (root.kind != TokenKind::kStart) {
+    return lexer.Error("expected root element");
+  }
+  doc.root = Node::Element(std::string(root.name));
+  XO_RETURN_NOT_OK(AddAttributes(&lexer, doc.root.get()));
+  XO_RETURN_NOT_OK(BuildContent(&lexer, options, doc.root.get()));
+  XO_RETURN_NOT_OK(lexer.SkipMisc());
+  if (!lexer.AtEnd()) return lexer.Error("content after root element");
+  return doc;
 }
 
 Result<std::unique_ptr<Node>> ParseFragment(std::string_view input,
                                             const ParseOptions& options) {
-  Parser parser(input, options);
-  return parser.ParseFragmentNodes();
+  Lexer lexer(input, 0, options.limits);
+  auto root = Node::Element("#fragment");
+  XO_RETURN_NOT_OK(BuildContent(&lexer, options, root.get()));
+  return root;
 }
 
 }  // namespace xorator::xml

@@ -8,14 +8,16 @@
 
 namespace xorator::xml {
 
-/// Hard limits protecting the parser against hostile ("XML bomb") inputs.
-/// Exceeding any limit is an ordinary ParseError — never unbounded
-/// recursion (stack exhaustion) or unbounded allocation. A limit of 0
-/// disables that particular check.
+/// Hard limits protecting the lexer (xml/lexer.h) against hostile ("XML
+/// bomb") inputs: XML documents and fragments, and raw XADT values, which
+/// are lexed with the default depth limit and no size limits. Exceeding
+/// any limit is an ordinary ParseError — never unbounded allocation. A
+/// limit of 0 disables that particular check.
 struct ParserLimits {
-  /// Maximum element nesting depth. The parser recurses once per level, so
-  /// this bounds stack use; 256 is far beyond data-oriented documents
-  /// (Shakespeare nests 5 deep) while keeping frames comfortably small.
+  /// Maximum element nesting depth. Open elements are kept on an explicit
+  /// stack (no recursion), so this bounds that stack's memory and the
+  /// depth of the DOM built from it; 256 is far beyond data-oriented
+  /// documents (Shakespeare nests 5 deep).
   size_t max_depth = 256;
   /// Maximum bytes in one token: an element/attribute name, one attribute
   /// value, or one contiguous text run.
@@ -41,7 +43,7 @@ struct ParseOptions {
 /// captured verbatim into `Document::internal_subset`.
 ///
 /// Well-formedness violations produce a ParseError with a line/column
-/// position.
+/// position. Both parsers are iterative DOM builders over xml::Lexer.
 [[nodiscard]] Result<Document> ParseDocument(std::string_view input,
                                const ParseOptions& options = {});
 

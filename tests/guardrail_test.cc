@@ -5,9 +5,12 @@
 #include <thread>
 
 #include "common/timer.h"
+#include "common/varint.h"
 #include "ordb/database.h"
 #include "ordb/query_guard.h"
 #include "xadt/functions.h"
+#include "xadt/xadt.h"
+#include "xml/parser.h"
 
 namespace xorator {
 namespace {
@@ -143,6 +146,80 @@ TEST(ScopedGuardBindTest, NestsAndRestores) {
     EXPECT_EQ(ordb::CurrentGuard(), &outer);
   }
   EXPECT_EQ(ordb::CurrentGuard(), nullptr);
+}
+
+// ---------------------------------------------------------------------------
+// XADT decoding under a thread-bound guard: raw and compressed values share
+// one scanner-driven decoder, so both are budgeted and cancellable.
+
+std::string EncodedLines(bool compressed) {
+  std::string text;
+  for (int i = 0; i < 2000; ++i) {
+    text += "<LINE>line " + std::to_string(i) + " of the speech</LINE>";
+  }
+  auto frag = xml::ParseFragment(text);
+  EXPECT_TRUE(frag.ok()) << frag.status().ToString();
+  std::vector<const xml::Node*> roots;
+  for (const auto& c : (*frag)->children()) roots.push_back(c.get());
+  return xadt::Encode(roots, compressed);
+}
+
+class XadtDecodeGuardTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(XadtDecodeGuardTest, UnguardedDecodeSucceeds) {
+  auto decoded = xadt::Decode(EncodedLines(GetParam()));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ((*decoded)->children().size(), 2000u);
+}
+
+TEST_P(XadtDecodeGuardTest, BudgetStopsDecode) {
+  std::string value = EncodedLines(GetParam());
+  QueryGuard guard(0, 4096);
+  ScopedGuardBind bind(&guard);
+  auto decoded = xadt::Decode(value);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kResourceExhausted);
+}
+
+TEST_P(XadtDecodeGuardTest, CancelStopsDecode) {
+  std::string value = EncodedLines(GetParam());
+  QueryGuard guard(0, 0);
+  guard.Cancel();
+  ScopedGuardBind bind(&guard);
+  auto decoded = xadt::Decode(value);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kCancelled);
+}
+
+INSTANTIATE_TEST_SUITE_P(RawAndCompressed, XadtDecodeGuardTest,
+                         ::testing::Values(false, true));
+
+TEST(XadtDecodeGuardTest, BudgetBoundsAttributeExpansion) {
+  // A hand-built compressed value whose one start token lists 10,000
+  // attributes that all name the same 4 KB dictionary entry: ~25 KB of
+  // bytes that would expand to ~40 MB. Every attribute is charged before it
+  // is stored, so the charges stop near the 1 MB budget.
+  const std::string long_name(4096, 'n');
+  std::string value(1, 'C');
+  PutVarint(&value, 2);
+  PutVarint(&value, 1);
+  value += "a";
+  PutVarint(&value, long_name.size());
+  value += long_name;
+  value.push_back('\x01');
+  PutVarint(&value, 0);
+  PutVarint(&value, 10000);
+  for (int i = 0; i < 10000; ++i) {
+    PutVarint(&value, 1);
+    PutVarint(&value, 0);
+  }
+  value.push_back('\x02');
+  QueryGuard guard(0, 1 << 20);
+  ScopedGuardBind bind(&guard);
+  auto decoded = xadt::Decode(value);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_LT(guard.Stats().peak_tracked_bytes, 2u << 20);
 }
 
 // ---------------------------------------------------------------------------

@@ -142,6 +142,47 @@ TEST(DirectoryFormatTest2, MalformedDirectoryRejected) {
   EXPECT_FALSE(FragmentScanner::Create(empty_payload).ok());
 }
 
+TEST(DirectoryFormatTest2, CorruptDirectoryIsNotAnEmptyValue) {
+  // A count with no entries behind it, and a zero count with no payload:
+  // both are stored-metadata corruption, never an empty fragment.
+  for (const std::string& bad :
+       {std::string("D\x05", 2), std::string("D\x00", 2)}) {
+    auto decoded = Decode(bad);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+    auto text = ToXmlString(bad);
+    ASSERT_FALSE(text.ok());
+    EXPECT_EQ(text.status().code(), StatusCode::kCorruption);
+    EXPECT_FALSE(IsCompressed(bad));
+  }
+}
+
+TEST(DirectoryFormatTest2, EscapedRunsLongerThanTheParserLimitStillScan) {
+  // 600 KB of '<' in CDATA parses under the 1 MiB token limit but is stored
+  // escaped (2.4 MB); text next to CDATA is stored as one run. Stored raw
+  // values are not held to the parse-time size limits.
+  std::string doc_text = "<doc><item><![CDATA[" + std::string(600000, '<') +
+                         "]]></item><item>x<![CDATA[&]]></item></doc>";
+  auto doc = xml::ParseDocument(doc_text);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  std::string plain = Encode(Roots(*doc->root), /*compressed=*/false);
+  std::string with_dir = EncodeWithDirectory(Roots(*doc->root), false);
+  ASSERT_TRUE(HasDirectory(with_dir));
+  for (const std::string& value : {plain, with_dir}) {
+    auto elm = GetElm(value, "item", "", "");
+    ASSERT_TRUE(elm.ok()) << elm.status().ToString();
+    EXPECT_EQ(*elm, plain);
+    auto index = GetElmIndex(value, "", "item", 1, 2);
+    ASSERT_TRUE(index.ok()) << index.status().ToString();
+    EXPECT_EQ(*index, plain);
+    auto decoded = Decode(value);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    ASSERT_EQ((*decoded)->children().size(), 2u);
+    EXPECT_EQ((*decoded)->children()[0]->TextContent().size(), 600000u);
+    EXPECT_EQ((*decoded)->children()[1]->TextContent(), "x&");
+  }
+}
+
 TEST(DirectoryLoaderTest, LoadedDatabaseAnswersQueriesIdentically) {
   datagen::ShakespeareOptions gen_opts;
   gen_opts.plays = 2;

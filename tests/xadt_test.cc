@@ -235,6 +235,46 @@ TEST(XadtErrorsTest, BadInputsRejected) {
   EXPECT_FALSE(Decode(truncated).ok());
 }
 
+TEST(XadtGrammarTest, RawScansRejectWhatTheParserRejects) {
+  // One lexer: a raw value the XML parser rejects is rejected by every
+  // method, scans included, not only by Decode.
+  for (std::string bad : {"<a b>x</a>", "<1a>x</1a>"}) {
+    EXPECT_FALSE(xml::ParseFragment(bad).ok()) << bad;
+    std::string value = "R" + bad;
+    EXPECT_FALSE(FindKeyInElm(value, "", "x").ok()) << bad;
+    EXPECT_FALSE(GetElm(value, "a", "", "").ok()) << bad;
+    EXPECT_FALSE(Decode(value).ok()) << bad;
+  }
+}
+
+std::string TreeShape(const xml::Node& node) {
+  if (node.is_text()) return "T[" + node.text() + "]";
+  std::string out = "E[" + node.name();
+  for (const xml::Attribute& a : node.attributes()) {
+    out += " " + a.name + "=" + a.value;
+  }
+  for (const auto& c : node.children()) out += TreeShape(*c);
+  return out + "]";
+}
+
+TEST(XadtDecodeTest, RawAndCompressedDecodeToTheSameTree) {
+  // Decode inverts Encode in both representations, whitespace-only text
+  // nodes included.
+  xml::ParseOptions keep;
+  keep.strip_whitespace_text = false;
+  auto frag =
+      xml::ParseFragment("<s k=\"v\">\n  <l>a</l> <l> </l>\n</s>", keep);
+  ASSERT_TRUE(frag.ok()) << frag.status().ToString();
+  std::vector<const xml::Node*> roots;
+  for (const auto& c : (*frag)->children()) roots.push_back(c.get());
+  auto raw = Decode(Encode(roots, false));
+  auto compressed = Decode(Encode(roots, true));
+  ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+  ASSERT_TRUE(compressed.ok()) << compressed.status().ToString();
+  EXPECT_EQ(TreeShape(**raw), TreeShape(**frag));
+  EXPECT_EQ(TreeShape(**compressed), TreeShape(**frag));
+}
+
 TEST(XadtPropertyTest, RandomDocsRoundTripBothFormats) {
   auto dtd = xml::ParseDtd(datagen::kSigmodDtd);
   ASSERT_TRUE(dtd.ok());

@@ -80,6 +80,11 @@ TEST(XmlParserTest, ContentAfterRootFails) {
   EXPECT_FALSE(ParseDocument("<a/><b/>").ok());
 }
 
+TEST(XmlParserTest, CdataBeforeRootFails) {
+  EXPECT_FALSE(ParseDocument("<![CDATA[]]><a/>").ok());
+  EXPECT_FALSE(ParseDocument("<![CDATA[x]]><a/>").ok());
+}
+
 TEST(XmlParserTest, ErrorsIncludePosition) {
   auto r = ParseDocument("<a>\n<b>\n</c>\n</a>");
   ASSERT_FALSE(r.ok());

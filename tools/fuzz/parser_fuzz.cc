@@ -1,7 +1,14 @@
-// libFuzzer harness for the XML parser (hostile-input hardening,
-// DESIGN.md section 12). The property under test: NO byte sequence may
-// crash, overflow the stack, or allocate without bound — every input
-// either parses or comes back as a clean kParseError.
+// libFuzzer harness for the XML lexer and the XADT decoder (hostile-input
+// hardening, DESIGN.md section 12). Properties under test:
+//   * NO byte sequence may crash, overflow the stack, or allocate without
+//     bound — every input either parses or comes back as a clean
+//     kParseError;
+//   * one lexer: a raw XADT value ("R" + input) decodes exactly when
+//     xml::ParseFragment accepts the input (whitespace kept), to the same
+//     serialization;
+//   * one decoder: whenever the input parses, its raw and compressed
+//     encodings decode to the same serialization.
+// A differential mismatch aborts, so it fails the fuzzer and the replay.
 //
 // Two build modes share this file:
 //   * default: `LLVMFuzzerTestOneInput` only, for `clang -fsanitize=fuzzer`
@@ -13,9 +20,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
+#include "xadt/xadt.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
 
@@ -29,6 +40,47 @@ xorator::xml::ParseOptions FuzzOptions() {
   options.limits.max_token_bytes = 1u << 16;
   options.limits.max_input_bytes = 1u << 20;
   return options;
+}
+
+void Require(bool holds, const char* property) {
+  if (!holds) {
+    std::fprintf(stderr, "parser_fuzz: violated: %s\n", property);
+    std::abort();
+  }
+}
+
+std::string SerializeChildren(const xorator::xml::Node& root) {
+  std::string out;
+  for (const auto& child : root.children()) {
+    xorator::xml::SerializeTo(*child, &out);
+  }
+  return out;
+}
+
+// The differential checks parse under the limits raw XADT values are
+// lexed with: the default depth limit and no size limits.
+void CheckLexerAndDecoderAgree(const std::string& input) {
+  xorator::xml::ParseOptions keep;
+  keep.strip_whitespace_text = false;
+  keep.limits.max_token_bytes = 0;
+  keep.limits.max_input_bytes = 0;
+  auto fragment = xorator::xml::ParseFragment(input, keep);
+  auto raw = xorator::xadt::Decode("R" + input);
+  Require(fragment.ok() == raw.ok(),
+          "ParseFragment and raw Decode accept the same inputs");
+  if (!fragment.ok()) return;
+  const std::string expected = SerializeChildren(**fragment);
+  Require(SerializeChildren(**raw) == expected,
+          "raw Decode serializes like ParseFragment");
+  std::vector<const xorator::xml::Node*> roots;
+  for (const auto& child : (*fragment)->children()) roots.push_back(child.get());
+  auto from_raw = xorator::xadt::Decode(xorator::xadt::EncodeRaw(roots));
+  auto from_compressed =
+      xorator::xadt::Decode(xorator::xadt::EncodeCompressed(roots));
+  Require(from_raw.ok() && from_compressed.ok(), "encoded fragments decode");
+  Require(SerializeChildren(**from_raw) == expected &&
+              SerializeChildren(**from_compressed) == expected,
+          "raw and compressed encodings decode alike");
 }
 
 }  // namespace
@@ -47,6 +99,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   }
   XO_DISCARD_STATUS(xorator::xml::ParseFragment(input, options),
                     "fuzz input; errors expected");
+  CheckLexerAndDecoderAgree(input);
   return 0;
 }
 

@@ -124,7 +124,7 @@ RAW_BYTES_SUFFIXES = (
     "ordb/tuple.cc",
     "ordb/database.cc",
     "xadt/xadt.cc", "xadt/scanner.cc",
-    "xml/parser.cc",
+    "xml/lexer.cc", "xml/parser.cc",
     "server/protocol.h", "server/protocol.cc",
 )
 # memcpy/memmove (qualified or not), reinterpret_cast, and pointer

@@ -484,18 +484,10 @@ void BM_CancelLatency(benchmark::State& state) {
 }
 BENCHMARK(BM_CancelLatency)->UseManualTime();
 
-// One Fig. 11 query end to end: the XORator form of QS3 ("lines with the
-// keyword 'Rising' in the text of the stage direction") — a sequential scan
-// whose filter calls findKeyInElm and whose projection calls getElm on an
-// XADT column. This is the decode-path-bound query shape: every row is
-// fetched from the heap file, decoded, and its XADT payload streamed, so
-// it tracks the scan/decode improvements the row codec targets. Measured
-// on the same machine before and after the switch to the zero-copy plane
-// (same build config, median of 3 runs; see also BM_RowDecode above):
-//   before (copying DecodeTuple + per-row Tuple)  947 us
-//   after  (RowView recheck + in-place decode)    720 us   (~1.3x)
-void BM_Fig11Qs3Scan(benchmark::State& state) {
-  // Shared and deliberately leaked, same reasoning as BM_ConcurrentReaders.
+// 512 speeches of six LINEs each in one XADT column (every 16th with a
+// STAGEDIR), shared by the Fig. 11 scan and the unnest benchmarks below.
+// Deliberately leaked, same reasoning as BM_ConcurrentReaders.
+Database* SpeechDb() {
   static Database* db = [] {
     auto opened = Database::Open({});
     if (!opened.ok()) return static_cast<Database*>(nullptr);
@@ -519,28 +511,70 @@ void BM_Fig11Qs3Scan(benchmark::State& state) {
     }
     return setup.ok() ? raw : static_cast<Database*>(nullptr);
   }();
+  return db;
+}
+
+// Runs `sql` on SpeechDb() once per iteration, expecting `rows` rows.
+void RunSpeechQuery(benchmark::State& state, const std::string& sql,
+                    size_t rows) {
+  Database* db = SpeechDb();
   if (db == nullptr) {
     state.SkipWithError("shared database setup failed");
     return;
   }
-  const std::string sql =
-      "SELECT getElm(speech_line, 'LINE', 'STAGEDIR', 'Rising') "
-      "FROM speech WHERE findKeyInElm(speech_line, 'STAGEDIR', 'Rising') = 1";
   for (auto _ : state) {
     auto r = db->Query(sql);
     if (!r.ok()) {
       state.SkipWithError(r.status().ToString().c_str());
       return;
     }
-    if (r->rows.size() != 32) {
-      state.SkipWithError("unexpected QS3 result cardinality");
+    if (r->rows.size() != rows) {
+      state.SkipWithError("unexpected result cardinality");
       return;
     }
     benchmark::DoNotOptimize(r->rows);
   }
   state.SetItemsProcessed(state.iterations() * 512);
 }
+
+// One Fig. 11 query end to end: the XORator form of QS3 ("lines with the
+// keyword 'Rising' in the text of the stage direction") — a sequential scan
+// whose filter calls findKeyInElm and whose projection calls getElm on an
+// XADT column. This is the decode-path-bound query shape: every row is
+// fetched from the heap file, decoded, and its XADT payload streamed, so
+// it tracks the scan/decode improvements the row codec targets. Measured
+// on the same machine before and after the switch to the zero-copy plane
+// (same build config, median of 3 runs; see also BM_RowDecode above):
+//   before (copying DecodeTuple + per-row Tuple)  947 us
+//   after  (RowView recheck + in-place decode)    720 us   (~1.3x)
+void BM_Fig11Qs3Scan(benchmark::State& state) {
+  RunSpeechQuery(state,
+                 "SELECT getElm(speech_line, 'LINE', 'STAGEDIR', 'Rising') "
+                 "FROM speech "
+                 "WHERE findKeyInElm(speech_line, 'STAGEDIR', 'Rising') = 1",
+                 32);
+}
 BENCHMARK(BM_Fig11Qs3Scan);
+
+// The flattening half of QS1: one row per LINE of every speech_line value,
+// the way XORator's QS1 reads it (only `out`). Items are speeches.
+void BM_UnnestLines(benchmark::State& state) {
+  RunSpeechQuery(state,
+                 "SELECT l.out FROM speech, "
+                 "table(unnest(speech_line, 'LINE')) l",
+                 512 * 6);
+}
+BENCHMARK(BM_UnnestLines);
+
+// The yardstick for BM_UnnestLines: one findKeyInElm pass over the same
+// values, with a key that never matches so every value is read to its end.
+void BM_FindKeyLines(benchmark::State& state) {
+  RunSpeechQuery(state,
+                 "SELECT id FROM speech "
+                 "WHERE findKeyInElm(speech_line, 'LINE', 'Juliet') = 1",
+                 0);
+}
+BENCHMARK(BM_FindKeyLines);
 
 void BM_XmlParse(benchmark::State& state) {
   std::string doc = "<SPEECH>";

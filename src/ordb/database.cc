@@ -386,7 +386,8 @@ Result<QueryResult> Database::RunSelect(const sql::SelectStmt& stmt,
         break;
       }
       if (!*ok) break;
-      result.rows.push_back(row);
+      // Every operator rewrites its output row in full, so the row moves.
+      result.rows.push_back(std::move(row));
       if (stmt.limit >= 0 &&
           result.rows.size() >= static_cast<size_t>(stmt.limit)) {
         break;

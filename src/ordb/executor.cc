@@ -130,8 +130,9 @@ std::string Operator::Explain(int indent) const {
 
 // ---------------------------------------------------------------------- scan
 
-SeqScanOp::SeqScanOp(const TableInfo* table, const std::string& alias)
-    : table_(table), alias_(alias) {
+SeqScanOp::SeqScanOp(const TableInfo* table, const std::string& alias,
+                     ColumnMask live)
+    : table_(table), alias_(alias), live_(std::move(live)) {
   columns_ = QualifiedColumns(*table, alias);
 }
 
@@ -161,10 +162,9 @@ Result<bool> SeqScanOp::Next(Tuple* out) {
   if (!ok) return false;
   // In-place decode (row_codec.h): `record_` is a member, so its capacity
   // — and, via Materialize's slot reuse, the output tuple's string
-  // capacity — is recycled across rows; the steady-state scan loop
-  // allocates nothing.
+  // capacity — is recycled across rows. Dead columns are never copied.
   XO_ASSIGN_OR_RETURN(RowView row, RowView::Parse(table_->schema, record_));
-  row.Materialize(out);
+  row.Materialize(out, live_);
   return true;
 }
 
@@ -173,8 +173,12 @@ std::string SeqScanOp::Label() const {
 }
 
 IndexScanOp::IndexScanOp(const TableInfo* table, const IndexInfo* index,
-                         Value key, const std::string& alias)
-    : table_(table), index_(index), key_(std::move(key)), alias_(alias) {
+                         Value key, const std::string& alias, ColumnMask live)
+    : table_(table),
+      index_(index),
+      key_(std::move(key)),
+      alias_(alias),
+      live_(std::move(live)) {
   columns_ = QualifiedColumns(*table, alias);
 }
 
@@ -201,7 +205,7 @@ Result<bool> IndexScanOp::Next(Tuple* out) {
                          key_)) {
       continue;
     }
-    row.Materialize(out);
+    row.Materialize(out, live_);
     return true;
   }
   return false;
@@ -253,13 +257,12 @@ Status ProjectOp::Open(ExecContext* ctx) {
 
 Result<bool> ProjectOp::Next(Tuple* out) {
   RETURN_IF_ERROR(ctx_->CheckPoint());
-  Tuple row;
-  XO_ASSIGN_OR_RETURN(bool ok, child_->Next(&row));
+  XO_ASSIGN_OR_RETURN(bool ok, child_->Next(&row_));
   if (!ok) return false;
   out->clear();
   out->reserve(exprs_.size());
   for (const ExprPtr& e : exprs_) {
-    XO_ASSIGN_OR_RETURN(Value v, e->Eval(row, ctx_));
+    XO_ASSIGN_OR_RETURN(Value v, e->Eval(row_, ctx_));
     out->push_back(std::move(v));
   }
   return true;
@@ -298,7 +301,7 @@ Status NestedLoopJoinOp::Open(ExecContext* ctx) {
     XO_RETURN_NOT_OK(ok.status());
     if (!*ok) break;
     RETURN_IF_ERROR(arena_.Charge(ApproxTupleBytes(row)));
-    right_rows_.push_back(row);
+    right_rows_.push_back(std::move(row));
   }
   right_->Close();
   left_valid_ = false;
@@ -363,7 +366,7 @@ Status HashJoinOp::Open(ExecContext* ctx) {
     auto keys = EvalKeys(left_keys_, row, ctx);
     XO_RETURN_NOT_OK(keys.status());
     RETURN_IF_ERROR(arena_.Charge(ApproxTupleBytes(row)));
-    table_[HashValues(*keys)].push_back(row);
+    table_[HashValues(*keys)].push_back(std::move(row));
   }
   left_->Close();
   XO_RETURN_NOT_OK(right_->Open(ctx));
@@ -444,7 +447,7 @@ Status SortMergeJoinOp::Open(ExecContext* ctx) {
       auto k = EvalKeys(keys, row, ctx);
       XO_RETURN_NOT_OK(k.status());
       RETURN_IF_ERROR(arena_.Charge(ApproxTupleBytes(row)));
-      rows->emplace_back(std::move(*k), row);
+      rows->emplace_back(std::move(*k), std::move(row));
     }
     input->Close();
     std::stable_sort(rows->begin(), rows->end(),
@@ -533,12 +536,14 @@ std::string SortMergeJoinOp::Label() const {
 
 IndexNestedLoopJoinOp::IndexNestedLoopJoinOp(
     OperatorPtr left, const TableInfo* inner, const IndexInfo* index,
-    ExprPtr left_key, const std::string& inner_alias, ExprPtr residual)
+    ExprPtr left_key, const std::string& inner_alias, ExprPtr residual,
+    ColumnMask inner_live)
     : left_(std::move(left)),
       inner_(inner),
       index_(index),
       left_key_(std::move(left_key)),
-      residual_(std::move(residual)) {
+      residual_(std::move(residual)),
+      inner_live_(std::move(inner_live)) {
   columns_ = left_->columns();
   for (const ColumnMeta& c : QualifiedColumns(*inner, inner_alias)) {
     columns_.push_back(c);
@@ -584,7 +589,7 @@ Result<bool> IndexNestedLoopJoinOp::Next(Tuple* out) {
               row.column(static_cast<size_t>(index_->column_index)), key)) {
         continue;
       }
-      row.Materialize(&inner_row_);
+      row.Materialize(&inner_row_, inner_live_);
       AppendRow(left_row_, inner_row_, out);
       XO_ASSIGN_OR_RETURN(bool pass, EvalPredicate(residual_.get(), *out, ctx_));
       if (pass) return true;
@@ -625,7 +630,7 @@ Status SortOp::Open(ExecContext* ctx) {
     auto k = EvalKeys(keys_, row, ctx);
     XO_RETURN_NOT_OK(k.status());
     RETURN_IF_ERROR(arena_.Charge(ApproxTupleBytes(row)));
-    keyed.emplace_back(std::move(*k), row);
+    keyed.emplace_back(std::move(*k), std::move(row));
   }
   child_->Close();
   std::stable_sort(keyed.begin(), keyed.end(), [this](const auto& a,
@@ -844,12 +849,16 @@ std::string AggregateOp::Label() const {
 LateralTableFuncOp::LateralTableFuncOp(OperatorPtr child,
                                        const TableFunction* fn,
                                        std::vector<ExprPtr> args,
-                                       const std::string& alias)
+                                       const std::string& alias,
+                                       ColumnMask live)
     : child_(std::move(child)), fn_(fn), args_(std::move(args)) {
   if (child_ != nullptr) columns_ = child_->columns();
+  input_width_ = columns_.size();
   for (const ColumnDef& c : fn_->output) {
     columns_.push_back({alias + "." + c.name, c.type});
   }
+  input_live_.assign(live.begin(), live.begin() + input_width_);
+  output_live_.assign(live.begin() + input_width_, live.end());
 }
 
 Status LateralTableFuncOp::Open(ExecContext* ctx) {
@@ -880,14 +889,28 @@ Result<bool> LateralTableFuncOp::Next(Tuple* out) {
       // Each input row's function results replace the previous row's:
       // re-account the batch rather than accumulating charges forever.
       arena_.Release();
-      XO_ASSIGN_OR_RETURN(fn_rows_, InvokeTable(*fn_, args, &ctx_->udf_stats));
+      XO_ASSIGN_OR_RETURN(fn_rows_, InvokeTable(*fn_, args, output_live_,
+                                                &ctx_->udf_stats));
       for (const Tuple& r : fn_rows_) {
         RETURN_IF_ERROR(arena_.Charge(ApproxTupleBytes(r)));
       }
       fn_pos_ = 0;
     }
     if (fn_pos_ < fn_rows_.size()) {
-      AppendRow(input_row_, fn_rows_[fn_pos_++], out);
+      // Only the input columns read above this operator are copied; each
+      // function row is emitted once, so its values move.
+      Tuple& fn_row = fn_rows_[fn_pos_++];
+      out->resize(columns_.size());
+      for (size_t c = 0; c < input_width_; ++c) {
+        if (input_live_[c]) {
+          (*out)[c] = input_row_[c];
+        } else {
+          (*out)[c].SetNull();
+        }
+      }
+      for (size_t c = 0; c < fn_row.size(); ++c) {
+        (*out)[input_width_ + c] = std::move(fn_row[c]);
+      }
       return true;
     }
     input_valid_ = false;

@@ -53,10 +53,12 @@ class Operator {
 
 using OperatorPtr = std::unique_ptr<Operator>;
 
-/// Full-table scan.
+/// Full-table scan. Only the columns `live` marks are materialized; the
+/// others stay NULL (one entry per table column, see ColumnMask).
 class SeqScanOp : public Operator {
  public:
-  SeqScanOp(const TableInfo* table, const std::string& alias);
+  SeqScanOp(const TableInfo* table, const std::string& alias,
+            ColumnMask live);
 
   [[nodiscard]] Status Open(ExecContext* ctx) override;
   [[nodiscard]] Result<bool> Next(Tuple* out) override;
@@ -70,6 +72,7 @@ class SeqScanOp : public Operator {
 
   const TableInfo* table_;
   std::string alias_;
+  ColumnMask live_;
   ExecContext* ctx_ = nullptr;
   std::unique_ptr<HeapFile::Scanner> scanner_;
   /// Reused record buffer: RowView parses it in place every Next(), so its
@@ -82,10 +85,11 @@ class SeqScanOp : public Operator {
 
 /// Point index scan: rows of `table` whose `index` column equals `key`.
 /// String keys are hashed in the index, so the column value is rechecked.
+/// Materializes only the `live` columns, as SeqScanOp does.
 class IndexScanOp : public Operator {
  public:
   IndexScanOp(const TableInfo* table, const IndexInfo* index, Value key,
-              const std::string& alias);
+              const std::string& alias, ColumnMask live);
 
   [[nodiscard]] Status Open(ExecContext* ctx) override;
   [[nodiscard]] Result<bool> Next(Tuple* out) override;
@@ -97,6 +101,7 @@ class IndexScanOp : public Operator {
   const IndexInfo* index_;
   Value key_;
   std::string alias_;
+  ColumnMask live_;
   ExecContext* ctx_ = nullptr;
   std::vector<uint64_t> rids_;
   /// Reused record buffer for in-place key rechecks (see SeqScanOp).
@@ -141,6 +146,9 @@ class ProjectOp : public Operator {
   OperatorPtr child_;
   std::vector<ExprPtr> exprs_;
   ExecContext* ctx_ = nullptr;
+  /// The child's row, kept across calls so the scan below refills the same
+  /// slots (and string capacity) every row.
+  Tuple row_;
 };
 
 /// Nested-loop join; the right input is materialized on Open.
@@ -233,12 +241,14 @@ class SortMergeJoinOp : public Operator {
 };
 
 /// Index nested-loop join: for each outer row, look up matching inner rows
-/// through the inner table's index.
+/// through the inner table's index. Of each inner row only the
+/// `inner_live` columns are materialized.
 class IndexNestedLoopJoinOp : public Operator {
  public:
   IndexNestedLoopJoinOp(OperatorPtr left, const TableInfo* inner,
                         const IndexInfo* index, ExprPtr left_key,
-                        const std::string& inner_alias, ExprPtr residual);
+                        const std::string& inner_alias, ExprPtr residual,
+                        ColumnMask inner_live);
 
   [[nodiscard]] Status Open(ExecContext* ctx) override;
   [[nodiscard]] Result<bool> Next(Tuple* out) override;
@@ -254,6 +264,7 @@ class IndexNestedLoopJoinOp : public Operator {
   const IndexInfo* index_;
   ExprPtr left_key_;
   ExprPtr residual_;
+  ColumnMask inner_live_;
   ExecContext* ctx_ = nullptr;
   Tuple left_row_;
   bool left_valid_ = false;
@@ -348,10 +359,13 @@ class AggregateOp : public Operator {
 /// empty row if `child` is null), evaluates the argument expressions against
 /// it, invokes the table function, and emits input ++ function columns.
 /// This implements the paper's `FROM speakers, table(unnest(...)) u` form.
+/// `live` covers the output layout: a dead input column is not copied into
+/// the output rows, and the function is told which of its columns are dead.
 class LateralTableFuncOp : public Operator {
  public:
   LateralTableFuncOp(OperatorPtr child, const TableFunction* fn,
-                     std::vector<ExprPtr> args, const std::string& alias);
+                     std::vector<ExprPtr> args, const std::string& alias,
+                     ColumnMask live);
 
   [[nodiscard]] Status Open(ExecContext* ctx) override;
   [[nodiscard]] Result<bool> Next(Tuple* out) override;
@@ -366,6 +380,9 @@ class LateralTableFuncOp : public Operator {
   OperatorPtr child_;  // may be null
   const TableFunction* fn_;
   std::vector<ExprPtr> args_;
+  size_t input_width_ = 0;  // child columns, before the function's
+  ColumnMask input_live_;
+  ColumnMask output_live_;  // the function's own columns
   ExecContext* ctx_ = nullptr;
   TrackedArena arena_;  // accounts the per-input-row function results
   Tuple input_row_;

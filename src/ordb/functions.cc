@@ -169,10 +169,11 @@ Result<Value> InvokeScalar(const ScalarFunction& fn,
 
 Result<std::vector<Tuple>> InvokeTable(const TableFunction& fn,
                                        const std::vector<Value>& args,
+                                       const ColumnMask& live,
                                        UdfStats* stats) {
   XO_RETURN_NOT_OK(CheckArity(fn.name, fn.arity, args.size()));
   if (stats != nullptr && fn.is_udf) ++stats->table_calls;
-  return fn.impl(args);
+  return fn.impl(args, live);
 }
 
 }  // namespace xorator::ordb

@@ -34,13 +34,17 @@ struct ScalarFunction {
 };
 
 /// A table function (e.g. the paper's `unnest`): takes scalar arguments,
-/// returns rows.
+/// returns rows of `output` columns. `live` has one entry per output
+/// column; a column whose entry is false is read by no operator of the
+/// plan, so the function may skip computing it and leave it NULL.
 struct TableFunction {
   std::string name;  // lower-case
   std::vector<ColumnDef> output;
   int arity = -1;
   bool is_udf = true;  // table functions are external UDFs in the paper
-  std::function<Result<std::vector<Tuple>>(const std::vector<Value>&)> impl;
+  std::function<Result<std::vector<Tuple>>(const std::vector<Value>& args,
+                                           const ColumnMask& live)>
+      impl;
 };
 
 /// Name-keyed registry of scalar and table functions. Lookup is
@@ -70,6 +74,7 @@ class FunctionRegistry {
 
 [[nodiscard]] Result<std::vector<Tuple>> InvokeTable(const TableFunction& fn,
                                        const std::vector<Value>& args,
+                                       const ColumnMask& live,
                                        UdfStats* stats);
 
 }  // namespace xorator::ordb

@@ -48,19 +48,19 @@ class Scope {
   };
 
   Result<Resolution> Resolve(const std::string& name) const {
-    std::string target = ToLower(name);
-    bool qualified = target.find('.') != std::string::npos;
+    bool qualified = name.find('.') != std::string::npos;
     const FromItem* found_item = nullptr;
     Resolution found{};
     for (size_t i = 0; i < items_->size(); ++i) {
       const FromItem& item = (*items_)[i];
       for (size_t c = 0; c < item.columns.size(); ++c) {
-        std::string col = ToLower(item.columns[c].name);
-        bool match = qualified ? col == target
-                               : col.size() > target.size() &&
-                                     col.compare(col.size() - target.size(),
-                                                 target.size(), target) == 0 &&
-                                     col[col.size() - target.size() - 1] == '.';
+        std::string_view col = item.columns[c].name;
+        bool match = qualified ? EqualsIgnoreCase(col, name)
+                               : col.size() > name.size() &&
+                                     col[col.size() - name.size() - 1] == '.' &&
+                                     EqualsIgnoreCase(
+                                         col.substr(col.size() - name.size()),
+                                         name);
         if (!match) continue;
         if (found_item != nullptr) {
           return Status::InvalidArgument("ambiguous column '" + name + "'");
@@ -158,10 +158,11 @@ void CollectColumnNames(const AstExpr& e, std::vector<std::string>* out) {
   for (const auto& c : e.children) CollectColumnNames(*c, out);
 }
 
-/// A WHERE conjunct with the FROM items it references.
+/// A WHERE conjunct with the FROM items and layout columns it references.
 struct Conjunct {
   const AstExpr* ast;
   std::set<size_t> items;
+  std::vector<size_t> columns;
   bool consumed = false;
 };
 
@@ -293,10 +294,63 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt) {
       for (const std::string& name : cols) {
         XO_ASSIGN_OR_RETURN(auto res, scope.Resolve(name));
         c.items.insert(res.item);
+        c.columns.push_back(res.global_index);
       }
       conjuncts.push_back(std::move(c));
     }
   }
+
+  // ---- Column liveness. ---------------------------------------------------
+  // Records, per column of the combined layout, the latest plan stage that
+  // reads it. Stage 2i is the lateral at FROM position i evaluating its
+  // arguments; stage 2i+1 is everything applied once position i is joined
+  // (join keys, residuals, filters: a conjunct runs at its last FROM
+  // item); the select list and GROUP BY read at the top. Scans and the
+  // index join's inner side materialize the columns read at any stage; a
+  // lateral at position i copies only the columns read after stage 2i.
+  // Row layouts keep their width, so no expression is rebound. Names that
+  // do not resolve are skipped here; Bind reports them below.
+  std::vector<int> last_read(offset, -1);
+  auto mark_column = [&](size_t column, int stage) {
+    last_read[column] = std::max(last_read[column], stage);
+  };
+  auto mark_read = [&](const AstExpr& e, int stage) {
+    std::vector<std::string> cols;
+    CollectColumnNames(e, &cols);
+    for (const std::string& name : cols) {
+      auto res = scope.Resolve(name);
+      if (res.ok()) mark_column(res->global_index, stage);
+    }
+  };
+  const int top_stage = static_cast<int>(2 * items.size());
+  for (const Conjunct& c : conjuncts) {
+    for (size_t column : c.columns) {
+      mark_column(column, static_cast<int>(2 * *c.items.rbegin() + 1));
+    }
+  }
+  for (size_t i = 0; i < items.size(); ++i) {
+    for (const auto& a : stmt.from[i].function_args) {
+      mark_read(*a, static_cast<int>(2 * i));
+    }
+  }
+  for (const sql::SelectItem& sel : stmt.items) {
+    if (sel.expr->kind == AstExpr::Kind::kStar) {
+      std::fill(last_read.begin(), last_read.end(), top_stage);
+    } else {
+      mark_read(*sel.expr, top_stage);
+    }
+  }
+  for (const auto& g : stmt.group_by) mark_read(*g, top_stage);
+  // Columns [begin, end) of the layout read after `stage`.
+  auto live_after = [&](size_t begin, size_t end, int stage) {
+    ColumnMask live(end - begin);
+    for (size_t c = begin; c < end; ++c) live[c - begin] = last_read[c] > stage;
+    return live;
+  };
+  auto scan_live = [&](size_t i) {
+    return live_after(items[i].offset,
+                      items[i].offset + items[i].columns.size(), -1);
+  };
 
   // ---- Build each base access path with pushed-down filters. -------------
   auto base_filters = [&](size_t item_idx) {
@@ -352,10 +406,10 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt) {
     }
     if (index != nullptr) {
       op = std::make_unique<IndexScanOp>(item.table, index, index_key,
-                                         item.alias);
+                                         item.alias, scan_live(i));
       index_filter->consumed = true;
     } else {
-      op = std::make_unique<SeqScanOp>(item.table, item.alias);
+      op = std::make_unique<SeqScanOp>(item.table, item.alias, scan_live(i));
     }
     // Remaining pushed filters. They are bound against the item's local
     // layout (shift by the item's offset).
@@ -400,9 +454,10 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt) {
         XO_ASSIGN_OR_RETURN(auto bound, binder.Bind(*a));
         args.push_back(std::move(bound));
       }
-      plan = std::make_unique<LateralTableFuncOp>(std::move(plan),
-                                                  item.function,
-                                                  std::move(args), item.alias);
+      plan = std::make_unique<LateralTableFuncOp>(
+          std::move(plan), item.function, std::move(args), item.alias,
+          live_after(0, item.offset + item.columns.size(),
+                     static_cast<int>(2 * i)));
       joined.insert(i);
       acc_rows = std::max(1.0, acc_rows) * est_rows[i];
       // Fall through to apply any now-complete conjuncts below.
@@ -523,7 +578,7 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt) {
               }
               plan = std::make_unique<IndexNestedLoopJoinOp>(
                   std::move(plan), items[i].table, idx, std::move(outer_key),
-                  item.alias, std::move(residual));
+                  item.alias, std::move(residual), scan_live(i));
               used_index_join = true;
               break;
             }

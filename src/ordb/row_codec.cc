@@ -160,12 +160,25 @@ ValueView RowView::column(size_t i) const {
 }
 
 void RowView::Materialize(Tuple* out) const {
+  MaterializeColumns(out, nullptr);
+}
+
+void RowView::Materialize(Tuple* out, const ColumnMask& live) const {
+  MaterializeColumns(out, &live);
+}
+
+void RowView::MaterializeColumns(Tuple* out, const ColumnMask* live) const {
   if (out->size() != ncols_) out->resize(ncols_);
   size_t pos = (ncols_ + 7) / 8;
   for (size_t i = 0; i < ncols_; ++i) {
     Value& slot = (*out)[i];
     if (IsNull(i)) {
       slot.SetNull();
+      continue;
+    }
+    if (live != nullptr && !(*live)[i]) {
+      slot.SetNull();
+      pos = Skip(pos, i);
       continue;
     }
     switch (schema_->columns[i].type) {

@@ -87,6 +87,11 @@ class XO_GSL_POINTER(char) RowView {
   /// table's row sizes.
   void Materialize(Tuple* out) const;
 
+  /// Like Materialize(out), but a column whose `live` entry is false is
+  /// skipped without touching its payload and left NULL in its slot.
+  /// `live` must have one entry per column.
+  void Materialize(Tuple* out, const ColumnMask& live) const;
+
  private:
   /// Column start offsets are cached for the first kInlineOffsets columns;
   /// wider schemas fall back to skipping forward from the last cached one.
@@ -101,6 +106,8 @@ class XO_GSL_POINTER(char) RowView {
   size_t Skip(size_t pos, size_t col) const;
   /// Decodes the (non-null) column `col` at byte offset `pos`.
   ValueView DecodeAt(size_t pos, size_t col) const XO_LIFETIME_BOUND;
+  /// Both Materialize overloads; a null `live` means every column.
+  void MaterializeColumns(Tuple* out, const ColumnMask* live) const;
 
   const TableSchema* schema_ = nullptr;
   std::string_view row_;

@@ -12,6 +12,12 @@ namespace xorator::ordb {
 /// A row: one `Value` per column.
 using Tuple = std::vector<Value>;
 
+/// Per-column liveness over a row layout, computed once per statement by
+/// the planner: `live[i]` is false when no operator reads column i, so the
+/// operator that creates the row leaves NULL in that slot instead of
+/// copying the value (DESIGN.md section 14, "live columns").
+using ColumnMask = std::vector<bool>;
+
 /// Declared column of a stored table.
 struct ColumnDef {
   std::string name;

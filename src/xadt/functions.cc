@@ -102,27 +102,27 @@ bool SkipFragmentFailure(const Status& s) {
   return true;
 }
 
-Result<std::vector<Tuple>> UnnestImpl(const std::vector<Value>& args) {
+Result<std::vector<Tuple>> UnnestImpl(const std::vector<Value>& args,
+                                      const ordb::ColumnMask& live) {
   XO_RETURN_NOT_OK(GuardEntry());
   std::vector<Tuple> out;
   if (args[0].is_null()) return out;
-  auto unnested = Unnest(args[0].AsString(), args[1].AsString());
-  if (!unnested.ok()) {
-    if (SkipFragmentFailure(unnested.status())) return out;
-    return unnested.status();
-  }
-  auto fragments = std::move(unnested).value();
-  out.reserve(fragments.size());
-  for (std::string& frag : fragments) {
-    auto text = TextContent(frag);
-    if (!text.ok()) {
-      if (SkipFragmentFailure(text.status())) continue;
-      return text.status();
-    }
-    Tuple row;
-    row.push_back(Value::Varchar(std::move(*text)));
-    row.push_back(Value::Xadt(std::move(frag)));
-    out.push_back(std::move(row));
+  // Output columns (out VARCHAR, frag XADT): a dead one stays NULL and is
+  // never built.
+  const bool want_text = live[0];
+  const bool want_frag = live[1];
+  Status scanned = UnnestElements(
+      args[0].AsString(), args[1].AsString(), want_text, want_frag,
+      [&](std::string text, std::string frag) {
+        Tuple& row = out.emplace_back(2);
+        if (want_text) row[0] = Value::Varchar(std::move(text));
+        if (want_frag) row[1] = Value::Xadt(std::move(frag));
+        return Status::OK();
+      });
+  if (!scanned.ok()) {
+    // A damaged value loses all of its own rows, never part of them.
+    if (SkipFragmentFailure(scanned)) return std::vector<Tuple>();
+    return scanned;
   }
   return out;
 }

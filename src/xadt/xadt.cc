@@ -442,52 +442,83 @@ Result<std::string> GetElmIndex(std::string_view in,
 
 Result<std::vector<std::string>> Unnest(std::string_view in,
                                         std::string_view tag) {
+  std::vector<std::string> out;
+  RETURN_IF_ERROR(UnnestElements(
+      in, tag, /*want_text=*/false, /*want_frag=*/true,
+      [&out](std::string, std::string frag) {
+        out.push_back(std::move(frag));
+        return Status::OK();
+      }));
+  return out;
+}
+
+Status UnnestElements(std::string_view in, std::string_view tag,
+                      bool want_text, bool want_frag,
+                      const UnnestSink& sink) {
   XO_ASSIGN_OR_RETURN(FragmentScanner scanner, FragmentScanner::Create(in));
   ExpansionBudget budget;
   std::string_view header = scanner.header();
   std::string prefix =
       header.empty() ? std::string(1, kRawMarker) : std::string(header);
-  std::vector<std::string> out;
-  if (tag.empty() && scanner.has_directory()) {
+  // The element at [start, end) as a single-fragment value, if asked for.
+  auto fragment = [&](size_t start, size_t end) {
+    std::string value;
+    if (want_frag) {
+      value.reserve(prefix.size() + (end - start));
+      value = prefix;
+      value.append(in.substr(start, end - start));
+    }
+    return value;
+  };
+  auto frag_bytes = [&](size_t start, size_t end) -> size_t {
+    return want_frag ? prefix.size() + (end - start) : 0;
+  };
+  if (tag.empty() && scanner.has_directory() && !want_text) {
     // Directory fast path: slice the indexed fragment roots directly.
     for (const auto& [start, end] : scanner.top_ranges()) {
-      RETURN_IF_ERROR(budget.Charge(prefix.size() + (end - start)));
-      std::string value = prefix;
-      value.append(in.substr(start, end - start));
-      out.push_back(std::move(value));
+      RETURN_IF_ERROR(budget.Charge(frag_bytes(start, end)));
+      RETURN_IF_ERROR(sink(std::string(), fragment(start, end)));
     }
-    return out;
+    return Status::OK();
   }
   struct Capture {
     size_t start_offset;
     size_t depth;
+    size_t text_begin;  // where its text starts in `text`
   };
   std::vector<Capture> captures;
+  // Character data seen while any capture is open. An element's text
+  // content is one contiguous run of it, so nested same-tag captures share
+  // this buffer instead of each copying its own; it is emptied whenever
+  // the outermost capture closes.
+  std::string text;
   size_t depth = 0;
   while (true) {
     XO_ASSIGN_OR_RETURN(auto event, scanner.Next());
     switch (event.kind) {
       case FragmentScanner::EventKind::kEof:
-        return out;
+        return Status::OK();
       case FragmentScanner::EventKind::kStart:
         if (tag.empty() ? depth == 0 : event.name == tag) {
-          captures.push_back({event.offset, depth});
+          captures.push_back({event.offset, depth, text.size()});
         }
         ++depth;
         break;
       case FragmentScanner::EventKind::kText:
+        if (want_text && !captures.empty()) text.append(event.text);
         break;
       case FragmentScanner::EventKind::kEnd:
         --depth;
         if (!captures.empty() && captures.back().depth == depth) {
           Capture c = captures.back();
           captures.pop_back();
+          size_t text_bytes = text.size() - c.text_begin;
           RETURN_IF_ERROR(budget.Charge(
-              prefix.size() + (event.end_offset - c.start_offset)));
-          std::string value = prefix;
-          value.append(
-              in.substr(c.start_offset, event.end_offset - c.start_offset));
-          out.push_back(std::move(value));
+              text_bytes + frag_bytes(c.start_offset, event.end_offset)));
+          std::string own_text = text.substr(c.text_begin);
+          if (captures.empty()) text.clear();
+          RETURN_IF_ERROR(sink(std::move(own_text),
+                               fragment(c.start_offset, event.end_offset)));
         }
         break;
     }

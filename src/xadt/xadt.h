@@ -1,6 +1,7 @@
 #ifndef XORATOR_XADT_XADT_H_
 #define XORATOR_XADT_XADT_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -121,6 +122,20 @@ class CompressionAdvisor {
 /// the table UDF `unnest` of Section 3.5.
 [[nodiscard]] Result<std::vector<std::string>> Unnest(std::string_view in,
                                         std::string_view tag);
+
+/// Receives one element from UnnestElements.
+using UnnestSink = std::function<Status(std::string text, std::string frag)>;
+
+/// The one scan behind Unnest and the `unnest` table UDF. For each element
+/// Unnest would return, in the same order, calls `sink` with its text
+/// content (TextContent of its fragment) when `want_text`, and with its
+/// fragment when `want_frag`; a part not asked for is passed empty and is
+/// never built. The text is captured during the scan that finds the
+/// elements, so no fragment is lexed twice. Each element charges the
+/// statement's budget once, for the parts built.
+[[nodiscard]] Status UnnestElements(std::string_view in, std::string_view tag,
+                                    bool want_text, bool want_frag,
+                                    const UnnestSink& sink);
 
 }  // namespace xorator::xadt
 

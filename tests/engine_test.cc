@@ -2,7 +2,13 @@
 
 #include <set>
 
+#include "benchutil/fixture.h"
+#include "benchutil/workload.h"
+#include "common/str_util.h"
+#include "datagen/dtds.h"
+#include "datagen/generators.h"
 #include "ordb/database.h"
+#include "ordb/sql.h"
 #include "xadt/functions.h"
 
 namespace xorator::ordb {
@@ -477,6 +483,202 @@ TEST(TupleCodecTest, TruncatedBytesFail) {
   std::string bytes;
   EncodeTuple(schema, tuple, &bytes);
   EXPECT_FALSE(DecodeTuple(schema, bytes.substr(0, 4)).ok());
+}
+
+// ------------------------------------------------ column-liveness oracle
+//
+// Each query runs in two forms. The narrow form is the query as written.
+// The wide form has the same FROM/WHERE/GROUP BY/ORDER BY/LIMIT, and its
+// select list also names every column of every FROM item (through MAX()
+// when the query aggregates). In the wide form every column is read, so
+// no operator leaves anything out; the narrow rows must equal the wide
+// rows projected onto the narrow columns, in order (for DISTINCT, the
+// projected rows' first occurrences).
+
+std::string ValueKey(const Value& v) {
+  std::string key(1, static_cast<char>(v.type()));
+  key += v.type() == TypeId::kVarchar || v.type() == TypeId::kXadt
+             ? v.AsString()
+             : v.ToString();
+  return key;
+}
+
+std::string RowKey(const Tuple& row) {
+  std::string key;
+  for (const Value& v : row) {
+    std::string k = ValueKey(v);
+    key += std::to_string(k.size()) + ":" + k;
+  }
+  return key;
+}
+
+bool IsAggregateCall(const sql::AstExpr& e) {
+  if (e.kind != sql::AstExpr::Kind::kFunc) return false;
+  std::string name = ToLower(e.name);
+  return name == "count" || name == "sum" || name == "min" || name == "max";
+}
+
+/// Runs `narrow` and its wide form on `db` and compares them; returns the
+/// narrow row count.
+size_t ExpectNarrowMatchesWide(Database* db, const std::string& narrow) {
+  auto parsed = sql::ParseSql(narrow);
+  EXPECT_TRUE(parsed.ok()) << narrow;
+  if (!parsed.ok()) return 0;
+  const sql::SelectStmt& stmt = parsed->select;
+  bool aggregate = !stmt.group_by.empty();
+  for (const sql::SelectItem& item : stmt.items) {
+    if (IsAggregateCall(*item.expr)) aggregate = true;
+  }
+  std::string extra;
+  for (const sql::TableRef& ref : stmt.from) {
+    std::vector<std::string> names;
+    if (ref.is_function) {
+      const TableFunction* fn = db->functions()->FindTable(ref.function_name);
+      EXPECT_NE(fn, nullptr) << ref.function_name;
+      if (fn == nullptr) return 0;
+      for (const ColumnDef& c : fn->output) names.push_back(c.name);
+    } else {
+      const TableInfo* table = db->catalog()->FindTable(ref.table);
+      EXPECT_NE(table, nullptr) << ref.table;
+      if (table == nullptr) return 0;
+      for (const ColumnDef& c : table->schema.columns) names.push_back(c.name);
+    }
+    for (const std::string& name : names) {
+      std::string col = ref.alias + "." + name;
+      extra += ", " + (aggregate ? "MAX(" + col + ")" : col);
+    }
+  }
+  size_t from = narrow.find(" FROM ");
+  EXPECT_NE(from, std::string::npos) << narrow;
+  if (from == std::string::npos) return 0;
+  const std::string wide = narrow.substr(0, from) + extra + narrow.substr(from);
+
+  auto n = db->Query(narrow);
+  auto w = db->Query(wide);
+  EXPECT_TRUE(n.ok()) << narrow << " -> " << n.status().ToString();
+  EXPECT_TRUE(w.ok()) << wide << " -> " << w.status().ToString();
+  if (!n.ok() || !w.ok()) return 0;
+  const size_t k = n->columns.size();
+  EXPECT_GT(w->columns.size(), k) << wide;
+  std::vector<std::string> projected;
+  std::set<std::string> seen;
+  for (const Tuple& row : w->rows) {
+    std::string key = RowKey(Tuple(row.begin(), row.begin() + k));
+    if (stmt.distinct && !seen.insert(key).second) continue;
+    projected.push_back(std::move(key));
+  }
+  EXPECT_EQ(n->rows.size(), projected.size()) << narrow << "\n" << wide;
+  for (size_t i = 0; i < n->rows.size() && i < projected.size(); ++i) {
+    EXPECT_EQ(RowKey(n->rows[i]), projected[i])
+        << narrow << "\n" << wide << "\nrow " << i;
+  }
+  return n->rows.size();
+}
+
+std::vector<std::string> AllPaperSql() {
+  std::vector<std::string> out;
+  for (const auto* set :
+       {&benchutil::ShakespeareQueries(), &benchutil::SigmodQueries()}) {
+    for (const benchutil::PaperQuery& q : *set) {
+      out.push_back(q.hybrid_sql);
+      out.push_back(q.xorator_sql);
+    }
+  }
+  return out;
+}
+
+void ExpectPaperQueriesMatchWide(
+    const std::string& dtd, const std::vector<std::unique_ptr<xml::Node>>& corpus,
+    const std::vector<benchutil::PaperQuery>& queries) {
+  std::vector<const xml::Node*> docs;
+  for (const auto& d : corpus) docs.push_back(d.get());
+  for (benchutil::Mapping mapping :
+       {benchutil::Mapping::kHybrid, benchutil::Mapping::kXorator}) {
+    benchutil::ExperimentOptions options;
+    options.mapping = mapping;
+    options.advisor_queries = AllPaperSql();
+    auto db = benchutil::BuildExperimentDb(dtd, docs, options);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    for (const benchutil::PaperQuery& q : queries) {
+      const std::string& sql = mapping == benchutil::Mapping::kHybrid
+                                   ? q.hybrid_sql
+                                   : q.xorator_sql;
+      SCOPED_TRACE(q.id);
+      EXPECT_GT(ExpectNarrowMatchesWide(db->db.get(), sql), 0u) << sql;
+    }
+  }
+}
+
+TEST(ColumnLivenessOracleTest, ShakespeareQueriesMatchWideForm) {
+  datagen::ShakespeareOptions opts;
+  opts.plays = 3;
+  opts.acts_per_play = 2;
+  opts.scenes_per_act = 2;
+  opts.speeches_per_scene = 8;
+  ExpectPaperQueriesMatchWide(
+      datagen::kShakespeareDtd,
+      datagen::ShakespeareGenerator(opts).GenerateCorpus(),
+      benchutil::ShakespeareQueries());
+}
+
+TEST(ColumnLivenessOracleTest, SigmodQueriesMatchWideForm) {
+  datagen::SigmodOptions opts;
+  opts.documents = 80;
+  ExpectPaperQueriesMatchWide(datagen::kSigmodDtd,
+                              datagen::SigmodGenerator(opts).GenerateCorpus(),
+                              benchutil::SigmodQueries());
+}
+
+TEST_F(EngineTest, NarrowMatchesWideAcrossClauses) {
+  ASSERT_TRUE(db_->Execute("CREATE INDEX i ON emp (dept)").ok());
+  ASSERT_TRUE(db_->RunStats().ok());
+  ASSERT_TRUE(db_->Execute("CREATE TABLE docs (id INTEGER, x XADT)").ok());
+  ASSERT_TRUE(db_->Execute(
+                     "INSERT INTO docs VALUES "
+                     "(1, '<s><n>one</n><a>p</a><a>q</a></s>"
+                     "<s><n>two</n><a>r</a></s>'), "
+                     "(2, '<s><n>three</n><a>q</a><a>t</a></s>')")
+                  .ok());
+  // The inner column `name` is read only by the index join's residual.
+  const std::string residual =
+      "SELECT dname FROM dept, emp WHERE dept.id = emp.dept "
+      "AND dname = 'eng' AND name LIKE '%b%'";
+  auto plan = db_->Explain(residual);
+  ASSERT_TRUE(plan.ok());
+  ASSERT_NE(plan->find("IndexNLJoin"), std::string::npos) << *plan;
+  for (const std::string& sql : {
+           residual,
+           std::string("SELECT COUNT(*) AS n FROM emp, dept "
+                       "WHERE dept = dept.id"),
+           std::string("SELECT * FROM emp, dept WHERE dept = dept.id"),
+           std::string("SELECT dept, COUNT(*) AS n, MAX(name) AS last "
+                       "FROM emp GROUP BY dept"),
+           // `dept` is read only by GROUP BY.
+           std::string("SELECT COUNT(*) AS n FROM emp GROUP BY dept"),
+           std::string("SELECT name, salary FROM emp ORDER BY salary DESC"),
+           std::string("SELECT DISTINCT dname FROM emp, dept "
+                       "WHERE dept = dept.id"),
+           std::string("SELECT name FROM emp, dept WHERE dept = dept.id "
+                       "LIMIT 3"),
+           // `salary` and `dname` are read only by WHERE conjuncts.
+           std::string("SELECT name FROM emp, dept WHERE dept = dept.id "
+                       "AND salary > 120 AND dname = 'eng'"),
+           // The second lateral's argument reads the first one's frag,
+           // which nothing above it reads.
+           std::string("SELECT a.out FROM docs, table(unnest(x, 's')) t, "
+                       "table(unnest(t.frag, 'a')) a"),
+           std::string("SELECT n.out, a.out FROM docs, "
+                       "table(unnest(x, 's')) t, "
+                       "table(unnest(getElm(t.frag, 'n', '', ''), 'n')) n, "
+                       "table(unnest(t.frag, 'a')) a WHERE a.out = 'q'"),
+           std::string("SELECT COUNT(*) AS n FROM docs, "
+                       "table(unnest(x, 's')) t"),
+           std::string("SELECT a.out, COUNT(*) AS n FROM docs, "
+                       "table(unnest(x, 'a')) a GROUP BY a.out"),
+       }) {
+    SCOPED_TRACE(sql);
+    EXPECT_GT(ExpectNarrowMatchesWide(db_.get(), sql), 0u);
+  }
 }
 
 }  // namespace

@@ -191,6 +191,30 @@ TEST_P(XadtDecodeGuardTest, CancelStopsDecode) {
   EXPECT_EQ(decoded.status().code(), StatusCode::kCancelled);
 }
 
+TEST_P(XadtDecodeGuardTest, BudgetStopsUnnestWithFragLiveOrDead) {
+  // The `unnest` UDF charges each element once, for its text and, when
+  // the plan reads it, its fragment; either way 2000 lines overrun 4 KB.
+  auto registry = ordb::FunctionRegistry::WithBuiltins();
+  ASSERT_TRUE(xadt::RegisterXadtFunctions(&registry).ok());
+  const ordb::TableFunction* unnest = registry.FindTable("unnest");
+  ASSERT_NE(unnest, nullptr);
+  const std::vector<Value> args = {Value::Xadt(EncodedLines(GetParam())),
+                                   Value::Varchar("LINE")};
+  for (const ordb::ColumnMask& live :
+       {ordb::ColumnMask{true, true}, ordb::ColumnMask{true, false}}) {
+    auto unguarded = ordb::InvokeTable(*unnest, args, live, nullptr);
+    ASSERT_TRUE(unguarded.ok()) << unguarded.status().ToString();
+    ASSERT_EQ(unguarded->size(), 2000u);
+    EXPECT_EQ((*unguarded)[0][1].is_null(), !live[1]);
+    QueryGuard guard(0, 4096);
+    ScopedGuardBind bind(&guard);
+    auto rows = ordb::InvokeTable(*unnest, args, live, nullptr);
+    ASSERT_FALSE(rows.ok()) << "frag live: " << live[1];
+    EXPECT_EQ(rows.status().code(), StatusCode::kResourceExhausted)
+        << rows.status().ToString();
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(RawAndCompressed, XadtDecodeGuardTest,
                          ::testing::Values(false, true));
 

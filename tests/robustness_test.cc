@@ -771,5 +771,31 @@ TEST(XadtRobustnessTest, DegradedScanSkipsCorruptFragments) {
       << degraded->plan;
 }
 
+// A value that fails partway through its scan loses all of its own rows,
+// not just the ones after the damage, whether or not the plan reads the
+// fragment column, and counts once as a skipped fragment.
+TEST(XadtRobustnessTest, DegradedScanDropsAllRowsOfADamagedValue) {
+  auto db = OpenDb();
+  ASSERT_TRUE(db->Execute("CREATE TABLE t (id INTEGER, x XADT)").ok());
+  std::vector<Tuple> rows;
+  rows.push_back({Value::Int(1), Value::Xadt("R<a>one</a><a>two</a><a>")});
+  rows.push_back({Value::Int(2), Value::Xadt("R<a>three</a>")});
+  ASSERT_TRUE(db->BulkInsert("t", rows).ok());
+  ordb::QueryOptions skip;
+  skip.skip_quarantined = true;
+  for (const char* sql : {
+           "SELECT u.out FROM t, table(unnest(x, 'a')) u",
+           "SELECT u.out, u.frag FROM t, table(unnest(x, 'a')) u",
+           "SELECT id FROM t, table(unnest(x, 'a')) u",
+       }) {
+    ASSERT_FALSE(db->Query(sql).ok()) << sql;
+    auto degraded = db->Query(sql, skip);
+    ASSERT_TRUE(degraded.ok()) << sql << ": " << degraded.status().ToString();
+    ASSERT_EQ(degraded->rows.size(), 1u) << sql;
+    EXPECT_NE(degraded->plan.find("skipped_fragments=1"), std::string::npos)
+        << sql << "\n" << degraded->plan;
+  }
+}
+
 }  // namespace
 }  // namespace xorator

@@ -125,6 +125,32 @@ TEST_P(DirectoryFormatTest, EmptyFragmentList) {
   EXPECT_TRUE(Unnest(bytes, "")->empty());
 }
 
+TEST_P(DirectoryFormatTest, UnnestTextEqualsTextContentOfFragment) {
+  // The empty tag takes the directory fast path when only fragments are
+  // asked for, and the scan when text is: both must agree.
+  std::string dir = EncodeDir(
+      "<LINE>one &amp; <STAGEDIR>Rising</STAGEDIR> two</LINE>"
+      "<LINE><LINE>nested</LINE> outer</LINE><SPEAKER>X</SPEAKER>");
+  for (std::string_view tag : {"", "LINE", "STAGEDIR"}) {
+    auto frags = Unnest(dir, tag);
+    ASSERT_TRUE(frags.ok());
+    std::vector<std::string> texts;
+    std::vector<std::string> both_frags;
+    ASSERT_TRUE(UnnestElements(dir, tag, true, true,
+                               [&](std::string text, std::string frag) {
+                                 texts.push_back(std::move(text));
+                                 both_frags.push_back(std::move(frag));
+                                 return Status::OK();
+                               })
+                    .ok());
+    ASSERT_EQ(texts.size(), frags->size()) << tag;
+    EXPECT_EQ(both_frags, *frags) << tag;
+    for (size_t i = 0; i < texts.size(); ++i) {
+      EXPECT_EQ(texts[i], *TextContent((*frags)[i])) << tag << " " << i;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(RawAndCompressed, DirectoryFormatTest,
                          ::testing::Values(false, true));
 

@@ -183,6 +183,87 @@ TEST_P(XadtFormatTest, EmptyValueBehaves) {
   EXPECT_EQ(*ToXmlString(*out), "");
 }
 
+// One-pass unnest: the text captured by the scan that finds each element
+// equals TextContent of that element's fragment, and asking for the text
+// changes neither the fragments nor their order.
+void ExpectOnePassText(const std::string& bytes, std::string_view tag) {
+  auto frags = Unnest(bytes, tag);
+  ASSERT_TRUE(frags.ok()) << frags.status().ToString();
+  std::vector<std::string> texts;
+  std::vector<std::string> both_texts;
+  std::vector<std::string> both_frags;
+  size_t neither = 0;
+  ASSERT_TRUE(UnnestElements(bytes, tag, true, false,
+                             [&](std::string text, std::string frag) {
+                               EXPECT_TRUE(frag.empty());
+                               texts.push_back(std::move(text));
+                               return Status::OK();
+                             })
+                  .ok());
+  ASSERT_TRUE(UnnestElements(bytes, tag, true, true,
+                             [&](std::string text, std::string frag) {
+                               both_texts.push_back(std::move(text));
+                               both_frags.push_back(std::move(frag));
+                               return Status::OK();
+                             })
+                  .ok());
+  ASSERT_TRUE(UnnestElements(bytes, tag, false, false,
+                             [&](std::string text, std::string frag) {
+                               EXPECT_TRUE(text.empty() && frag.empty());
+                               ++neither;
+                               return Status::OK();
+                             })
+                  .ok());
+  ASSERT_EQ(texts.size(), frags->size());
+  ASSERT_EQ(both_texts.size(), frags->size());
+  EXPECT_EQ(neither, frags->size());
+  for (size_t i = 0; i < frags->size(); ++i) {
+    auto expected = TextContent((*frags)[i]);
+    ASSERT_TRUE(expected.ok());
+    EXPECT_EQ(texts[i], *expected) << "element " << i;
+    EXPECT_EQ(both_texts[i], *expected) << "element " << i;
+    EXPECT_EQ(both_frags[i], (*frags)[i]) << "element " << i;
+  }
+}
+
+TEST_P(XadtFormatTest, UnnestTextEqualsTextContentOfFragment) {
+  // Nested same-tag elements: the inner one closes (and is emitted) first.
+  std::string nested =
+      EncodeXml("<a>x<a>y<b>z</b><a>q</a></a>w</a><c><a>v</a></c>", GetParam());
+  ExpectOnePassText(nested, "a");
+  ExpectOnePassText(nested, "b");
+  ExpectOnePassText(nested, "");
+  // Entities and CDATA decode to the same text either way.
+  std::string escaped = EncodeXml(
+      "<a>fish &amp; chips &lt;3</a><a>x<![CDATA[<b>&amp;</b>]]>y</a>",
+      GetParam());
+  ExpectOnePassText(escaped, "a");
+  ExpectOnePassText(escaped, "");
+  // Comments and processing instructions split a text run.
+  std::string split = EncodeXml(
+      "<a>one<!-- note -->two<?pi data?>three<b>four</b></a>", GetParam());
+  ExpectOnePassText(split, "a");
+  ExpectOnePassText(split, "b");
+}
+
+TEST(XadtOnePassUnnestTest, RawCommentsAndInstructionsSplitText) {
+  // Raw values hold markup the DOM drops, so build them directly.
+  const std::string raw =
+      "R<a>one<!-- c -->two<?pi x?>three<![CDATA[&four]]>&amp;five</a>"
+      "<a><a>in<!--x-->ner</a>outer</a>";
+  ExpectOnePassText(raw, "a");
+  ExpectOnePassText(raw, "");
+  std::vector<std::string> texts;
+  ASSERT_TRUE(UnnestElements(raw, "a", true, false,
+                             [&](std::string text, std::string) {
+                               texts.push_back(std::move(text));
+                               return Status::OK();
+                             })
+                  .ok());
+  EXPECT_EQ(texts, (std::vector<std::string>{"onetwothree&four&five",
+                                             "inner", "innerouter"}));
+}
+
 INSTANTIATE_TEST_SUITE_P(RawAndCompressed, XadtFormatTest,
                          ::testing::Values(false, true));
 

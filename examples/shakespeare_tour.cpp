@@ -70,7 +70,10 @@ int main(int argc, char** argv) {
                    h.status().ToString().c_str());
       return 1;
     }
-    std::printf("%zu rows; plan:\n%s", h->rows.size(), h->plan.c_str());
+    auto h_plan = hybrid->db->Explain(q.hybrid_sql);
+    std::printf("%zu rows; plan:\n%s", h->rows.size(),
+                h_plan.ok() ? h_plan->c_str()
+                            : h_plan.status().ToString().c_str());
     std::printf("-- XORator SQL --\n%s\n", q.xorator_sql.c_str());
     auto x = xorator->db->Query(q.xorator_sql);
     if (!x.ok()) {
@@ -78,7 +81,10 @@ int main(int argc, char** argv) {
                    x.status().ToString().c_str());
       return 1;
     }
-    std::printf("%zu rows; plan:\n%s", x->rows.size(), x->plan.c_str());
+    auto x_plan = xorator->db->Explain(q.xorator_sql);
+    std::printf("%zu rows; plan:\n%s", x->rows.size(),
+                x_plan.ok() ? x_plan->c_str()
+                            : x_plan.status().ToString().c_str());
     std::printf("sample result:\n%s\n", x->ToString(3).c_str());
   }
   return 0;

@@ -6,8 +6,10 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/str_util.h"
 #include "ordb/buffer_pool.h"
 #include "ordb/page.h"
+#include "ordb/value.h"
 
 namespace xorator::ordb {
 
@@ -22,6 +24,13 @@ namespace xorator::ordb {
 /// Order-preserving index key for INTEGER columns.
 inline uint64_t IntIndexKey(int64_t v) {
   return static_cast<uint64_t>(v) ^ (1ULL << 63);
+}
+
+/// Index key of the non-NULL value `v` in an index on a `key_type` column:
+/// IntIndexKey for INTEGER, a 64-bit hash of the text for string columns.
+inline uint64_t IndexKey(TypeId key_type, const Value& v) {
+  return key_type == TypeId::kInteger ? IntIndexKey(v.AsInt())
+                                      : Hash64(v.AsString());
 }
 
 /// A paged B+-tree mapping fixed-size 64-bit keys to record ids.

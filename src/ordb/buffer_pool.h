@@ -21,7 +21,7 @@ namespace xorator::ordb {
 class EngineHealth;
 
 /// Counters for buffer-pool behaviour, surfaced by benchmarks, the
-/// fault-injection tests, PRAGMA health and the resilience stats line.
+/// fault-injection tests, PRAGMA health and statement reports.
 /// Aggregated across the pool's bucket shards by BufferPool::stats().
 struct BufferPoolStats {
   uint64_t hits = 0;

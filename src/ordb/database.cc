@@ -82,44 +82,33 @@ std::string QueryResult::ToString(size_t max_rows) const {
   return out;
 }
 
+std::string StatementReport::ToString() const {
+  std::string out;
+  if (guard.has_value()) out = guard->ToString();
+  if (degraded.has_value() || health != HealthState::kHealthy ||
+      quarantined_pages > 0) {
+    // Resilience line (DESIGN.md §13): a clean strict statement has
+    // nothing to report, so its text stays empty.
+    const DegradedScan skipped = degraded.value_or(DegradedScan{});
+    if (!out.empty()) out += "\n";
+    out += "resilience: health=";
+    out += HealthStateName(health);
+    out += " quarantined=" + std::to_string(quarantined_pages) +
+           " skipped_pages=" + std::to_string(skipped.skipped_pages) +
+           " skipped_records=" + std::to_string(skipped.skipped_records) +
+           " skipped_fragments=" + std::to_string(skipped.skipped_fragments);
+  }
+  return out;
+}
+
 Result<std::unique_ptr<Database>> Database::Open(const DbOptions& options) {
   auto db = std::unique_ptr<Database>(new Database(options));
-  std::unique_ptr<Pager> pager;
-  if (options.path.empty()) {
-    pager = std::make_unique<MemoryPager>();
-  } else {
-    // Roll back any interrupted epoch before the pager sees the file, so
-    // torn final pages are healed before the size/alignment check.
-    const std::string wal_path = options.path + ".wal";
-    XO_RETURN_NOT_OK(RecoverFromWal(options.path, wal_path).status());
-    XO_ASSIGN_OR_RETURN(auto file_pager, FilePager::Open(options.path));
-    pager = std::move(file_pager);
-    XO_ASSIGN_OR_RETURN(db->wal_,
-                        Wal::Open(wal_path, pager->page_count()));
-  }
-  if (options.fault.has_value()) {
-    auto faulty =
-        std::make_unique<FaultInjectingPager>(std::move(pager), *options.fault);
-    db->fault_pager_ = faulty.get();
-    pager = std::move(faulty);
-  }
-  db->pager_ = std::move(pager);
-  db->pool_ =
-      std::make_unique<BufferPool>(db->pager_.get(), options.buffer_pool_pages);
-  db->pool_->set_wal(db->wal_.get());
-  db->pool_->set_health(&db->health_);
-  if (db->fault_pager_ != nullptr && db->wal_ != nullptr) {
-    // Per-file fault scoping: WAL-append faults are drawn from the fault
-    // pager's independent WAL stream (the WAL itself is an ofstream, not a
-    // Pager, so it cannot be wrapped).
-    db->wal_->set_fault_hook(
-        [fp = db->fault_pager_] { return fp->DrawWalAppend(); });
-  }
-  db->functions_ = FunctionRegistry::WithBuiltins();
   // The database is not published yet, but the locked helpers below
   // require the statement lock; taking it here is free and lets the
   // analysis check Open() against the same capability as every other path.
   xo::WriterLock lock(&db->mu_);
+  XO_RETURN_NOT_OK(db->BuildStorage());
+  db->functions_ = FunctionRegistry::WithBuiltins();
   if (db->wal_ != nullptr) {
     if (db->pager_->page_count() == 0) {
       // Fresh database: claim page 0 as the meta page and commit the
@@ -353,26 +342,26 @@ Result<QueryResult> Database::RunSelect(const sql::SelectStmt& stmt,
   Planner planner(&catalog_, &functions_, options_.planner);
   XO_ASSIGN_OR_RETURN(OperatorPtr plan, planner.PlanSelect(stmt));
   QueryResult result;
-  result.plan = plan->Explain();
-  for (const ColumnMeta& c : plan->columns()) result.columns.push_back(c.name);
   if (explain_only) {
-    if (guard != nullptr) result.plan += "\n" + guard->StatsLine();
+    if (guard != nullptr) result.report.guard = guard->Stats();
+    std::string text = plan->Explain();
+    const std::string report = result.report.ToString();
+    if (!report.empty()) text += "\n" + report;
+    result.columns = {"plan"};
+    result.rows.push_back({Value::Varchar(std::move(text))});
     return result;
   }
+  for (const ColumnMeta& c : plan->columns()) result.columns.push_back(c.name);
 
+  DegradedScan degraded;
   ExecContext ctx;
-  ctx.functions = &functions_;
-  ctx.pool = pool_.get();
-  ctx.catalog = &catalog_;
   ctx.guard = guard;
-  ctx.skip_quarantined = skip_quarantined;
+  ctx.degraded = skip_quarantined ? &degraded : nullptr;
   // The marshaled-UDF ABI carries no context, so UDF bodies and the XADT
   // fragment scanner reach the guard thread-locally (DESIGN.md §12); the
-  // degraded-scan mode travels the same way (DESIGN.md §13).
+  // degraded scan travels the same way (DESIGN.md §13).
   ScopedGuardBind bind(guard);
-  DegradedScan degraded;
-  degraded.skip_corrupt = skip_quarantined;
-  ScopedDegradedScanBind degraded_bind(skip_quarantined ? &degraded : nullptr);
+  ScopedDegradedScanBind degraded_bind(ctx.degraded);
   // Close() must run on the error path too: a query stopped by its guard
   // (or by any mid-scan failure) has to release every pin and every
   // tracked-arena charge before the error reaches the caller.
@@ -397,21 +386,10 @@ Result<QueryResult> Database::RunSelect(const sql::SelectStmt& stmt,
   plan->Close();
   XO_RETURN_NOT_OK(exec);
   result.udf_stats = ctx.udf_stats;
-  if (guard != nullptr) result.plan += "\n" + guard->StatsLine();
-  // Resilience stats line (DESIGN.md §13), appended only when there is
-  // something to report so healthy-engine plan text stays byte-identical.
-  const HealthSnapshot hs = health_.Snapshot();
-  const uint64_t quarantined = pool_->stats().quarantined_pages;
-  if (skip_quarantined || hs.state != HealthState::kHealthy ||
-      quarantined > 0) {
-    result.plan += "\nresilience: health=";
-    result.plan += HealthStateName(hs.state);
-    result.plan += " quarantined=" + std::to_string(quarantined) +
-                   " skipped_pages=" + std::to_string(ctx.skipped_pages) +
-                   " skipped_records=" + std::to_string(ctx.skipped_records) +
-                   " skipped_fragments=" +
-                   std::to_string(degraded.skipped_fragments);
-  }
+  if (guard != nullptr) result.report.guard = guard->Stats();
+  result.report.health = health_.state();
+  result.report.quarantined_pages = pool_->stats().quarantined_pages;
+  if (skip_quarantined) result.report.degraded = degraded;
   return result;
 }
 
@@ -433,22 +411,13 @@ Result<QueryResult> Database::Query(const std::string& sql_text,
   QueryGuard* g = options.guarded() ? &guard : nullptr;
   GuardRegistration registration(this, options.query_id, g);
   switch (stmt.kind) {
-    case sql::Statement::Kind::kSelect: {
-      XO_RETURN_NOT_OK(health_.CheckUsable());
-      xo::ReaderLock lock(&mu_);
-      return RunSelect(stmt.select, /*explain_only=*/false, g,
-                       options.skip_quarantined);
-    }
+    case sql::Statement::Kind::kSelect:
     case sql::Statement::Kind::kExplain: {
       XO_RETURN_NOT_OK(health_.CheckUsable());
       xo::ReaderLock lock(&mu_);
-      XO_ASSIGN_OR_RETURN(QueryResult r,
-                          RunSelect(stmt.select, /*explain_only=*/true, g));
-      QueryResult out;
-      out.columns = {"plan"};
-      out.plan = r.plan;
-      out.rows.push_back({Value::Varchar(r.plan)});
-      return out;
+      return RunSelect(stmt.select,
+                       stmt.kind == sql::Statement::Kind::kExplain, g,
+                       options.skip_quarantined);
     }
     case sql::Statement::Kind::kPragma: {
       // Pragmas are maintenance reads: they run on any usable engine —
@@ -559,7 +528,7 @@ Result<std::string> Database::Explain(const std::string& sql_text) {
   xo::ReaderLock lock(&mu_);
   XO_ASSIGN_OR_RETURN(QueryResult r,
                       RunSelect(stmt.select, /*explain_only=*/true));
-  return r.plan;
+  return r.rows[0][0].AsString();
 }
 
 Status Database::CreateTable(const std::string& name, TableSchema schema) {
@@ -635,10 +604,8 @@ Status Database::BulkInsertLocked(const std::string& table,
     for (IndexInfo* index : t->indexes) {
       const Value& v = row[index->column_index];
       if (v.is_null()) continue;
-      uint64_t key = index->key_type == TypeId::kInteger
-                         ? IntIndexKey(v.AsInt())
-                         : Hash64(v.AsString());
-      XO_RETURN_NOT_OK(index->tree->Insert(key, rid.Encode()));
+      XO_RETURN_NOT_OK(
+          index->tree->Insert(IndexKey(index->key_type, v), rid.Encode()));
     }
   }
   return Status::OK();
@@ -694,98 +661,6 @@ Status Database::RunStats() {
 
 namespace {
 
-/// Direct AST evaluation against a single table's row, used by DELETE
-/// (which needs record ids and therefore bypasses the Volcano planner).
-Result<Value> EvalAst(const sql::AstExpr& e, const TableSchema& schema,
-                      const std::string& table_name, const Tuple& row,
-                      const FunctionRegistry& functions, UdfStats* stats) {
-  using sql::AstExpr;
-  switch (e.kind) {
-    case AstExpr::Kind::kColumn: {
-      std::string name = e.name;
-      size_t dot = name.find('.');
-      if (dot != std::string::npos) {
-        if (!EqualsIgnoreCase(name.substr(0, dot), table_name)) {
-          return Status::NotFound("unknown qualifier in '" + e.name + "'");
-        }
-        name = name.substr(dot + 1);
-      }
-      for (size_t i = 0; i < schema.columns.size(); ++i) {
-        if (EqualsIgnoreCase(schema.columns[i].name, name)) return row[i];
-      }
-      return Status::NotFound("unknown column '" + e.name + "'");
-    }
-    case AstExpr::Kind::kLiteral:
-      return e.literal;
-    case AstExpr::Kind::kCompare: {
-      XO_ASSIGN_OR_RETURN(Value a, EvalAst(*e.children[0], schema, table_name,
-                                           row, functions, stats));
-      XO_ASSIGN_OR_RETURN(Value b, EvalAst(*e.children[1], schema, table_name,
-                                           row, functions, stats));
-      if (a.is_null() || b.is_null()) return Value::Bool(false);
-      int c = a.Compare(b);
-      switch (e.op) {
-        case CompareOp::kEq:
-          return Value::Bool(c == 0);
-        case CompareOp::kNe:
-          return Value::Bool(c != 0);
-        case CompareOp::kLt:
-          return Value::Bool(c < 0);
-        case CompareOp::kLe:
-          return Value::Bool(c <= 0);
-        case CompareOp::kGt:
-          return Value::Bool(c > 0);
-        case CompareOp::kGe:
-          return Value::Bool(c >= 0);
-      }
-      return Status::Internal("bad op");
-    }
-    case AstExpr::Kind::kAnd:
-    case AstExpr::Kind::kOr: {
-      XO_ASSIGN_OR_RETURN(Value a, EvalAst(*e.children[0], schema, table_name,
-                                           row, functions, stats));
-      bool av = !a.is_null() && a.AsBool();
-      if (e.kind == AstExpr::Kind::kAnd && !av) return Value::Bool(false);
-      if (e.kind == AstExpr::Kind::kOr && av) return Value::Bool(true);
-      XO_ASSIGN_OR_RETURN(Value b, EvalAst(*e.children[1], schema, table_name,
-                                           row, functions, stats));
-      return Value::Bool(!b.is_null() && b.AsBool());
-    }
-    case AstExpr::Kind::kNot: {
-      XO_ASSIGN_OR_RETURN(Value a, EvalAst(*e.children[0], schema, table_name,
-                                           row, functions, stats));
-      return Value::Bool(!(!a.is_null() && a.AsBool()));
-    }
-    case AstExpr::Kind::kLike: {
-      XO_ASSIGN_OR_RETURN(Value a, EvalAst(*e.children[0], schema, table_name,
-                                           row, functions, stats));
-      if (a.is_null()) return Value::Bool(false);
-      return Value::Bool(LikeMatch(a.AsString(), e.pattern));
-    }
-    case AstExpr::Kind::kIsNull: {
-      XO_ASSIGN_OR_RETURN(Value a, EvalAst(*e.children[0], schema, table_name,
-                                           row, functions, stats));
-      return Value::Bool(e.negated ? !a.is_null() : a.is_null());
-    }
-    case AstExpr::Kind::kFunc: {
-      const ScalarFunction* fn = functions.FindScalar(e.name);
-      if (fn == nullptr) {
-        return Status::NotFound("unknown function '" + e.name + "'");
-      }
-      std::vector<Value> args;
-      for (const auto& a : e.children) {
-        XO_ASSIGN_OR_RETURN(Value v, EvalAst(*a, schema, table_name, row,
-                                             functions, stats));
-        args.push_back(std::move(v));
-      }
-      return InvokeScalar(*fn, args, stats);
-    }
-    case AstExpr::Kind::kStar:
-      return Status::InvalidArgument("'*' not valid here");
-  }
-  return Status::Internal("unhandled AST node");
-}
-
 /// A column compared for equality, with the literal it is compared
 /// against (nullptr when the other side is not a literal, e.g. a join).
 struct Equality {
@@ -825,25 +700,31 @@ Result<QueryResult> Database::RunDelete(const sql::DeleteStmt& stmt) {
   if (t == nullptr) {
     return Status::NotFound("unknown table '" + stmt.table + "'");
   }
-  UdfStats stats;
+  // The WHERE binds exactly as a SELECT over the table would, so both
+  // statements reject the same names and match the same rows.
+  ExprPtr where;
+  if (stmt.where != nullptr) {
+    Planner planner(&catalog_, &functions_, options_.planner);
+    XO_ASSIGN_OR_RETURN(where, planner.BindPredicate(*stmt.where, *t));
+  }
   std::vector<std::pair<Rid, Tuple>> doomed;
   // Guard polls and charges cover only the scan phase: once the apply loop
   // below starts mutating the heap, finishing is cheaper and cleaner than
   // stopping with half the matches deleted.
-  QueryGuard* guard = CurrentGuard();
-  TrackedArena doomed_arena(guard);
+  ExecContext ctx;
+  ctx.guard = CurrentGuard();
+  TrackedArena doomed_arena(ctx.guard);
   HeapFile::Scanner scanner = t->heap->Scan();
   Rid rid;
   std::string record;
   while (true) {
-    if (guard != nullptr) XO_RETURN_NOT_OK(guard->CheckPoint());
+    XO_RETURN_NOT_OK(ctx.CheckPoint());
     XO_ASSIGN_OR_RETURN(bool ok, scanner.Next(&rid, &record));
     if (!ok) break;
     XO_ASSIGN_OR_RETURN(Tuple row, DecodeTuple(t->schema, record));
     bool match = true;
-    if (stmt.where != nullptr) {
-      XO_ASSIGN_OR_RETURN(Value v, EvalAst(*stmt.where, t->schema, t->name,
-                                           row, functions_, &stats));
+    if (where != nullptr) {
+      XO_ASSIGN_OR_RETURN(Value v, where->Eval(row, &ctx));
       match = !v.is_null() && v.AsBool();
     }
     if (match) {
@@ -856,16 +737,14 @@ Result<QueryResult> Database::RunDelete(const sql::DeleteStmt& stmt) {
     for (IndexInfo* index : t->indexes) {
       const Value& v = row[index->column_index];
       if (v.is_null()) continue;
-      uint64_t key = index->key_type == TypeId::kInteger
-                         ? IntIndexKey(v.AsInt())
-                         : Hash64(v.AsString());
-      XO_RETURN_NOT_OK(index->tree->Delete(key, doomed_rid.Encode()));
+      XO_RETURN_NOT_OK(index->tree->Delete(IndexKey(index->key_type, v),
+                                           doomed_rid.Encode()));
     }
   }
   QueryResult result;
   result.columns = {"deleted"};
   result.rows.push_back({Value::Int(static_cast<int64_t>(doomed.size()))});
-  result.udf_stats = stats;
+  result.udf_stats = ctx.udf_stats;
   return result;
 }
 
@@ -957,32 +836,40 @@ Status Database::AdviseIndexes(const std::vector<std::string>& queries) {
 
 // ----------------------------------------- failure containment (DESIGN.md §13)
 
-Status Database::RebuildStorageLocked() {
-  const std::string wal_path = options_.path + ".wal";
-  // Roll the file back to its last checkpoint first — dirty frames were
-  // just dropped, so the on-disk image may hold a partial epoch.
-  XO_RETURN_NOT_OK(RecoverFromWal(options_.path, wal_path).status());
-  XO_ASSIGN_OR_RETURN(auto file_pager, FilePager::Open(options_.path));
-  std::unique_ptr<Pager> pager = std::move(file_pager);
-  XO_ASSIGN_OR_RETURN(wal_, Wal::Open(wal_path, pager->page_count()));
+Status Database::BuildStorage() {
+  std::unique_ptr<Pager> pager;
+  if (options_.path.empty()) {
+    pager = std::make_unique<MemoryPager>();
+  } else {
+    // Roll back any interrupted epoch before the pager sees the file, so
+    // torn final pages are healed before the size/alignment check.
+    const std::string wal_path = options_.path + ".wal";
+    XO_RETURN_NOT_OK(RecoverFromWal(options_.path, wal_path).status());
+    XO_ASSIGN_OR_RETURN(auto file_pager, FilePager::Open(options_.path));
+    pager = std::move(file_pager);
+    XO_ASSIGN_OR_RETURN(wal_, Wal::Open(wal_path, pager->page_count()));
+  }
   if (options_.fault.has_value()) {
-    // Re-wrap with the *current* schedule: tests typically clear the fault
-    // options through mutable_options() before asking for recovery.
+    // Wraps with the *current* schedule: tests typically clear the fault
+    // options through mutable_options() before asking TryRecover() to
+    // rebuild.
     auto faulty =
-        std::make_unique<FaultInjectingPager>(std::move(pager),
-                                              *options_.fault);
+        std::make_unique<FaultInjectingPager>(std::move(pager), *options_.fault);
     fault_pager_ = faulty.get();
     pager = std::move(faulty);
-    wal_->set_fault_hook([fp = fault_pager_] { return fp->DrawWalAppend(); });
+    if (wal_ != nullptr) {
+      // Per-file fault scoping: WAL-append faults are drawn from the fault
+      // pager's independent WAL stream (the WAL itself is an ofstream, not
+      // a Pager, so it cannot be wrapped).
+      wal_->set_fault_hook(
+          [fp = fault_pager_] { return fp->DrawWalAppend(); });
+    }
   }
   pager_ = std::move(pager);
   pool_ =
       std::make_unique<BufferPool>(pager_.get(), options_.buffer_pool_pages);
   pool_->set_wal(wal_.get());
   pool_->set_health(&health_);
-  if (pager_->page_count() > 0) {
-    XO_RETURN_NOT_OK(LoadCatalog());
-  }
   return Status::OK();
 }
 
@@ -1014,7 +901,8 @@ Status Database::TryRecover() {
   fault_pager_ = nullptr;
   pager_.reset();
   opened_ = false;
-  Status rebuilt = RebuildStorageLocked();
+  Status rebuilt = BuildStorage();
+  if (rebuilt.ok() && pager_->page_count() > 0) rebuilt = LoadCatalog();
   if (!rebuilt.ok()) {
     // The stack is gone (possibly partially null); only a reopen helps.
     // Queries fail fast via CheckUsable rather than dereferencing nulls.

@@ -57,7 +57,7 @@ struct QueryOptions {
 
   /// Degraded-scan mode (DESIGN.md §13): SELECTs skip quarantined/corrupt
   /// heap pages and damaged overflow/XADT fragments instead of failing,
-  /// and report what they skipped on the plan's "resilience:" stats line.
+  /// and count what they skipped in QueryResult::report.
   /// Off by default: normal queries must surface corruption.
   bool skip_quarantined = false;
 
@@ -69,14 +69,34 @@ struct QueryOptions {
   }
 };
 
+/// What a SELECT or EXPLAIN observed besides its rows (DESIGN.md §12–13).
+/// Facts, not text: ToString() renders them only when asked (EXPLAIN, the
+/// wire's RESULT frame).
+struct StatementReport {
+  /// The guard's counters; set when the statement ran guarded.
+  std::optional<GuardStats> guard;
+  /// Engine health and quarantined pool pages when a SELECT finished
+  /// (EXPLAIN runs nothing and leaves them at their defaults).
+  HealthState health = HealthState::kHealthy;
+  uint64_t quarantined_pages = 0;
+  /// What the scans skipped; set when the statement ran with
+  /// QueryOptions::skip_quarantined.
+  std::optional<DegradedScan> degraded;
+
+  /// The "guard: ..." line when `guard` is set, then the "resilience: ..."
+  /// line when the statement skipped or the engine is not clean (not
+  /// healthy, or quarantined pages), joined by newlines; empty otherwise.
+  std::string ToString() const;
+};
+
 /// Materialized result of a query.
 struct QueryResult {
   std::vector<std::string> columns;
   std::vector<Tuple> rows;
   /// Snapshot of the UDF accounting for this query.
   UdfStats udf_stats;
-  /// EXPLAIN text (set for EXPLAIN statements, and always captured).
-  std::string plan;
+  /// Guard and resilience facts of a SELECT or EXPLAIN.
+  StatementReport report;
 
   /// Plain-text rendering (column header + one line per row).
   std::string ToString(size_t max_rows = 20) const;
@@ -154,9 +174,9 @@ class Database {
   /// Like Query(sql), but governed by `options` (DESIGN.md §12): the
   /// statement runs under a QueryGuard enforcing the deadline and memory
   /// budget, and — when options.query_id is set — is registered for
-  /// Cancel() before the statement lock is taken. Guarded SELECTs append a
-  /// "guard:" stats line (checkpoints, peak tracked bytes, why-stopped) to
-  /// QueryResult::plan. Readers stay cancellable while holding the
+  /// Cancel() before the statement lock is taken. Guarded SELECTs carry
+  /// the guard's counters (checkpoints, peak tracked bytes, why-stopped)
+  /// in QueryResult::report. Readers stay cancellable while holding the
   /// statement lock shared: Cancel() only touches guards_mu_, never mu_.
   [[nodiscard]] Result<QueryResult> Query(const std::string& sql,
                                           const QueryOptions& options)
@@ -280,8 +300,10 @@ class Database {
   /// `guard` may be null (unguarded). Guarded runs bind the guard to the
   /// executing thread (ScopedGuardBind) so UDFs and XADT scans can poll it,
   /// close the plan on the error path too (releasing every pin before the
-  /// error propagates), and append the guard stats line to the plan text.
+  /// error propagates), and record the guard's counters in the report.
   /// `skip_quarantined` enables the degraded-scan mode (DESIGN.md §13).
+  /// `explain_only` returns the EXPLAIN result instead: one "plan" row
+  /// holding the rendered operator tree and the report's lines.
   [[nodiscard]] Result<QueryResult> RunSelect(const sql::SelectStmt& stmt,
                                               bool explain_only,
                                               QueryGuard* guard = nullptr,
@@ -300,9 +322,10 @@ class Database {
   /// The unlatched checkpoint body; CheckpointLocked wraps it with the
   /// health gate and failure latching.
   [[nodiscard]] Status DoCheckpointLocked() XO_REQUIRES(mu_);
-  /// Rebuilds the file-backed storage stack (recovery → pager → WAL →
-  /// buffer pool → catalog) for TryRecover().
-  [[nodiscard]] Status RebuildStorageLocked() XO_REQUIRES(mu_);
+  /// Builds the storage stack from options_: WAL recovery, pager, WAL
+  /// (file-backed only), fault wrapper, buffer pool. Open() and
+  /// TryRecover() both run it; each then loads or creates the catalog.
+  [[nodiscard]] Status BuildStorage() XO_REQUIRES(mu_);
 
   /// RAII registration of a guard under a caller-chosen id in guards_,
   /// keyed for Database::Cancel(). Registration happens in the constructor

@@ -138,27 +138,15 @@ SeqScanOp::SeqScanOp(const TableInfo* table, const std::string& alias,
 
 Status SeqScanOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
-  scanner_ = std::make_unique<HeapFile::Scanner>(table_->heap->Scan());
-  scanner_->set_skip_corrupt(ctx->skip_quarantined);
-  synced_skipped_pages_ = 0;
-  synced_skipped_records_ = 0;
+  scanner_ = std::make_unique<HeapFile::Scanner>(
+      table_->heap->Scan(ctx->degraded));
   return Status::OK();
-}
-
-void SeqScanOp::SyncSkipCounters() {
-  ctx_->skipped_pages += scanner_->skipped_pages() - synced_skipped_pages_;
-  synced_skipped_pages_ = scanner_->skipped_pages();
-  ctx_->skipped_records +=
-      scanner_->skipped_records() - synced_skipped_records_;
-  synced_skipped_records_ = scanner_->skipped_records();
 }
 
 Result<bool> SeqScanOp::Next(Tuple* out) {
   RETURN_IF_ERROR(ctx_->CheckPoint());
   Rid rid;
-  auto advanced = scanner_->Next(&rid, &record_);
-  SyncSkipCounters();
-  XO_ASSIGN_OR_RETURN(bool ok, std::move(advanced));
+  XO_ASSIGN_OR_RETURN(bool ok, scanner_->Next(&rid, &record_));
   if (!ok) return false;
   // In-place decode (row_codec.h): `record_` is a member, so its capacity
   // — and, via Materialize's slot reuse, the output tuple's string
@@ -184,10 +172,8 @@ IndexScanOp::IndexScanOp(const TableInfo* table, const IndexInfo* index,
 
 Status IndexScanOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
-  uint64_t k = index_->key_type == TypeId::kInteger
-                   ? IntIndexKey(key_.AsInt())
-                   : Hash64(key_.AsString());
-  XO_ASSIGN_OR_RETURN(rids_, index_->tree->Find(k));
+  XO_ASSIGN_OR_RETURN(rids_,
+                      index_->tree->Find(IndexKey(index_->key_type, key_)));
   pos_ = 0;
   return Status::OK();
 }
@@ -571,10 +557,8 @@ Result<bool> IndexNestedLoopJoinOp::Next(Tuple* out) {
         left_valid_ = false;
         continue;
       }
-      uint64_t k = index_->key_type == TypeId::kInteger
-                       ? IntIndexKey(key.AsInt())
-                       : Hash64(key.AsString());
-      XO_ASSIGN_OR_RETURN(rids_, index_->tree->Find(k));
+      XO_ASSIGN_OR_RETURN(rids_,
+                          index_->tree->Find(IndexKey(index_->key_type, key)));
       rid_pos_ = 0;
     }
     while (rid_pos_ < rids_.size()) {

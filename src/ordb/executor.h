@@ -65,11 +65,6 @@ class SeqScanOp : public Operator {
   std::string Label() const override;
 
  private:
-  /// Flows the scanner's degraded-scan skip counters into the context
-  /// incrementally, so partially-consumed scans (LIMIT, errors) still
-  /// report what they skipped.
-  void SyncSkipCounters();
-
   const TableInfo* table_;
   std::string alias_;
   ColumnMask live_;
@@ -79,8 +74,6 @@ class SeqScanOp : public Operator {
   /// capacity (and the output tuple's string capacity) is recycled across
   /// rows instead of reallocated per row (DESIGN.md section 14).
   std::string record_;
-  uint64_t synced_skipped_pages_ = 0;
-  uint64_t synced_skipped_records_ = 0;
 };
 
 /// Point index scan: rows of `table` whose `index` column equals `key`.

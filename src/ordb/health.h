@@ -36,8 +36,7 @@ enum class HealthState : int {
 /// Human-readable name of `state` ("Healthy", "Degraded", ...).
 std::string_view HealthStateName(HealthState state);
 
-/// Point-in-time copy of the health machine, for PRAGMA health and the
-/// resilience stats line.
+/// Point-in-time copy of the health machine, for PRAGMA health.
 struct HealthSnapshot {
   HealthState state = HealthState::kHealthy;
   /// Number of state changes since the engine opened (escalations and
@@ -130,19 +129,23 @@ class EngineHealth {
   std::string detail_ XO_GUARDED_BY(mu_);
 };
 
-/// Per-statement degraded-scan mode, bound to the executing thread the same
-/// way QueryGuard is (CurrentGuard, DESIGN.md §12): the marshaled-UDF ABI
-/// carries no ExecContext, so the XADT table functions consult this binding
-/// to decide whether a malformed fragment aborts the query (strict, the
-/// default) or is skipped and counted (skip_quarantined mode).
+/// What one skip_quarantined statement skipped (DESIGN.md §13). A statement
+/// opts in by handing out a DegradedScan; a null one means strict, and
+/// corrupt data fails the statement. Heap scanners take it directly
+/// (ExecContext::degraded); the marshaled-UDF ABI carries no ExecContext,
+/// so the XADT table functions reach it through a thread-local binding,
+/// the way they reach the QueryGuard (CurrentGuard, DESIGN.md §12).
 struct DegradedScan {
-  /// True when the statement opted into skipping corrupt/undecodable data.
-  bool skip_corrupt = false;
+  /// Heap pages skipped because they were quarantined/corrupt.
+  uint64_t skipped_pages = 0;
+  /// Records skipped because their overflow chain was corrupt, plus one
+  /// marker for each skipped page.
+  uint64_t skipped_records = 0;
   /// XADT fragments skipped because they failed to parse.
   uint64_t skipped_fragments = 0;
 };
 
-/// The degraded-scan mode bound to the calling thread, or null (strict).
+/// The degraded scan bound to the calling thread, or null (strict).
 DegradedScan* CurrentDegradedScan();
 
 /// Binds `scan` as the calling thread's CurrentDegradedScan() for the scope

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/span.h"
+#include "ordb/health.h"
 
 namespace xorator::ordb {
 
@@ -171,8 +172,8 @@ Status HeapFile::Delete(const Rid& rid) {
   return Status::OK();
 }
 
-HeapFile::Scanner::Scanner(const HeapFile* file)
-    : file_(file), page_(file->first_page_), slot_(0) {}
+HeapFile::Scanner::Scanner(const HeapFile* file, DegradedScan* degraded)
+    : file_(file), page_(file->first_page_), slot_(0), degraded_(degraded) {}
 
 namespace {
 /// Longest run of consecutive corrupt pages a degraded scan will follow.
@@ -205,14 +206,14 @@ Result<bool> HeapFile::Scanner::Next(Rid* rid, std::string* record) {
     {
       auto fetched = file_->pool_->Fetch(page_);
       if (!fetched.ok()) {
-        if (!skip_corrupt_ ||
+        if (degraded_ == nullptr ||
             fetched.status().code() != StatusCode::kCorruption) {
           return fetched.status();
         }
         // Degraded scan: count the page out, recover the chain link from
         // the raw bytes, and keep going (DESIGN.md §13).
-        ++skipped_pages_;
-        ++skipped_records_;  // at least the page's records are gone
+        ++degraded_->skipped_pages;
+        ++degraded_->skipped_records;  // at least the page's records are gone
         if (++skip_run_ > kMaxSkipRun) {
           return Status::Corruption(
               "heap chain unscannable: " + std::to_string(skip_run_) +
@@ -228,13 +229,13 @@ Result<bool> HeapFile::Scanner::Next(Rid* rid, std::string* record) {
       if (!page.initialized()) {
         // A chained page whose initialization never reached disk (crash
         // without recovery): surface it rather than scanning garbage.
-        if (!skip_corrupt_) {
+        if (degraded_ == nullptr) {
           return Status::Corruption("heap chain reaches uninitialized page " +
                                     std::to_string(page_));
         }
         // An uninitialized page is the chain's torn tail — end the scan.
-        ++skipped_pages_;
-        ++skipped_records_;
+        ++degraded_->skipped_pages;
+        ++degraded_->skipped_records;
         RETURN_IF_ERROR(ref.Release());
         page_ = kInvalidPageId;
         break;
@@ -272,11 +273,11 @@ Result<bool> HeapFile::Scanner::Next(Rid* rid, std::string* record) {
     }
     auto overflow = file_->ReadOverflow(stub);
     if (!overflow.ok()) {
-      if (skip_corrupt_ &&
+      if (degraded_ != nullptr &&
           overflow.status().code() == StatusCode::kCorruption) {
         // The record's overflow chain is damaged; drop the record, keep
         // the page (slot_ already points past it).
-        ++skipped_records_;
+        ++degraded_->skipped_records;
         continue;
       }
       return overflow.status();

@@ -10,6 +10,8 @@
 
 namespace xorator::ordb {
 
+struct DegradedScan;
+
 /// An unordered collection of variable-length records stored in a chain of
 /// slotted pages. Records larger than a page spill to dedicated overflow
 /// pages (an in-page stub points at the overflow chain), which is how large
@@ -53,27 +55,21 @@ class HeapFile {
   [[nodiscard]] Status Delete(const Rid& rid);
 
   /// Sequential scanner over live records.
+  ///
+  /// A non-null `degraded` selects the degraded-scan mode (DESIGN.md §13):
+  /// instead of failing the scan, a kCorruption page fetch skips the whole
+  /// page (salvaging its next-page link from the raw on-disk bytes) and a
+  /// corrupt overflow chain skips just that record, and both are counted
+  /// into `*degraded`. Null (the default) is strict: a normal scan must
+  /// surface corruption.
   class Scanner {
    public:
-    Scanner(const HeapFile* file);
+    Scanner(const HeapFile* file, DegradedScan* degraded);
 
     /// Advances to the next record; false at end of file. `*record` is
     /// overwritten in place (its capacity is reused across calls — pass
     /// the same string every iteration for an allocation-free scan).
     [[nodiscard]] Result<bool> Next(Rid* rid, std::string* record);
-
-    /// Degraded-scan mode (DESIGN.md §13): instead of failing the scan,
-    /// a kCorruption page fetch skips the whole page (salvaging its
-    /// next-page link from the raw on-disk bytes) and a corrupt overflow
-    /// chain skips just that record; everything skipped is counted below.
-    /// Off by default — a normal scan must surface corruption.
-    void set_skip_corrupt(bool skip) { skip_corrupt_ = skip; }
-
-    /// Pages skipped because they were quarantined/corrupt (skip mode).
-    uint64_t skipped_pages() const { return skipped_pages_; }
-    /// Records skipped because their overflow chain was corrupt, plus a
-    /// conservative marker count for each skipped page (skip mode).
-    uint64_t skipped_records() const { return skipped_records_; }
 
    private:
     /// Reads the corrupt page's raw bytes (no checksum check) to recover
@@ -84,15 +80,15 @@ class HeapFile {
     const HeapFile* file_;
     PageId page_;
     uint16_t slot_;
-    bool skip_corrupt_ = false;
-    uint64_t skipped_pages_ = 0;
-    uint64_t skipped_records_ = 0;
+    DegradedScan* degraded_;
     /// Corrupt pages traversed back-to-back; bounds degraded scans over a
     /// damaged chain whose salvaged links could otherwise loop.
     uint64_t skip_run_ = 0;
   };
 
-  Scanner Scan() const { return Scanner(this); }
+  Scanner Scan(DegradedScan* degraded = nullptr) const {
+    return Scanner(this, degraded);
+  }
 
  private:
   // Record headers distinguishing inline records from overflow stubs.

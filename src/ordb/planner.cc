@@ -153,6 +153,17 @@ class Binder {
   const FunctionRegistry* functions_;
 };
 
+/// The FROM item of `table` read under `alias`.
+FromItem TableItem(const TableInfo& table, const std::string& alias) {
+  FromItem item;
+  item.table = &table;
+  item.alias = alias;
+  for (const ColumnDef& c : table.schema.columns) {
+    item.columns.push_back({alias + "." + c.name, c.type});
+  }
+  return item;
+}
+
 void CollectColumnNames(const AstExpr& e, std::vector<std::string>* out) {
   if (e.kind == AstExpr::Kind::kColumn) out->push_back(e.name);
   for (const auto& c : e.children) CollectColumnNames(*c, out);
@@ -266,13 +277,11 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt) {
         item.columns.push_back({ref.alias + "." + c.name, c.type});
       }
     } else {
-      item.table = catalog_->FindTable(ref.table);
-      if (item.table == nullptr) {
+      const TableInfo* table = catalog_->FindTable(ref.table);
+      if (table == nullptr) {
         return Status::NotFound("unknown table '" + ref.table + "'");
       }
-      for (const ColumnDef& c : item.table->schema.columns) {
-        item.columns.push_back({ref.alias + "." + c.name, c.type});
-      }
+      item = TableItem(*table, ref.alias);
     }
     item.offset = offset;
     offset += item.columns.size();
@@ -784,6 +793,13 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt) {
                                     std::move(asc));
   }
   return plan;
+}
+
+Result<ExprPtr> Planner::BindPredicate(const AstExpr& predicate,
+                                       const TableInfo& table) const {
+  const std::vector<FromItem> items = {TableItem(table, table.name)};
+  Scope scope(&items);
+  return Binder(&scope, functions_).Bind(predicate);
 }
 
 }  // namespace xorator::ordb

@@ -40,6 +40,12 @@ class Planner {
 
   [[nodiscard]] Result<OperatorPtr> PlanSelect(const sql::SelectStmt& stmt);
 
+  /// Binds `predicate` against the row layout of `table` alone, its
+  /// columns addressed as `col` or `table.col` (DELETE's WHERE, which
+  /// scans one table outside a plan). Errors match PlanSelect's.
+  [[nodiscard]] Result<ExprPtr> BindPredicate(const sql::AstExpr& predicate,
+                                              const TableInfo& table) const;
+
  private:
   Catalog* catalog_;
   FunctionRegistry* functions_;

@@ -89,12 +89,11 @@ GuardStats QueryGuard::Stats() const {
   return s;
 }
 
-std::string QueryGuard::StatsLine() const {
-  GuardStats s = Stats();
-  std::string out = "guard: checkpoints=" + std::to_string(s.checkpoints) +
-                    " peak_bytes=" + std::to_string(s.peak_tracked_bytes) +
+std::string GuardStats::ToString() const {
+  std::string out = "guard: checkpoints=" + std::to_string(checkpoints) +
+                    " peak_bytes=" + std::to_string(peak_tracked_bytes) +
                     " stopped=";
-  out += StatusCodeToString(s.stop_code);
+  out += StatusCodeToString(stop_code);
   return out;
 }
 

@@ -24,6 +24,10 @@ struct GuardStats {
   /// Why the guard tripped: kDeadlineExceeded, kCancelled or
   /// kResourceExhausted — or kOk if it never did.
   StatusCode stop_code = StatusCode::kOk;
+
+  /// One-line human-readable rendering for EXPLAIN and statement reports,
+  /// e.g. "guard: checkpoints=1234 peak_bytes=5678 stopped=Cancelled".
+  std::string ToString() const;
 };
 
 /// Per-query resource governor: a monotonic deadline, a cross-thread cancel
@@ -84,9 +88,8 @@ class QueryGuard {
   /// (individual fields are read relaxed).
   GuardStats Stats() const;
 
-  /// One-line human-readable rendering of Stats() for EXPLAIN output,
-  /// e.g. "guard: checkpoints=1234 peak_bytes=5678 stopped=Cancelled".
-  std::string StatsLine() const;
+  /// Stats().ToString().
+  std::string StatsLine() const { return Stats().ToString(); }
 
   /// True for the three codes a guard stop produces (kCancelled,
   /// kDeadlineExceeded, kResourceExhausted); callers use this to tell a

@@ -112,7 +112,7 @@ Result<std::string> EncodeResult(const ResultPayload& result) {
       AppendString(&payload, value);
     }
   }
-  AppendString(&payload, result.plan);
+  AppendString(&payload, result.report);
   if (payload.size() > kMaxPayloadBytes) {
     return Status::ResourceExhausted(
         "result of " + std::to_string(payload.size()) +
@@ -235,7 +235,7 @@ Result<ResultPayload> DecodeResult(std::string_view payload) {
     }
     result.rows.push_back(std::move(row));
   }
-  ASSIGN_OR_RETURN(result.plan, ReadString(&reader, kMaxPayloadBytes));
+  ASSIGN_OR_RETURN(result.report, ReadString(&reader, kMaxPayloadBytes));
   RETURN_IF_ERROR(ExpectEnd(reader));
   return result;
 }

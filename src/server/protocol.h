@@ -96,11 +96,12 @@ struct CancelRequest {
 };
 
 /// kResult payload: column names plus rows of string-rendered values, and
-/// the plan/stats text (EXPLAIN output, "guard:"/"resilience:" lines).
+/// the statement report text (ordb::StatementReport::ToString(): the
+/// "guard:"/"resilience:" lines, empty for a clean unguarded statement).
 struct ResultPayload {
   std::vector<std::string> columns;
   std::vector<std::vector<std::string>> rows;
-  std::string plan;
+  std::string report;
 };
 
 /// kError payload: the Status, round-tripped losslessly enough for the

@@ -34,7 +34,7 @@ ResultPayload RenderResult(const ordb::QueryResult& result) {
     }
     payload.rows.push_back(std::move(rendered));
   }
-  payload.plan = result.plan;
+  payload.report = result.report.ToString();
   return payload;
 }
 

@@ -93,7 +93,7 @@ Result<Value> TextImpl(const std::vector<Value>& args) {
 /// own fragments, not the query.
 bool SkipFragmentFailure(const Status& s) {
   ordb::DegradedScan* scan = ordb::CurrentDegradedScan();
-  if (scan == nullptr || !scan->skip_corrupt) return false;
+  if (scan == nullptr) return false;
   if (s.code() != StatusCode::kCorruption &&
       s.code() != StatusCode::kParseError) {
     return false;

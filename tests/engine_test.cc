@@ -681,5 +681,75 @@ TEST_F(EngineTest, NarrowMatchesWideAcrossClauses) {
   }
 }
 
+/// Every row of `sql`'s result, rendered, as a multiset.
+std::multiset<std::string> RowSet(Database* db, const std::string& sql) {
+  auto r = db->Query(sql);
+  EXPECT_TRUE(r.ok()) << sql << " -> " << r.status().ToString();
+  std::multiset<std::string> out;
+  if (!r.ok()) return out;
+  for (const Tuple& row : r->rows) {
+    std::string rendered;
+    for (const Value& v : row) rendered += v.ToString() + "|";
+    out.insert(std::move(rendered));
+  }
+  return out;
+}
+
+// DELETE binds its WHERE as a SELECT over the table does, so it removes
+// exactly the rows that SELECT returns, NULLs included, and leaves the rest.
+TEST(DeleteWhereTest, DeletesExactlyTheRowsSelectReturns) {
+  for (const std::string where : {
+           "a = 2",
+           "a <> 2",
+           "a < 3",
+           "NOT (a = 2)",
+           "NOT (b LIKE 'x%')",
+           "a > 1 AND b = 'xy'",
+           "a = 1 OR b IS NULL",
+           "b LIKE '%y'",
+           "b IS NULL",
+           "b IS NOT NULL",
+           "t.a >= 3",
+           "NOT (t.b <> 'xy') OR t.a IS NULL",
+           "udf_length(b) = 2",
+       }) {
+    SCOPED_TRACE(where);
+    auto db = OpenDb();
+    ASSERT_TRUE(db->Execute("CREATE TABLE t (a INTEGER, b VARCHAR)").ok());
+    ASSERT_TRUE(db->Execute("INSERT INTO t VALUES (1, 'x'), (2, 'xy'), "
+                            "(3, NULL), (NULL, 'y'), (NULL, NULL), "
+                            "(4, 'xy')")
+                    .ok());
+    const std::multiset<std::string> all =
+        RowSet(db.get(), "SELECT a, b FROM t");
+    const std::multiset<std::string> selected =
+        RowSet(db.get(), "SELECT a, b FROM t WHERE " + where);
+    ASSERT_GT(selected.size(), 0u);
+    ASSERT_LT(selected.size(), all.size());
+
+    auto deleted = db->Query("DELETE FROM t WHERE " + where);
+    ASSERT_TRUE(deleted.ok()) << deleted.status().ToString();
+    EXPECT_EQ(deleted->rows[0][0].AsInt(),
+              static_cast<int64_t>(selected.size()));
+    if (where.find("udf_") != std::string::npos) {
+      EXPECT_EQ(deleted->udf_stats.scalar_calls, all.size());
+    }
+    std::multiset<std::string> rest = all;
+    for (const std::string& row : selected) rest.erase(rest.find(row));
+    EXPECT_EQ(RowSet(db.get(), "SELECT a, b FROM t"), rest);
+  }
+}
+
+TEST(DeleteWhereTest, UnknownColumnFailsOnAnEmptyTableLikeSelect) {
+  auto db = OpenDb();
+  ASSERT_TRUE(db->Execute("CREATE TABLE t (a INTEGER)").ok());
+  auto selected = db->Query("SELECT a FROM t WHERE nosuch = 1");
+  ASSERT_FALSE(selected.ok());
+  auto deleted = db->Query("DELETE FROM t WHERE nosuch = 1");
+  ASSERT_FALSE(deleted.ok());
+  EXPECT_EQ(deleted.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(deleted.status().ToString(), selected.status().ToString());
+}
+
 }  // namespace
 }  // namespace xorator::ordb

@@ -206,8 +206,7 @@ TEST(HealthDatabaseTest, WalDeviceFailureLatchesReadOnlyAndRecovers) {
   auto count = (*db)->Query("SELECT COUNT(*) AS n FROM t");
   ASSERT_TRUE(count.ok()) << count.status().ToString();
   EXPECT_EQ(count->rows[0][0].AsInt(), 5);
-  EXPECT_NE(count->plan.find("resilience: health=ReadOnly"),
-            std::string::npos);
+  EXPECT_EQ(count->report.health, HealthState::kReadOnly);
   EXPECT_EQ(HealthRow(db->get(), "health"), "ReadOnly");
 
   // Fix the "device" and re-arm without a restart. The uncheckpointed rows
@@ -219,8 +218,10 @@ TEST(HealthDatabaseTest, WalDeviceFailureLatchesReadOnlyAndRecovers) {
   auto after = (*db)->Query("SELECT COUNT(*) AS n FROM t");
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   EXPECT_EQ(after->rows[0][0].AsInt(), 3);
-  // The plan text carries no resilience line again: the engine is healthy.
-  EXPECT_EQ(after->plan.find("resilience:"), std::string::npos);
+  // The report has no resilience facts again: the engine is healthy.
+  EXPECT_EQ(after->report.health, HealthState::kHealthy);
+  EXPECT_EQ(after->report.quarantined_pages, 0u);
+  EXPECT_FALSE(after->report.degraded.has_value());
 
   // And the write path genuinely works end to end, checkpoint included.
   ASSERT_TRUE((*db)->Execute("INSERT INTO t VALUES (7)").ok());
@@ -415,9 +416,9 @@ TEST(HealthDegradedScanTest, SkipQuarantinedSelectSurvivesACorruptHeapPage) {
   const int64_t survivors = degraded->rows[0][0].AsInt();
   EXPECT_GT(survivors, 0);
   EXPECT_LT(survivors, kRows);
-  EXPECT_NE(degraded->plan.find("resilience: health=Degraded"),
-            std::string::npos);
-  EXPECT_NE(degraded->plan.find("skipped_pages=1"), std::string::npos);
+  EXPECT_EQ(degraded->report.health, HealthState::kDegraded);
+  ASSERT_TRUE(degraded->report.degraded.has_value());
+  EXPECT_EQ(degraded->report.degraded->skipped_pages, 1u);
   EXPECT_EQ(HealthRow(db->get(), "quarantined_pages"), "1");
   EXPECT_EQ((*db)->buffer_pool()->PinnedFrameCount(), 0u);
 

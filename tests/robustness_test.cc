@@ -760,15 +760,15 @@ TEST(XadtRobustnessTest, DegradedScanSkipsCorruptFragments) {
   const std::string sql = "SELECT u.out FROM t, table(unnest(x, 'a')) u";
   // Strict mode still propagates the decode error.
   ASSERT_FALSE(db->Query(sql).ok());
-  // Skip mode drops both broken values and reports the count on the
-  // resilience stats line.
+  // Skip mode drops both broken values and reports the count in the
+  // statement report.
   ordb::QueryOptions skip;
   skip.skip_quarantined = true;
   auto degraded = db->Query(sql, skip);
   ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
   EXPECT_TRUE(degraded->rows.empty());
-  EXPECT_NE(degraded->plan.find("skipped_fragments=2"), std::string::npos)
-      << degraded->plan;
+  ASSERT_TRUE(degraded->report.degraded.has_value());
+  EXPECT_EQ(degraded->report.degraded->skipped_fragments, 2u);
 }
 
 // A value that fails partway through its scan loses all of its own rows,
@@ -792,8 +792,8 @@ TEST(XadtRobustnessTest, DegradedScanDropsAllRowsOfADamagedValue) {
     auto degraded = db->Query(sql, skip);
     ASSERT_TRUE(degraded.ok()) << sql << ": " << degraded.status().ToString();
     ASSERT_EQ(degraded->rows.size(), 1u) << sql;
-    EXPECT_NE(degraded->plan.find("skipped_fragments=1"), std::string::npos)
-        << sql << "\n" << degraded->plan;
+    ASSERT_TRUE(degraded->report.degraded.has_value()) << sql;
+    EXPECT_EQ(degraded->report.degraded->skipped_fragments, 1u) << sql;
   }
 }
 

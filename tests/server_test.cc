@@ -27,7 +27,9 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -665,6 +667,66 @@ TEST(ServerTest, ReadOnlyEngineShedsWritesWithStateDetailAndHint) {
   // Recovery re-arms writes end to end.
   EXPECT_TRUE(db->health()->Recover());
   EXPECT_TRUE(client.Execute("INSERT INTO t VALUES (9, 'nine')").ok());
+}
+
+// A degraded scan over the wire reports what it skipped: the RESULT frame's
+// trailing text is the statement report — the guard line (the server runs
+// every statement guarded) and the resilience line, no plan tree.
+TEST(ServerTest, SkipQuarantinedSelectShipsTheReportNotThePlan) {
+  const std::string path = ::testing::TempDir() + "/xorator_server_skip.db";
+  std::remove(path.c_str());
+  std::remove((path + ".wal").c_str());
+  ordb::DbOptions options;
+  options.path = path;
+  ordb::PageId first_page = ordb::kInvalidPageId;
+  {
+    auto db = ordb::Database::Open(options);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    ASSERT_TRUE((*db)->Execute("CREATE TABLE t (a INTEGER, b VARCHAR)").ok());
+    std::string insert = "INSERT INTO t VALUES ";
+    for (int i = 0; i < 400; ++i) {  // several heap pages
+      if (i > 0) insert += ", ";
+      insert += "(" + std::to_string(i) + ", 'payload-payload-payload')";
+    }
+    ASSERT_TRUE((*db)->Execute(insert).ok());
+    first_page = (*db)->catalog()->FindTable("t")->heap->first_page();
+    ASSERT_TRUE((*db)->Close().ok());
+  }
+  {  // Rot the head page's records; its header (and next link) survive.
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(static_cast<std::streamoff>(first_page) * ordb::kPageSize + 512);
+    for (int i = 0; i < 64; ++i) f.put('\xEE');
+  }
+  auto opened = ordb::Database::Open(options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<ordb::Database> db = std::move(*opened);
+  auto started = Server::Start(db.get());
+  ASSERT_TRUE(started.ok()) << started.status().ToString();
+  std::unique_ptr<Server> srv = std::move(*started);
+
+  Client client(ClientFor(*srv));
+  CallOptions skip;
+  skip.skip_quarantined = true;
+  auto remote = client.Query("SELECT COUNT(*) AS n FROM t", skip);
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  const std::string& report = remote->report;
+  const size_t newline = report.find('\n');
+  ASSERT_NE(newline, std::string::npos) << report;
+  EXPECT_EQ(report.rfind("guard: ", 0), 0u) << report;
+  const std::string resilience = report.substr(newline + 1);
+  EXPECT_EQ(resilience.rfind("resilience: health=Degraded quarantined=1 "
+                             "skipped_pages=1 ",
+                             0),
+            0u)
+      << report;
+  EXPECT_EQ(resilience.find('\n'), std::string::npos) << report;
+  EXPECT_EQ(report.find("SeqScan"), std::string::npos) << report;
+
+  srv->Shutdown();
+  db->Kill();  // checkpointing over a poisoned page helps nobody
+  db.reset();
+  std::remove(path.c_str());
+  std::remove((path + ".wal").c_str());
 }
 
 // -- Hostile bytes. ---------------------------------------------------------

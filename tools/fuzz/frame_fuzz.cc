@@ -105,7 +105,7 @@ void FuzzResult(std::string_view payload) {
       DecodeResult(std::string_view(*frame).substr(kFrameHeaderBytes));
   Check(again.ok(), "re-encoded result payload does not decode");
   Check(again->columns == result->columns && again->rows == result->rows &&
-            again->plan == result->plan,
+            again->report == result->report,
         "result round trip changed the payload");
 }
 

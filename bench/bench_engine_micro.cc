@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/crc32.h"
 #include "common/span.h"
 #include "common/varint.h"
 #include "ordb/bptree.h"
@@ -237,6 +238,21 @@ void BM_RowDecode(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RowDecode)->ArgName("inplace")->Arg(0)->Arg(1);
+
+// The page checksum alone: one 8188-byte payload, the bytes every buffer-pool
+// miss verifies and every write-back stamps (ComputePageChecksum). Compare
+// with BM_BufferPoolChurn, whose misses each pay this once.
+void BM_Crc32Page(benchmark::State& state) {
+  std::vector<unsigned char> payload(kPageSize - sizeof(uint32_t));
+  std::mt19937 rng(11);
+  for (auto& b : payload) b = static_cast<unsigned char>(rng() & 0xFFu);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(payload.data(), payload.size()));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(payload.size()));
+}
+BENCHMARK(BM_Crc32Page);
 
 // The PageRef guard must be free in Release builds: the pin/unpin work is
 // identical and the guard's bookkeeping (two pointers, an id, a bool) stays

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <vector>
 
 #include "common/crc32.h"
 #include "common/result.h"
@@ -64,6 +65,71 @@ TEST(Crc32Test, KnownVectorsAndSeedChaining) {
   uint32_t base = Crc32(data.data(), data.size());
   data[100] ^= 0x40;
   EXPECT_NE(Crc32(data.data(), data.size()), base);
+}
+
+// The definition of CRC-32: one shift/XOR step per bit, nothing shared with
+// the table or the carry-less-multiply kernel.
+uint32_t BitwiseCrc32(const unsigned char* bytes, size_t length,
+                      uint32_t seed) {
+  uint32_t crc = ~seed;
+  for (size_t i = 0; i < length; ++i) {
+    crc ^= bytes[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1u) ? (crc >> 1) ^ 0xEDB88320u : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+std::vector<unsigned char> RandomBytes(size_t n, uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::vector<unsigned char> bytes(n);
+  for (auto& b : bytes) b = static_cast<unsigned char>(rng() & 0xFFu);
+  return bytes;
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthOffsetAndSeed) {
+  const std::vector<unsigned char> buf = RandomBytes(8192 + 16, 20021);
+  const uint32_t random_seed = std::random_device{}();
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 1100; ++n) lengths.push_back(n);
+  lengths.push_back(8188);
+  lengths.push_back(8192);
+  for (uint32_t seed : {0u, 1u, random_seed}) {
+    for (size_t offset = 0; offset < 16; ++offset) {
+      for (size_t n : lengths) {
+        const unsigned char* p = buf.data() + offset;
+        ASSERT_EQ(Crc32(p, n, seed), BitwiseCrc32(p, n, seed))
+            << "length " << n << " offset " << offset << " seed " << seed;
+      }
+    }
+  }
+}
+
+TEST(Crc32Test, ChainsAtEverySplitPoint) {
+  const std::vector<unsigned char> buf = RandomBytes(300, 7);
+  const uint32_t whole = BitwiseCrc32(buf.data(), buf.size(), 0);
+  for (size_t split = 0; split <= buf.size(); ++split) {
+    const uint32_t head = Crc32(buf.data(), split);
+    EXPECT_EQ(Crc32(buf.data() + split, buf.size() - split, head), whole)
+        << "split at " << split;
+  }
+}
+
+TEST(Crc32Test, EverySingleBitFlipInAPageChangesTheSum) {
+  std::vector<unsigned char> page = RandomBytes(8192, 99);
+  const uint32_t base = Crc32(page.data(), page.size());
+  for (size_t k = 0; k < 64; ++k) {
+    // Spread over the page, landing on varied in-lane offsets and bits.
+    const size_t pos = (k * 8192) / 64 + (k * 7) % 128;
+    const auto mask = static_cast<unsigned char>(1u << (k % 8));
+    page[pos] ^= mask;
+    EXPECT_NE(Crc32(page.data(), page.size()), base) << "byte " << pos;
+    EXPECT_EQ(Crc32(page.data(), page.size()),
+              BitwiseCrc32(page.data(), page.size(), 0));
+    page[pos] ^= mask;
+  }
+  EXPECT_EQ(Crc32(page.data(), page.size()), base);
 }
 
 Result<int> ParsePositive(int x) {

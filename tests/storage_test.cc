@@ -4,6 +4,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <optional>
 #include <random>
 
@@ -11,6 +12,7 @@
 #include "ordb/heap_file.h"
 #include "ordb/page.h"
 #include "ordb/pager.h"
+#include "ordb/wal.h"
 
 namespace xorator::ordb {
 namespace {
@@ -180,6 +182,44 @@ TEST(PageChecksumTest, StampVerifyAndDetectFlip) {
   EXPECT_FALSE(VerifyPageChecksum(buf));
   buf[2000] ^= 0x08;
   EXPECT_TRUE(VerifyPageChecksum(buf));
+}
+
+// Pins the on-disk checksum bytes: a kernel change to Crc32 must leave every
+// stored page and WAL record verifiable. Both constants were computed by the
+// original bytewise table loop.
+TEST(PageChecksumTest, GoldenPageAndWalRecordChecksums) {
+  constexpr uint32_t kGoldenPageChecksum = 0xB78A6E74u;
+  constexpr uint32_t kGoldenWalRecordCrc = 0x679E1F8Du;
+  char page[kPageSize];
+  for (size_t i = 0; i < kPageSize; ++i) {
+    page[i] = static_cast<char>((i * 31 + 7) & 0xFF);
+  }
+  EXPECT_EQ(ComputePageChecksum(page), kGoldenPageChecksum);
+  char stamped[kPageSize];
+  std::memcpy(stamped, page, kPageSize);
+  SetPageChecksum(stamped);
+  uint32_t stored = 0;
+  std::memcpy(&stored, stamped, sizeof(stored));
+  EXPECT_EQ(stored, kGoldenPageChecksum);
+  EXPECT_TRUE(VerifyPageChecksum(stamped));
+
+  // The WAL record for page 5 carries the CRC of its id and full image.
+  const std::string path = ::testing::TempDir() + "/xorator_golden.wal";
+  {
+    auto wal = Wal::Open(path, 6);
+    ASSERT_TRUE(wal.ok());
+    ASSERT_TRUE((*wal)->LogPageImage(5, page).ok());
+  }
+  std::ifstream in(path, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  ASSERT_EQ(bytes.size(), kWalHeaderBytes + kWalRecordHeaderBytes + kPageSize);
+  auto rec = ParseWalRecordHeader(
+      std::string_view(bytes).substr(kWalHeaderBytes, kWalRecordHeaderBytes));
+  ASSERT_TRUE(rec.ok());
+  EXPECT_EQ(rec->page_id, 5u);
+  EXPECT_EQ(rec->crc, kGoldenWalRecordCrc);
+  std::remove(path.c_str());
 }
 
 TEST(BufferPoolTest, ChecksumFailureOnFetchIsCorruption) {

@@ -16,6 +16,7 @@
 #include "common/crc32.h"
 #include "common/span.h"
 #include "common/varint.h"
+#include "datagen/generators.h"
 #include "ordb/bptree.h"
 #include "ordb/buffer_pool.h"
 #include "ordb/database.h"
@@ -24,6 +25,7 @@
 #include "ordb/row_codec.h"
 #include "ordb/tuple.h"
 #include "xadt/functions.h"
+#include "xadt/xadt.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
 
@@ -591,6 +593,68 @@ void BM_FindKeyLines(benchmark::State& state) {
                  0);
 }
 BENCHMARK(BM_FindKeyLines);
+
+// The compressed XADT values XORator stores for SIGMOD proceedings: every
+// sList's sListTuple children, encoded the way the loader picks for them
+// (the pp_slist column of the Fig. 13 queries). 40 documents, ~60 KB.
+const std::vector<std::string>& SigmodSlists() {
+  static const std::vector<std::string>* values = [] {
+    auto* out = new std::vector<std::string>;
+    datagen::SigmodOptions options;
+    options.documents = 40;
+    options.seed = 1;
+    datagen::SigmodGenerator gen(options);
+    for (int i = 0; i < options.documents; ++i) {
+      std::unique_ptr<xml::Node> pp = gen.GenerateProceedings(i);
+      for (const xml::Node* slist : pp->ChildElements("sList")) {
+        out->push_back(
+            xadt::EncodeCompressed(slist->ChildElements("sListTuple")));
+      }
+    }
+    return out;
+  }();
+  return *values;
+}
+
+// Runs `method` over every SigmodSlists() value per iteration, unguarded
+// as a statement without limits runs it, and reports the bytes scanned.
+template <typename Method>
+void ScanSlists(benchmark::State& state, Method method) {
+  const std::vector<std::string>& values = SigmodSlists();
+  int64_t bytes = 0;
+  for (const std::string& v : values) bytes += static_cast<int64_t>(v.size());
+  for (auto _ : state) {
+    for (const std::string& v : values) {
+      bool as_expected = method(v);
+      benchmark::DoNotOptimize(as_expected);
+      if (!as_expected) {
+        state.SkipWithError("XADT method failed or matched");
+        return;
+      }
+    }
+  }
+  state.SetBytesProcessed(state.iterations() * bytes);
+}
+
+// findKeyInElm as QG1 filters with it, with a key no title holds, so every
+// token of every value is read.
+void BM_FindKeyCompressed(benchmark::State& state) {
+  ScanSlists(state, [](const std::string& v) {
+    auto found = xadt::FindKeyInElm(v, "title", "Zebra");
+    return found.ok() && *found == 0;
+  });
+}
+BENCHMARK(BM_FindKeyCompressed);
+
+// getElm as QG1 projects with it, with the same never-matching key.
+void BM_GetElmCompressed(benchmark::State& state) {
+  ScanSlists(state, [](const std::string& v) {
+    auto got = xadt::GetElm(v, "aTuple", "title", "Zebra");
+    // No match leaves only the value's dictionary header.
+    return got.ok() && v.starts_with(*got);
+  });
+}
+BENCHMARK(BM_GetElmCompressed);
 
 void BM_XmlParse(benchmark::State& state) {
   std::string doc = "<SPEECH>";

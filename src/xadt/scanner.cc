@@ -1,8 +1,6 @@
 #include "xadt/scanner.h"
 
 #include "common/safe_math.h"
-#include "common/varint.h"
-#include "ordb/query_guard.h"
 
 namespace xorator::xadt {
 
@@ -73,7 +71,7 @@ Result<std::string_view> FragmentScanner::NameAt(size_t offset) const {
   if (!compressed_) {
     xml::Lexer lexer(bytes_, offset, kStoredValueLimits);
     XO_ASSIGN_OR_RETURN(xml::Token token, lexer.Next());
-    if (token.kind != EventKind::kStart || token.offset != offset) {
+    if (token.kind != xml::TokenKind::kStart || token.offset != offset) {
       return Status::ParseError("NameAt: not a start tag");
     }
     return token.name;
@@ -87,7 +85,7 @@ Result<std::string_view> FragmentScanner::NameAt(size_t offset) const {
   if (tag >= dict_.size()) {
     return Status::ParseError("NameAt: tag id out of range");
   }
-  return std::string_view(dict_[tag]);
+  return dict_[tag];
 }
 
 Status FragmentScanner::ParseDictionary(size_t dict_begin) {
@@ -104,28 +102,27 @@ Status FragmentScanner::ParseDictionary(size_t dict_begin) {
     if (len > bytes_.size() - pos) {
       return Status::ParseError("truncated XADT dictionary");
     }
-    dict_.emplace_back(bytes_.substr(pos, len));
+    dict_.push_back(bytes_.substr(pos, len));
     pos += len;
   }
   content_begin_ = pos;
-  pos_ = pos;
   return Status::OK();
 }
 
-Result<FragmentScanner::Event> FragmentScanner::Next() {
-  // Per-fragment-step guard poll (DESIGN.md §12): every event produced
-  // while a statement guard is bound thread-locally counts as a
-  // cancellation point, so long XADT scans inside ctx-less UDFs stay
-  // responsive to deadlines and Cancel().
-  if (ordb::QueryGuard* guard = ordb::CurrentGuard(); guard != nullptr) {
-    RETURN_IF_ERROR(guard->CheckPoint());
+size_t FragmentScanner::LongVarint(std::string_view bytes, size_t pos,
+                                   uint64_t* value, Status* error) {
+  Result<uint64_t> read = GetVarint(bytes, &pos);
+  if (!read.ok()) {
+    *error = read.status();
+    return 0;
   }
-  return compressed_ ? NextCompressed() : lexer_.Next();
+  *value = *read;
+  return pos;
 }
 
 Status FragmentScanner::DecodeAttributes(const xml::AttributeSink& sink) {
   if (!compressed_) return lexer_.DecodeAttributes(sink);
-  // Validated when the start token was scanned.
+  // Validated when Scan decoded the start token.
   size_t pos = attrs_pos_;
   XO_ASSIGN_OR_RETURN(uint64_t nattrs, GetVarint(bytes_, &pos));
   for (uint64_t i = 0; i < nattrs; ++i) {
@@ -135,67 +132,6 @@ Status FragmentScanner::DecodeAttributes(const xml::AttributeSink& sink) {
     pos += len;
   }
   return Status::OK();
-}
-
-Result<FragmentScanner::Event> FragmentScanner::NextCompressed() {
-  Event event;
-  if (pos_ >= bytes_.size()) {
-    if (!open_.empty()) {
-      return Status::ParseError("unbalanced XADT fragment");
-    }
-    return event;
-  }
-  size_t start = pos_;
-  uint8_t op = static_cast<uint8_t>(bytes_[pos_++]);
-  switch (op) {
-    case kTokStart: {
-      XO_ASSIGN_OR_RETURN(uint64_t tag, GetVarint(bytes_, &pos_));
-      if (tag >= dict_.size()) {
-        return Status::ParseError("XADT tag id out of range");
-      }
-      attrs_pos_ = pos_;
-      XO_ASSIGN_OR_RETURN(uint64_t nattrs, GetVarint(bytes_, &pos_));
-      for (uint64_t i = 0; i < nattrs; ++i) {
-        XO_ASSIGN_OR_RETURN(uint64_t name_id, GetVarint(bytes_, &pos_));
-        XO_ASSIGN_OR_RETURN(uint64_t len, GetVarint(bytes_, &pos_));
-        if (name_id >= dict_.size() || len > bytes_.size() - pos_) {
-          return Status::ParseError("bad XADT attribute token");
-        }
-        pos_ += len;
-      }
-      open_.push_back(dict_[tag]);
-      event.kind = EventKind::kStart;
-      event.name = dict_[tag];
-      event.offset = start;
-      event.end_offset = pos_;
-      return event;
-    }
-    case kTokEnd: {
-      if (open_.empty()) {
-        return Status::ParseError("unbalanced XADT end token");
-      }
-      event.kind = EventKind::kEnd;
-      event.name = open_.back();
-      open_.pop_back();
-      event.offset = start;
-      event.end_offset = pos_;
-      return event;
-    }
-    case kTokText: {
-      XO_ASSIGN_OR_RETURN(uint64_t len, GetVarint(bytes_, &pos_));
-      if (len > bytes_.size() - pos_) {
-        return Status::ParseError("truncated XADT text token");
-      }
-      event.kind = EventKind::kText;
-      event.text = bytes_.substr(pos_, len);
-      event.offset = start;
-      pos_ += len;
-      event.end_offset = pos_;
-      return event;
-    }
-    default:
-      return Status::ParseError("unknown XADT token opcode");
-  }
 }
 
 }  // namespace xorator::xadt

@@ -61,23 +61,77 @@ void EncodeNode(const xml::Node& node,
   out->push_back(static_cast<char>(kTokEnd));
 }
 
+// True when `s` is OK; otherwise keeps it in `*error`, for a visitor
+// callback to end the walk with (FragmentScanner::Scan).
+bool Keep(Status s, Status* error) {
+  if (s.ok()) return true;
+  *error = std::move(s);
+  return false;
+}
+
+// Walks `scanner` with `visitor`: the walk's own error first, then the one
+// a callback kept in `*error` when it ended the walk.
+template <typename V>
+Status Walk(FragmentScanner& scanner, V&& visitor, Status* error) {
+  RETURN_IF_ERROR(scanner.Scan(visitor));
+  return std::move(*error);
+}
+
+// The trailing key.size()-1 bytes of the character data fed since the last
+// Clear(): enough to catch a key that straddles text events, so a search
+// never copies a subtree's text (DESIGN.md section 14).
+class KeyWindow {
+ public:
+  explicit KeyWindow(std::string_view key) : key_(key) {}
+
+  // True if the text fed since the last Clear(), `text` included, contains
+  // the key.
+  bool Feed(std::string_view text) {
+    if (key_.empty()) return true;
+    const size_t keep = key_.size() - 1;
+    // A match that begins in the tail ends within text's first `keep`
+    // bytes; any other lies inside `text`.
+    if (!tail_.empty()) {
+      tail_.append(text.substr(0, keep));
+      if (Contains(tail_, key_)) return true;
+    }
+    if (Contains(text, key_)) return true;
+    if (text.size() >= keep) {
+      tail_.assign(text.substr(text.size() - keep));
+    } else {
+      if (tail_.empty()) tail_.assign(text);
+      if (tail_.size() > keep) tail_.erase(0, tail_.size() - keep);
+    }
+    return false;
+  }
+
+  void Clear() { tail_.clear(); }
+
+ private:
+  std::string_view key_;
+  std::string tail_;
+};
+
 // The (start, length) of every top-level fragment in an encoded payload.
 Result<std::vector<std::pair<size_t, size_t>>> TopLevelRanges(
     std::string_view payload) {
   XO_ASSIGN_OR_RETURN(FragmentScanner scanner,
                       FragmentScanner::Create(payload));
   std::vector<std::pair<size_t, size_t>> ranges;
-  size_t depth = 0;
   size_t open_offset = 0;
-  while (true) {
-    XO_ASSIGN_OR_RETURN(auto event, scanner.Next());
-    if (event.kind == FragmentScanner::EventKind::kEof) return ranges;
-    if (event.kind == FragmentScanner::EventKind::kStart && depth++ == 0) {
-      open_offset = event.offset;
-    } else if (event.kind == FragmentScanner::EventKind::kEnd && --depth == 0) {
-      ranges.emplace_back(open_offset, event.end_offset - open_offset);
-    }
-  }
+  RETURN_IF_ERROR(scanner.Scan(
+      Visitor{[&](size_t, std::string_view, size_t offset, size_t depth) {
+                if (depth == 0) open_offset = offset;
+                return true;
+              },
+              [](std::string_view) { return true; },
+              [&](size_t end_offset, size_t depth) {
+                if (depth == 0) {
+                  ranges.emplace_back(open_offset, end_offset - open_offset);
+                }
+                return true;
+              }}));
+  return ranges;
 }
 
 }  // namespace
@@ -141,35 +195,44 @@ Result<std::unique_ptr<xml::Node>> Decode(std::string_view bytes) {
   ExpansionBudget budget;
   auto root = xml::Node::Element("#fragment");
   std::vector<xml::Node*> stack = {root.get()};
-  while (true) {
-    XO_ASSIGN_OR_RETURN(auto event, scanner.Next());
-    switch (event.kind) {
-      case FragmentScanner::EventKind::kEof:
-        return root;
-      case FragmentScanner::EventKind::kStart: {
-        RETURN_IF_ERROR(budget.Charge(sizeof(xml::Node) + event.name.size()));
-        xml::Node* elem = stack.back()->AddChild(
-            xml::Node::Element(std::string(event.name)));
-        // Charged before it is stored: a compressed start token can name
-        // one long dictionary entry for thousands of attributes.
-        RETURN_IF_ERROR(scanner.DecodeAttributes(
-            [&](std::string_view name, std::string value) -> Status {
-              RETURN_IF_ERROR(budget.Charge(name.size() + value.size()));
-              elem->AddAttribute(std::string(name), std::move(value));
-              return Status::OK();
-            }));
-        stack.push_back(elem);
-        break;
-      }
-      case FragmentScanner::EventKind::kEnd:
-        stack.pop_back();
-        break;
-      case FragmentScanner::EventKind::kText:
-        RETURN_IF_ERROR(budget.Charge(sizeof(xml::Node) + event.text.size()));
-        stack.back()->AddChild(xml::Node::Text(std::string(event.text)));
-        break;
-    }
-  }
+  Status error;
+  RETURN_IF_ERROR(Walk(
+      scanner,
+      Visitor{
+          [&](size_t, std::string_view name, size_t, size_t) {
+            if (!Keep(budget.Charge(sizeof(xml::Node) + name.size()),
+                      &error)) {
+              return false;
+            }
+            xml::Node* elem =
+                stack.back()->AddChild(xml::Node::Element(std::string(name)));
+            stack.push_back(elem);
+            // Charged before it is stored: a compressed start token can
+            // name one long dictionary entry for thousands of attributes.
+            return Keep(scanner.DecodeAttributes(
+                            [&](std::string_view attr, std::string value) {
+                              RETURN_IF_ERROR(
+                                  budget.Charge(attr.size() + value.size()));
+                              elem->AddAttribute(std::string(attr),
+                                                 std::move(value));
+                              return Status::OK();
+                            }),
+                        &error);
+          },
+          [&](std::string_view text) {
+            if (!Keep(budget.Charge(sizeof(xml::Node) + text.size()),
+                      &error)) {
+              return false;
+            }
+            stack.back()->AddChild(xml::Node::Text(std::string(text)));
+            return true;
+          },
+          [&](size_t, size_t) {
+            stack.pop_back();
+            return true;
+          }},
+      &error));
+  return root;
 }
 
 Result<std::string> ToXmlString(std::string_view bytes) {
@@ -187,14 +250,18 @@ Result<std::string> TextContent(std::string_view bytes) {
   XO_ASSIGN_OR_RETURN(FragmentScanner scanner, FragmentScanner::Create(bytes));
   ExpansionBudget budget;
   std::string out;
-  while (true) {
-    XO_ASSIGN_OR_RETURN(auto event, scanner.Next());
-    if (event.kind == FragmentScanner::EventKind::kEof) return out;
-    if (event.kind == FragmentScanner::EventKind::kText) {
-      RETURN_IF_ERROR(budget.Charge(event.text.size()));
-      out.append(event.text);
-    }
-  }
+  Status error;
+  RETURN_IF_ERROR(Walk(
+      scanner,
+      Visitor{[](size_t, std::string_view, size_t, size_t) { return true; },
+              [&](std::string_view text) {
+                if (!Keep(budget.Charge(text.size()), &error)) return false;
+                out.append(text);
+                return true;
+              },
+              [](size_t, size_t) { return true; }},
+      &error));
+  return out;
 }
 
 void CompressionAdvisor::AddSample(
@@ -229,70 +296,63 @@ Result<std::string> GetElm(std::string_view in, std::string_view root_elm,
   struct SearchFrame {
     size_t depth;
     bool matched;
-    // Sliding window over the subtree's character data: only the last
-    // search_key.size()-1 bytes are retained, enough to catch a key that
-    // straddles two text events, so the frame never copies the whole
-    // subtree's text (DESIGN.md section 14).
-    std::string window;
+    KeyWindow window;
   };
+  const TagMatcher root(scanner, root_elm);
+  const TagMatcher search(scanner, search_elm);
   std::vector<Candidate> candidates;  // open rootElm elements (stack)
   std::vector<SearchFrame> searches;  // open searchElm elements (stack)
-  size_t depth = 0;
-  while (true) {
-    XO_ASSIGN_OR_RETURN(auto event, scanner.Next());
-    switch (event.kind) {
-      case FragmentScanner::EventKind::kEof:
-        return out;
-      case FragmentScanner::EventKind::kStart:
-        if (event.name == root_elm) {
-          candidates.push_back({event.offset, depth, search_elm.empty()});
-        }
-        if (!search_elm.empty() && event.name == search_elm) {
-          searches.push_back({depth, search_key.empty(), {}});
-        }
-        ++depth;
-        break;
-      case FragmentScanner::EventKind::kText:
-        for (SearchFrame& f : searches) {
-          if (f.matched) continue;
-          f.window.append(event.text);
-          if (Contains(f.window, search_key)) {
-            f.matched = true;
-            f.window.clear();
-          } else if (f.window.size() >= search_key.size()) {
-            f.window.erase(0, f.window.size() - (search_key.size() - 1));
-          }
-        }
-        break;
-      case FragmentScanner::EventKind::kEnd: {
-        --depth;
-        if (!searches.empty() && searches.back().depth == depth) {
-          // A searchElm subtree closed: on a key match, mark every open
-          // candidate within `level` levels above it.
-          SearchFrame frame = std::move(searches.back());
-          searches.pop_back();
-          if (frame.matched) {
-            for (Candidate& c : candidates) {
-              if (level <= 0 ||
-                  depth - c.depth <= static_cast<size_t>(level)) {
-                c.matched = true;
+  Status error;
+  RETURN_IF_ERROR(Walk(
+      scanner,
+      Visitor{
+          [&](size_t tag, std::string_view name, size_t offset, size_t depth) {
+            if (root(tag, name)) {
+              candidates.push_back({offset, depth, search_elm.empty()});
+            }
+            if (!search_elm.empty() && search(tag, name)) {
+              searches.push_back(
+                  {depth, search_key.empty(), KeyWindow(search_key)});
+            }
+            return true;
+          },
+          [&](std::string_view text) {
+            for (SearchFrame& f : searches) {
+              if (!f.matched && f.window.Feed(text)) f.matched = true;
+            }
+            return true;
+          },
+          [&](size_t end_offset, size_t depth) {
+            if (!searches.empty() && searches.back().depth == depth) {
+              // A searchElm subtree closed: on a key match, mark every open
+              // candidate within `level` levels above it.
+              const bool matched = searches.back().matched;
+              searches.pop_back();
+              if (matched) {
+                for (Candidate& c : candidates) {
+                  if (level <= 0 ||
+                      depth - c.depth <= static_cast<size_t>(level)) {
+                    c.matched = true;
+                  }
+                }
               }
             }
-          }
-        }
-        if (!candidates.empty() && candidates.back().depth == depth) {
-          Candidate c = candidates.back();
-          candidates.pop_back();
-          if (c.matched) {
-            RETURN_IF_ERROR(budget.Charge(event.end_offset - c.start_offset));
-            out.append(in.substr(c.start_offset,
-                                 event.end_offset - c.start_offset));
-          }
-        }
-        break;
-      }
-    }
-  }
+            if (!candidates.empty() && candidates.back().depth == depth) {
+              const Candidate c = candidates.back();
+              candidates.pop_back();
+              if (c.matched) {
+                if (!Keep(budget.Charge(end_offset - c.start_offset),
+                          &error)) {
+                  return false;
+                }
+                out.append(
+                    in.substr(c.start_offset, end_offset - c.start_offset));
+              }
+            }
+            return true;
+          }},
+      &error));
+  return out;
 }
 
 Result<int64_t> FindKeyInElm(std::string_view in, std::string_view search_elm,
@@ -302,62 +362,50 @@ Result<int64_t> FindKeyInElm(std::string_view in, std::string_view search_elm,
         "findKeyInElm: searchElm and searchKey cannot both be empty");
   }
   XO_ASSIGN_OR_RETURN(FragmentScanner scanner, FragmentScanner::Create(in));
-  if (search_elm.empty()) {
-    // Key against the content of any element: a sliding window over the
-    // concatenated character data.
-    std::string window;
-    while (true) {
-      XO_ASSIGN_OR_RETURN(auto event, scanner.Next());
-      if (event.kind == FragmentScanner::EventKind::kEof) return 0;
-      if (event.kind != FragmentScanner::EventKind::kText) continue;
-      window.append(event.text);
-      if (Contains(window, search_key)) return 1;
-      if (window.size() >= search_key.size()) {
-        window.erase(0, window.size() - (search_key.size() - 1));
-      }
-    }
-  }
-  struct SearchFrame {
-    size_t depth;
-    // Sliding window, as in GetElm: keep only the trailing
-    // search_key.size()-1 bytes so cross-event matches still land without
-    // buffering the subtree's full character data.
-    std::string window;
-  };
+  // An empty searchElm matches the key against all character data. Else
+  // only the outermost open searchElm keeps a window: a nested one's text
+  // is a contiguous run of its ancestor's, so it can match only where the
+  // ancestor does, and at the same text event.
+  const bool any_elm = search_elm.empty();
+  const TagMatcher search(scanner, search_elm);
+  KeyWindow window(search_key);
   ExpansionBudget budget;
-  std::vector<SearchFrame> searches;
-  size_t depth = 0;
-  while (true) {
-    XO_ASSIGN_OR_RETURN(auto event, scanner.Next());
-    switch (event.kind) {
-      case FragmentScanner::EventKind::kEof:
-        return 0;
-      case FragmentScanner::EventKind::kStart:
-        if (event.name == search_elm) {
-          if (search_key.empty()) return 1;
-          searches.push_back({depth, {}});
-        }
-        ++depth;
-        break;
-      case FragmentScanner::EventKind::kText:
-        RETURN_IF_ERROR(budget.Charge(event.text.size() * searches.size()));
-        for (SearchFrame& f : searches) {
-          f.window.append(event.text);
-          // Early exit as soon as any tracked element matches.
-          if (Contains(f.window, search_key)) return 1;
-          if (f.window.size() >= search_key.size()) {
-            f.window.erase(0, f.window.size() - (search_key.size() - 1));
-          }
-        }
-        break;
-      case FragmentScanner::EventKind::kEnd:
-        --depth;
-        if (!searches.empty() && searches.back().depth == depth) {
-          searches.pop_back();
-        }
-        break;
-    }
-  }
+  std::vector<size_t> frames;  // depths of the open searchElm elements
+  bool found = false;
+  Status error;
+  RETURN_IF_ERROR(Walk(
+      scanner,
+      Visitor{[&](size_t tag, std::string_view name, size_t, size_t depth) {
+                if (!any_elm && search(tag, name)) {
+                  if (search_key.empty()) {
+                    found = true;  // existence test: the first one answers
+                    return false;
+                  }
+                  if (frames.empty()) window.Clear();
+                  frames.push_back(depth);
+                }
+                return true;
+              },
+              [&](std::string_view text) {
+                if (!any_elm) {
+                  if (frames.empty()) return true;
+                  // Charged per open searchElm, as if each kept a window.
+                  if (!Keep(budget.Charge(text.size() * frames.size()),
+                            &error)) {
+                    return false;
+                  }
+                }
+                found = window.Feed(text);
+                return !found;  // the first match ends the walk
+              },
+              [&](size_t, size_t depth) {
+                if (!frames.empty() && frames.back() == depth) {
+                  frames.pop_back();
+                }
+                return true;
+              }},
+      &error));
+  return found ? 1 : 0;
 }
 
 Result<std::string> GetElmIndex(std::string_view in,
@@ -390,54 +438,53 @@ Result<std::string> GetElmIndex(std::string_view in,
   }
 
   struct Frame {
-    std::string_view name;
-    int child_count = 0;  // direct children named child_elm so far
+    bool is_parent;       // named parentElm
+    int child_count = 0;  // direct children named childElm so far
   };
   struct Capture {
     size_t start_offset;
     size_t depth;
   };
-  std::vector<Frame> frames = {{std::string_view("#root"), 0}};
+  const TagMatcher parent_match(scanner, parent_elm);
+  const TagMatcher child_match(scanner, child_elm);
+  // The frame above the fragment roots is named "#root", which a
+  // parentElm may spell.
+  std::vector<Frame> frames = {{parent_elm == "#root", 0}};
   std::vector<Capture> captures;
-  size_t depth = 0;
-  while (true) {
-    XO_ASSIGN_OR_RETURN(auto event, scanner.Next());
-    switch (event.kind) {
-      case FragmentScanner::EventKind::kEof:
-        return out;
-      case FragmentScanner::EventKind::kStart: {
-        Frame& parent = frames.back();
-        if (event.name == child_elm) {
-          bool parent_ok = parent_elm.empty()
-                               ? frames.size() == 1
-                               : parent.name == parent_elm;
-          if (parent_elm.empty() || parent.name == parent_elm) {
-            ++parent.child_count;
-          }
-          if (parent_ok && parent.child_count >= start_pos &&
-              parent.child_count <= end_pos) {
-            captures.push_back({event.offset, depth});
-          }
-        }
-        frames.push_back({event.name, 0});
-        ++depth;
-        break;
-      }
-      case FragmentScanner::EventKind::kText:
-        break;
-      case FragmentScanner::EventKind::kEnd:
-        --depth;
-        frames.pop_back();
-        if (!captures.empty() && captures.back().depth == depth) {
-          Capture c = captures.back();
-          captures.pop_back();
-          RETURN_IF_ERROR(budget.Charge(event.end_offset - c.start_offset));
-          out.append(
-              in.substr(c.start_offset, event.end_offset - c.start_offset));
-        }
-        break;
-    }
-  }
+  Status error;
+  RETURN_IF_ERROR(Walk(
+      scanner,
+      Visitor{
+          [&](size_t tag, std::string_view name, size_t offset, size_t depth) {
+            Frame& parent = frames.back();
+            if (child_match(tag, name)) {
+              const bool parent_ok = parent_elm.empty() ? frames.size() == 1
+                                                        : parent.is_parent;
+              if (parent_elm.empty() || parent.is_parent) ++parent.child_count;
+              if (parent_ok && parent.child_count >= start_pos &&
+                  parent.child_count <= end_pos) {
+                captures.push_back({offset, depth});
+              }
+            }
+            frames.push_back({!parent_elm.empty() && parent_match(tag, name)});
+            return true;
+          },
+          [](std::string_view) { return true; },
+          [&](size_t end_offset, size_t depth) {
+            frames.pop_back();
+            if (captures.empty() || captures.back().depth != depth) {
+              return true;
+            }
+            const Capture c = captures.back();
+            captures.pop_back();
+            if (!Keep(budget.Charge(end_offset - c.start_offset), &error)) {
+              return false;
+            }
+            out.append(in.substr(c.start_offset, end_offset - c.start_offset));
+            return true;
+          }},
+      &error));
+  return out;
 }
 
 Result<std::vector<std::string>> Unnest(std::string_view in,
@@ -486,43 +533,46 @@ Status UnnestElements(std::string_view in, std::string_view tag,
     size_t depth;
     size_t text_begin;  // where its text starts in `text`
   };
+  const TagMatcher tag_match(scanner, tag);
   std::vector<Capture> captures;
   // Character data seen while any capture is open. An element's text
   // content is one contiguous run of it, so nested same-tag captures share
   // this buffer instead of each copying its own; it is emptied whenever
   // the outermost capture closes.
   std::string text;
-  size_t depth = 0;
-  while (true) {
-    XO_ASSIGN_OR_RETURN(auto event, scanner.Next());
-    switch (event.kind) {
-      case FragmentScanner::EventKind::kEof:
-        return Status::OK();
-      case FragmentScanner::EventKind::kStart:
-        if (tag.empty() ? depth == 0 : event.name == tag) {
-          captures.push_back({event.offset, depth, text.size()});
-        }
-        ++depth;
-        break;
-      case FragmentScanner::EventKind::kText:
-        if (want_text && !captures.empty()) text.append(event.text);
-        break;
-      case FragmentScanner::EventKind::kEnd:
-        --depth;
-        if (!captures.empty() && captures.back().depth == depth) {
-          Capture c = captures.back();
-          captures.pop_back();
-          size_t text_bytes = text.size() - c.text_begin;
-          RETURN_IF_ERROR(budget.Charge(
-              text_bytes + frag_bytes(c.start_offset, event.end_offset)));
-          std::string own_text = text.substr(c.text_begin);
-          if (captures.empty()) text.clear();
-          RETURN_IF_ERROR(sink(std::move(own_text),
-                               fragment(c.start_offset, event.end_offset)));
-        }
-        break;
-    }
-  }
+  Status error;
+  return Walk(
+      scanner,
+      Visitor{[&](size_t id, std::string_view name, size_t offset,
+                  size_t depth) {
+                if (tag.empty() ? depth == 0 : tag_match(id, name)) {
+                  captures.push_back({offset, depth, text.size()});
+                }
+                return true;
+              },
+              [&](std::string_view run) {
+                if (want_text && !captures.empty()) text.append(run);
+                return true;
+              },
+              [&](size_t end_offset, size_t depth) {
+                if (captures.empty() || captures.back().depth != depth) {
+                  return true;
+                }
+                const Capture c = captures.back();
+                captures.pop_back();
+                const size_t text_bytes = text.size() - c.text_begin;
+                if (!Keep(budget.Charge(text_bytes +
+                                        frag_bytes(c.start_offset, end_offset)),
+                          &error)) {
+                  return false;
+                }
+                std::string own_text = text.substr(c.text_begin);
+                if (captures.empty()) text.clear();
+                return Keep(sink(std::move(own_text),
+                                 fragment(c.start_offset, end_offset)),
+                            &error);
+              }},
+      &error);
 }
 
 }  // namespace xorator::xadt

@@ -11,7 +11,7 @@
 namespace xorator::xadt {
 namespace {
 
-using EventKind = FragmentScanner::EventKind;
+using EventKind = xml::TokenKind;
 
 std::string EncodeXml(const std::string& xml_text, bool compressed) {
   auto frag = xml::ParseFragment(xml_text);
@@ -26,20 +26,35 @@ struct FlatEvent {
   std::string name_or_text;
 };
 
+// Flattens a Scan into events; an end event is named by the visitor's own
+// stack of open names, since the walk reports only where an element ends.
+struct FlatVisitor {
+  bool OnStart(size_t, std::string_view name, size_t, size_t depth) {
+    EXPECT_EQ(depth, open.size());
+    open.emplace_back(name);
+    events.push_back({EventKind::kStart, std::string(name)});
+    return true;
+  }
+  bool OnText(std::string_view text) {
+    events.push_back({EventKind::kText, std::string(text)});
+    return true;
+  }
+  bool OnEnd(size_t, size_t depth) {
+    EXPECT_EQ(depth + 1, open.size());
+    events.push_back({EventKind::kEnd, open.back()});
+    open.pop_back();
+    return true;
+  }
+  std::vector<std::string> open;
+  std::vector<FlatEvent> events;
+};
+
 Result<std::vector<FlatEvent>> Drain(std::string_view bytes) {
   XO_ASSIGN_OR_RETURN(FragmentScanner scanner,
                       FragmentScanner::Create(bytes));
-  std::vector<FlatEvent> out;
-  while (true) {
-    XO_ASSIGN_OR_RETURN(auto event, scanner.Next());
-    if (event.kind == EventKind::kEof) return out;
-    FlatEvent flat;
-    flat.kind = event.kind;
-    flat.name_or_text = event.kind == EventKind::kText
-                            ? std::string(event.text)
-                            : std::string(event.name);
-    out.push_back(std::move(flat));
-  }
+  FlatVisitor visitor;
+  RETURN_IF_ERROR(scanner.Scan(visitor));
+  return std::move(visitor.events);
 }
 
 class ScannerFormatTest : public ::testing::TestWithParam<bool> {};
@@ -69,21 +84,22 @@ TEST_P(ScannerFormatTest, OffsetsSliceToValidFragments) {
   ASSERT_TRUE(scanner.ok());
   std::string header(scanner->header());
   // Capture the byte range of each top-level element and re-decode it.
-  std::vector<std::pair<size_t, size_t>> ranges;
-  size_t depth = 0;
-  size_t open_offset = 0;
-  while (true) {
-    auto event = scanner->Next();
-    ASSERT_TRUE(event.ok()) << event.status().ToString();
-    if (event->kind == EventKind::kEof) break;
-    if (event->kind == EventKind::kStart) {
-      if (depth == 0) open_offset = event->offset;
-      ++depth;
-    } else if (event->kind == EventKind::kEnd) {
-      --depth;
-      if (depth == 0) ranges.emplace_back(open_offset, event->end_offset);
+  struct RangeVisitor {
+    bool OnStart(size_t, std::string_view, size_t offset, size_t depth) {
+      if (depth == 0) open_offset = offset;
+      return true;
     }
-  }
+    bool OnText(std::string_view) { return true; }
+    bool OnEnd(size_t end_offset, size_t depth) {
+      if (depth == 0) ranges.emplace_back(open_offset, end_offset);
+      return true;
+    }
+    size_t open_offset = 0;
+    std::vector<std::pair<size_t, size_t>> ranges;
+  } visitor;
+  Status scanned = scanner->Scan(visitor);
+  ASSERT_TRUE(scanned.ok()) << scanned.ToString();
+  const std::vector<std::pair<size_t, size_t>>& ranges = visitor.ranges;
   ASSERT_EQ(ranges.size(), 2u);
   std::string first = header.empty() ? "R" : header;
   first.append(bytes.substr(ranges[0].first,

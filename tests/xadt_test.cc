@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "common/str_util.h"
+#include "common/varint.h"
 #include "datagen/dtds.h"
 #include "datagen/generators.h"
 #include "xadt/xadt.h"
@@ -375,6 +377,390 @@ TEST(XadtPropertyTest, RandomDocsRoundTripBothFormats) {
     EXPECT_EQ(*raw_xml, *comp_xml) << "seed " << seed;
     EXPECT_EQ(*TextContent(raw), *TextContent(compressed));
   }
+}
+
+// ---------------------------------------------------------------------------
+// Differential: every method answers as the DOM oracle does on every
+// encoding of one fragment — the raw XML text as written (comments, CDATA
+// and entities kept), the raw and compressed encodings of its DOM, and
+// both with a fragment directory.
+
+// An XADT result as comparable text: the XML it holds, serialized from its
+// decoded tree (so a raw value's quoting and comments do not show), or its
+// error code.
+std::string Show(const Result<std::string>& value) {
+  if (!value.ok()) {
+    return "error " + std::string(StatusCodeToString(value.status().code()));
+  }
+  auto root = Decode(*value);
+  if (!root.ok()) return "undecodable result";
+  std::string out;
+  for (const auto& child : (*root)->children()) xml::SerializeTo(*child, &out);
+  return out;
+}
+
+std::string Show(const Result<int64_t>& found) {
+  if (!found.ok()) {
+    return "error " + std::string(StatusCodeToString(found.status().code()));
+  }
+  return std::to_string(*found);
+}
+
+std::string ShowUnnest(std::string_view bytes, std::string_view tag) {
+  std::string out;
+  Status scanned = UnnestElements(bytes, tag, true, true,
+                                  [&](std::string text, std::string frag) {
+                                    out += "[" + text + "|" + Show(frag) + "]";
+                                    return Status::OK();
+                                  });
+  if (!scanned.ok()) {
+    return "error " + std::string(StatusCodeToString(scanned.code()));
+  }
+  return out;
+}
+
+// The names and keys one case asks every method about.
+struct MethodCase {
+  std::string xml;
+  std::string root;    // getElm rootElm; getElmIndex childElm; unnest tag
+  std::string search;  // searchElm; getElmIndex parentElm
+  std::string key;
+};
+
+// Every method's answer for `c` on `bytes`, one line per call.
+std::string AllAnswers(const std::string& bytes, const MethodCase& c) {
+  std::string out;
+  for (const std::string& elm : {c.search, std::string()}) {
+    for (const std::string& key : {c.key, std::string(), c.key.substr(1)}) {
+      out += "findKeyInElm(" + elm + "," + key + ")=" +
+             Show(FindKeyInElm(bytes, elm, key)) + "\n";
+      for (int level : {0, 1, 2, 3}) {
+        out += "getElm(" + c.root + "," + elm + "," + key + "," +
+               std::to_string(level) + ")=" +
+               Show(GetElm(bytes, c.root, elm, key, level)) + "\n";
+      }
+    }
+    for (auto [from, to] : {std::pair{1, 1}, {2, 3}, {1, 100}}) {
+      out += "getElmIndex(" + elm + "," + c.root + "," +
+             std::to_string(from) + "," + std::to_string(to) + ")=" +
+             Show(GetElmIndex(bytes, elm, c.root, from, to)) + "\n";
+    }
+  }
+  out += "unnest(" + c.root + ")=" + ShowUnnest(bytes, c.root) + "\n";
+  out += "unnest()=" + ShowUnnest(bytes, "") + "\n";
+  auto text = TextContent(bytes);
+  out += "text=" + (text.ok() ? *text : "error") + "\n";
+  return out;
+}
+
+// Ground truth from the DOM, in AllAnswers' format: the paper's method
+// definitions (xadt.h) evaluated over the parsed tree, results listed in
+// the order their elements close.
+class DomOracle {
+ public:
+  explicit DomOracle(const xml::Node& fragment) : fragment_(fragment) {}
+
+  std::string AllAnswers(const MethodCase& c) const {
+    std::string out;
+    for (const std::string& elm : {c.search, std::string()}) {
+      for (const std::string& key : {c.key, std::string(), c.key.substr(1)}) {
+        out += "findKeyInElm(" + elm + "," + key + ")=" + FindKey(elm, key) +
+               "\n";
+        for (int level : {0, 1, 2, 3}) {
+          out += "getElm(" + c.root + "," + elm + "," + key + "," +
+                 std::to_string(level) + ")=" +
+                 GetElm(c.root, elm, key, level) + "\n";
+        }
+      }
+      for (auto [from, to] : {std::pair{1, 1}, {2, 3}, {1, 100}}) {
+        out += "getElmIndex(" + elm + "," + c.root + "," +
+               std::to_string(from) + "," + std::to_string(to) + ")=" +
+               GetElmIndex(elm, c.root, from, to) + "\n";
+      }
+    }
+    out += "unnest(" + c.root + ")=" + Unnest(c.root) + "\n";
+    out += "unnest()=" + Unnest("") + "\n";
+    out += "text=" + fragment_.TextContent() + "\n";
+    return out;
+  }
+
+ private:
+  // Every element below the fragment root, in the order it closes, with
+  // its depth (the roots at 0).
+  std::vector<std::pair<const xml::Node*, int>> PostOrder() const {
+    std::vector<std::pair<const xml::Node*, int>> out;
+    auto visit = [&](auto& self, const xml::Node& n, int depth) -> void {
+      for (const auto& child : n.children()) {
+        if (child->is_element()) self(self, *child, depth + 1);
+      }
+      out.emplace_back(&n, depth);
+    };
+    for (const auto& root : fragment_.children()) {
+      if (root->is_element()) visit(visit, *root, 0);
+    }
+    return out;
+  }
+
+  static std::string Serialize(
+      const std::vector<const xml::Node*>& nodes) {
+    std::string out;
+    for (const xml::Node* n : nodes) xml::SerializeTo(*n, &out);
+    return out;
+  }
+
+  std::string FindKey(const std::string& elm, const std::string& key) const {
+    if (elm.empty() && key.empty()) return "error InvalidArgument";
+    if (elm.empty()) return Contains(fragment_.TextContent(), key) ? "1" : "0";
+    for (const auto& [n, depth] : PostOrder()) {
+      if (n->name() == elm && Contains(n->TextContent(), key)) return "1";
+    }
+    return "0";
+  }
+
+  // True if `c` holds a `search` element within `level` levels (itself
+  // included) whose text contains `key`.
+  static bool Holds(const xml::Node& c, const std::string& search,
+                    const std::string& key, int level, int below = 0) {
+    if (level > 0 && below > level) return false;
+    if (c.name() == search && Contains(c.TextContent(), key)) return true;
+    for (const auto& child : c.children()) {
+      if (child->is_element() &&
+          Holds(*child, search, key, level, below + 1)) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  std::string GetElm(const std::string& root, const std::string& search,
+                     const std::string& key, int level) const {
+    std::vector<const xml::Node*> picked;
+    for (const auto& [n, depth] : PostOrder()) {
+      if (n->name() == root &&
+          (search.empty() || Holds(*n, search, key, level))) {
+        picked.push_back(n);
+      }
+    }
+    return Serialize(picked);
+  }
+
+  std::string GetElmIndex(const std::string& parent, const std::string& child,
+                          int from, int to) const {
+    std::vector<const xml::Node*> picked;
+    for (const auto& [n, depth] : PostOrder()) {
+      if (n->name() != child) continue;
+      const bool parent_ok =
+          parent.empty() ? depth == 0
+                         : depth > 0 && n->parent()->name() == parent;
+      if (!parent_ok) continue;
+      int position = 0;
+      for (const auto& sibling : n->parent()->children()) {
+        if (sibling->is_element() && sibling->name() == child) ++position;
+        if (sibling.get() == n) break;
+      }
+      if (position >= from && position <= to) picked.push_back(n);
+    }
+    return Serialize(picked);
+  }
+
+  std::string Unnest(const std::string& tag) const {
+    std::string out;
+    for (const auto& [n, depth] : PostOrder()) {
+      if (tag.empty() ? depth == 0 : n->name() == tag) {
+        out += "[" + n->TextContent() + "|" + Serialize({n}) + "]";
+      }
+    }
+    return out;
+  }
+
+  const xml::Node& fragment_;
+};
+
+// Checks that all encodings of `c.xml` answer as the DOM oracle does;
+// returns the answers.
+std::string ExpectEncodingsAgree(const MethodCase& c) {
+  xml::ParseOptions keep;
+  keep.strip_whitespace_text = false;
+  auto frag = xml::ParseFragment(c.xml, keep);
+  EXPECT_TRUE(frag.ok()) << frag.status().ToString();
+  if (!frag.ok()) return "";
+  std::vector<const xml::Node*> roots;
+  for (const auto& child : (*frag)->children()) roots.push_back(child.get());
+  const std::string expected = DomOracle(**frag).AllAnswers(c);
+  const std::pair<const char*, std::string> encodings[] = {
+      {"raw text", "R" + c.xml},
+      {"raw", EncodeRaw(roots)},
+      {"compressed", EncodeCompressed(roots)},
+      {"raw+directory", EncodeWithDirectory(roots, false)},
+      {"compressed+directory", EncodeWithDirectory(roots, true)}};
+  for (const auto& [name, bytes] : encodings) {
+    EXPECT_EQ(AllAnswers(bytes, c), expected) << name << " of " << c.xml;
+  }
+  return expected;
+}
+
+TEST(XadtDifferentialTest, MethodsAgreeAcrossEncodings) {
+  const std::string kLevels =
+      "<r><a>key</a><b><a>key</a></b><c><b><a>key</a></b></c></r>"
+      "<r><b><c><a>key</a></c></b></r>";
+  const MethodCase cases[] = {
+      // Keys that straddle text events: around a child element, a CDATA
+      // section, a comment and an entity.
+      {"<a><t>Jo<b/>in</t><t>Jo</t><t>in</t></a><t>xJ<![CDATA[oi]]>nx</t>",
+       "t", "t", "Join"},
+      {"<a><t>Jo<!-- c -->in</t><t>J&amp;oin</t></a><a><t>&amp;o</t></a>",
+       "a", "t", "J&o"},
+      // Nested same-name search elements, and candidates inside them.
+      {"<s><s>x</s>Jo<s>Jo</s>in<s><s>Join</s></s></s><s>Join</s>", "s", "s",
+       "Join"},
+      {"<s>Jo<s/>in</s><s>J<s>o</s>in</s><s><s>Jo</s><s>in</s></s>", "s", "s",
+       "Join"},
+      // Level-limited getElm: the key sits 1, 2 and 3 levels down.
+      {kLevels, "r", "a", "key"},
+      // Empty elements in both spellings, and empty roots.
+      {"<e/><e></e><e><f/></e><g>k</g><e>k<f></f></e>", "e", "f", "k"},
+      // Mixed content with comments, a processing instruction, entities
+      // and CDATA inside text.
+      {"<m>one<!--x-->two<?pi y?>&lt;three&gt;<![CDATA[<four/>&]]>five"
+       "<n>six</n>seven</m>",
+       "m", "n", "e<fo"},
+      // Attributes are skipped by every scan.
+      {"<p k=\"Join\" j='x'><q z=\"&amp;\">no</q></p><p><q>Join</q></p>", "p",
+       "q", "Join"},
+  };
+  for (const MethodCase& c : cases) ExpectEncodingsAgree(c);
+  // Spot answers, so the oracle cannot be wrong alike.
+  EXPECT_EQ(*FindKeyInElm("R<t>xJ<![CDATA[oi]]>nx</t>", "t", "Join"), 1);
+  EXPECT_EQ(*FindKeyInElm(EncodeXml("<s>Jo<s/>in</s>", true), "s", "Join"), 1);
+  EXPECT_EQ(*FindKeyInElm(EncodeXml("<a><t>Jo</t><t>in</t></a>", true), "t",
+                          "Join"),
+            0);
+  EXPECT_EQ(*ToXmlString(*GetElm(EncodeXml(kLevels, true), "r", "a",
+                                 "key", 1)),
+            "<r><a>key</a><b><a>key</a></b><c><b><a>key</a></b></c></r>");
+  EXPECT_EQ(*ToXmlString(*GetElm(EncodeXml(kLevels, true), "b", "a",
+                                 "key", 1)),
+            "<b><a>key</a></b><b><a>key</a></b>");
+}
+
+TEST(XadtDifferentialTest, MultiByteVarintsAgreeAcrossEncodings) {
+  // Text runs on both sides of the one-byte varint boundary and past the
+  // two-byte one, keyed at their ends.
+  for (size_t n : {127u, 128u, 16384u}) {
+    std::string run(n - 4, 'x');
+    ExpectEncodingsAgree({"<a><t>" + run + "Join</t></a><a><t>" + run +
+                              "</t></a>",
+                          "a", "t", "Join"});
+  }
+  // A dictionary of 200 names: tag ids of two bytes, and names past the
+  // first 64 ids matched by name.
+  std::string xml = "<root>";
+  for (int i = 0; i < 200; ++i) {
+    std::string name = "e" + std::to_string(i);
+    xml += "<" + name + " a" + std::to_string(i) + "=\"" +
+           std::string(130, 'v') + "\">" + name + "</" + name + ">";
+  }
+  xml += "<e150><e3>deep</e3></e150></root>";
+  for (const char* search : {"e3", "e63", "e64", "e127", "e128", "e150"}) {
+    std::string answers = ExpectEncodingsAgree({xml, "e150", search, "e"});
+    EXPECT_NE(answers.find("findKeyInElm(" + std::string(search) + ",e)=1"),
+              std::string::npos)
+        << search;
+  }
+  EXPECT_EQ(*ToXmlString(*GetElm(EncodeXml(xml, true), "e150", "e3", "dee")),
+            "<e150><e3>deep</e3></e150>");
+}
+
+// ---------------------------------------------------------------------------
+// Golden table: malformed compressed values and the status every method
+// returns for them.
+
+std::string Varint(uint64_t v) {
+  std::string out;
+  PutVarint(&out, v);
+  return out;
+}
+
+// 'C' + a dictionary of `names` + `tokens`.
+std::string Compressed(const std::vector<std::string>& names,
+                       const std::string& tokens) {
+  std::string out = "C" + Varint(names.size());
+  for (const std::string& n : names) out += Varint(n.size()) + n;
+  return out + tokens;
+}
+
+TEST(XadtMalformedCompressedTest, GoldenStatusCodes) {
+  const std::string kStart = "\x01";
+  const std::string kEnd = "\x02";
+  const std::string kText = "\x03";
+  const std::string a_open = kStart + Varint(0) + Varint(0);
+  struct Golden {
+    const char* what;
+    std::string value;
+    StatusCode code;
+  };
+  const Golden table[] = {
+      {"truncated varint at the end", Compressed({"a"}, kStart + "\x80"),
+       StatusCode::kCorruption},
+      {"truncated text length", Compressed({"a"}, a_open + kText + "\xff"),
+       StatusCode::kCorruption},
+      {"overlong varint", Compressed({"a"}, kStart + std::string(11, '\xff')),
+       StatusCode::kCorruption},
+      {"truncated dictionary count", "C\x80", StatusCode::kCorruption},
+      {"tag id == dictionary size", Compressed({"a"}, kStart + Varint(1)),
+       StatusCode::kParseError},
+      {"attribute name id out of range",
+       Compressed({"a"}, kStart + Varint(0) + Varint(1) + Varint(1) +
+                             Varint(1) + "x" + kEnd),
+       StatusCode::kParseError},
+      {"attribute length overrun",
+       Compressed({"a", "b"}, kStart + Varint(0) + Varint(1) + Varint(1) +
+                                  Varint(5) + "x"),
+       StatusCode::kParseError},
+      {"text length overrun", Compressed({"a"}, a_open + kText + "\x05" + "ab"),
+       StatusCode::kParseError},
+      {"unbalanced end token", Compressed({"a"}, kEnd),
+       StatusCode::kParseError},
+      {"end token before a balanced element", Compressed({"a"}, kEnd + a_open),
+       StatusCode::kParseError},
+      {"end token past the root",
+       Compressed({"a"}, a_open + kEnd + kEnd), StatusCode::kParseError},
+      {"element left open", Compressed({"a"}, a_open + kText + "\x01x"),
+       StatusCode::kParseError},
+      {"unknown opcode", Compressed({"a"}, a_open + "\x7f"),
+       StatusCode::kParseError},
+      {"dictionary count exceeds value size", "C\x05",
+       StatusCode::kParseError},
+      {"truncated dictionary", "C\x01\x05" "a", StatusCode::kParseError},
+  };
+  for (const Golden& g : table) {
+    SCOPED_TRACE(g.what);
+    EXPECT_EQ(FindKeyInElm(g.value, "a", "zz").status().code(), g.code);
+    EXPECT_EQ(FindKeyInElm(g.value, "", "zz").status().code(), g.code);
+    EXPECT_EQ(GetElm(g.value, "a", "a", "zz").status().code(), g.code);
+    EXPECT_EQ(GetElmIndex(g.value, "a", "a", 1, 1).status().code(), g.code);
+    EXPECT_EQ(Unnest(g.value, "a").status().code(), g.code);
+    EXPECT_EQ(TextContent(g.value).status().code(), g.code);
+    EXPECT_EQ(Decode(g.value).status().code(), g.code);
+  }
+  // A match before a malformed tail still answers: the scan stops at the
+  // match, before it reaches the damage. The methods that read the whole
+  // value report it.
+  const std::string match_then_damage =
+      Compressed({"a"}, a_open + kText + Varint(4) + "Join" + kEnd + "\x7f");
+  auto found = FindKeyInElm(match_then_damage, "a", "Join");
+  ASSERT_TRUE(found.ok()) << found.status().ToString();
+  EXPECT_EQ(*found, 1);
+  auto anywhere = FindKeyInElm(match_then_damage, "", "oin");
+  ASSERT_TRUE(anywhere.ok()) << anywhere.status().ToString();
+  EXPECT_EQ(*anywhere, 1);
+  auto exists = FindKeyInElm(match_then_damage, "a", "");
+  ASSERT_TRUE(exists.ok()) << exists.status().ToString();
+  EXPECT_EQ(*exists, 1);
+  EXPECT_EQ(FindKeyInElm(match_then_damage, "a", "Joint").status().code(),
+            StatusCode::kParseError);
+  EXPECT_EQ(GetElm(match_then_damage, "a", "a", "Join").status().code(),
+            StatusCode::kParseError);
 }
 
 }  // namespace

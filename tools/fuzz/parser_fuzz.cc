@@ -7,7 +7,11 @@
 //     xml::ParseFragment accepts the input (whitespace kept), to the same
 //     serialization;
 //   * one decoder: whenever the input parses, its raw and compressed
-//     encodings decode to the same serialization.
+//     encodings decode to the same serialization, and findKeyInElm,
+//     getElm, getElmIndex and unnest answer alike on the raw text, the
+//     raw and compressed encodings, and both with a fragment directory;
+//   * the compressed decoder fails closed: "C" + input, fed to every XADT
+//     method, returns OK or a clean kParseError/kCorruption.
 // A differential mismatch aborts, so it fails the fuzzer and the replay.
 //
 // Two build modes share this file:
@@ -26,6 +30,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "xadt/scanner.h"
 #include "xadt/xadt.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
@@ -57,6 +62,117 @@ std::string SerializeChildren(const xorator::xml::Node& root) {
   return out;
 }
 
+// An XADT result as comparable text: its decoded tree serialized, or its
+// error code.
+std::string Show(const xorator::Result<std::string>& value) {
+  if (!value.ok()) {
+    return "error " +
+           std::string(xorator::StatusCodeToString(value.status().code()));
+  }
+  auto root = xorator::xadt::Decode(*value);
+  return root.ok() ? SerializeChildren(**root) : "undecodable result";
+}
+
+std::string Show(const xorator::Result<int64_t>& found) {
+  if (!found.ok()) {
+    return "error " +
+           std::string(xorator::StatusCodeToString(found.status().code()));
+  }
+  return std::to_string(*found);
+}
+
+std::string Show(
+    const xorator::Result<std::vector<std::string>>& fragments) {
+  if (!fragments.ok()) {
+    return "error " +
+           std::string(xorator::StatusCodeToString(fragments.status().code()));
+  }
+  std::string out;
+  for (const std::string& f : *fragments) out += "[" + Show(f) + "]";
+  return out;
+}
+
+// The answers of the path/keyword/order methods over `value`, asked about
+// element `elm` and keyword `key`.
+std::string MethodAnswers(std::string_view value, const std::string& elm,
+                          const std::string& key) {
+  namespace xadt = xorator::xadt;
+  return Show(xadt::FindKeyInElm(value, elm, key)) + "|" +
+         Show(xadt::FindKeyInElm(value, "", key)) + "|" +
+         Show(xadt::FindKeyInElm(value, elm, "")) + "|" +
+         Show(xadt::GetElm(value, elm, elm, key)) + "|" +
+         Show(xadt::GetElm(value, elm, elm, key, 1)) + "|" +
+         Show(xadt::GetElm(value, elm, "", "")) + "|" +
+         Show(xadt::GetElmIndex(value, "", elm, 1, 2)) + "|" +
+         Show(xadt::GetElmIndex(value, elm, elm, 1, 1)) + "|" +
+         Show(xadt::Unnest(value, elm)) + "|" + Show(xadt::Unnest(value, ""));
+}
+
+// Whenever the input parses, every encoding of it answers alike. The
+// element asked about is the first root's name, the key two bytes of the
+// text (or a byte that never occurs in a name).
+void CheckMethodsAgree(const std::string& input,
+                       const xorator::xml::Node& fragment) {
+  std::vector<const xorator::xml::Node*> roots;
+  std::string elm = "a";
+  for (const auto& child : fragment.children()) {
+    roots.push_back(child.get());
+    if (roots.size() == 1 && child->is_element()) elm = child->name();
+  }
+  const std::string text = fragment.TextContent();
+  const std::string key = text.size() >= 2
+                              ? text.substr(text.size() / 2 - 1, 2)
+                              : std::string("#");
+  const std::string expected = MethodAnswers("R" + input, elm, key);
+  namespace xadt = xorator::xadt;
+  Require(MethodAnswers(xadt::EncodeRaw(roots), elm, key) == expected &&
+              MethodAnswers(xadt::EncodeCompressed(roots), elm, key) ==
+                  expected &&
+              MethodAnswers(xadt::EncodeWithDirectory(roots, false), elm,
+                            key) == expected &&
+              MethodAnswers(xadt::EncodeWithDirectory(roots, true), elm,
+                            key) == expected,
+          "XADT methods answer alike on every encoding");
+}
+
+bool CleanFailure(const xorator::Status& status) {
+  return status.ok() ||
+         status.code() == xorator::StatusCode::kParseError ||
+         status.code() == xorator::StatusCode::kCorruption;
+}
+
+// The input as the body of a compressed value: every method returns OK or
+// a clean kParseError/kCorruption. The element asked about is the value's
+// first non-empty dictionary name, if it has one.
+void CheckCompressedFailsClosed(const std::string& input) {
+  namespace xadt = xorator::xadt;
+  const std::string value = "C" + input;
+  std::string elm = "a";
+  auto scanner = xadt::FragmentScanner::Create(value);
+  if (scanner.ok()) {
+    for (std::string_view name : scanner->dictionary()) {
+      if (name.empty()) continue;
+      elm = std::string(name);
+      break;
+    }
+  }
+  Require(CleanFailure(xadt::FindKeyInElm(value, elm, "ab").status()) &&
+              CleanFailure(xadt::FindKeyInElm(value, "", "ab").status()) &&
+              CleanFailure(xadt::FindKeyInElm(value, elm, "").status()) &&
+              CleanFailure(xadt::GetElm(value, elm, elm, "ab").status()) &&
+              CleanFailure(xadt::GetElm(value, elm, "", "", 2).status()) &&
+              CleanFailure(
+                  xadt::GetElmIndex(value, "", elm, 1, 2).status()) &&
+              CleanFailure(
+                  xadt::GetElmIndex(value, elm, elm, 2, 3).status()) &&
+              CleanFailure(xadt::Unnest(value, elm).status()) &&
+              CleanFailure(xadt::Unnest(value, "").status()) &&
+              CleanFailure(xadt::TextContent(value).status()) &&
+              CleanFailure(xadt::Decode(value).status()) &&
+              CleanFailure(xadt::ToXmlString(value).status()),
+          "every method fails closed on a compressed value");
+}
+
 // The differential checks parse under the limits raw XADT values are
 // lexed with: the default depth limit and no size limits.
 void CheckLexerAndDecoderAgree(const std::string& input) {
@@ -81,6 +197,7 @@ void CheckLexerAndDecoderAgree(const std::string& input) {
   Require(SerializeChildren(**from_raw) == expected &&
               SerializeChildren(**from_compressed) == expected,
           "raw and compressed encodings decode alike");
+  CheckMethodsAgree(input, **fragment);
 }
 
 }  // namespace
@@ -100,6 +217,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   XO_DISCARD_STATUS(xorator::xml::ParseFragment(input, options),
                     "fuzz input; errors expected");
   CheckLexerAndDecoderAgree(input);
+  CheckCompressedFailsClosed(input);
   return 0;
 }
 

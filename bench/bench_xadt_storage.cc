@@ -96,22 +96,6 @@ void BM_FindKeyInElm(benchmark::State& state) {
 }
 BENCHMARK(BM_FindKeyInElm)->Arg(0)->Arg(1);
 
-void BM_GetElmIndexPlainVsDirectory(benchmark::State& state) {
-  // The Section 5 metadata extension: order access via the fragment
-  // directory vs a full scan. range(0): 0 = plain, 1 = directory.
-  auto frag = MakeSpeechFragment(256);
-  std::vector<const xml::Node*> roots;
-  for (const auto& c : frag->children()) roots.push_back(c.get());
-  std::string bytes = state.range(0) == 0
-                          ? xadt::Encode(roots, /*compressed=*/false)
-                          : xadt::EncodeWithDirectory(roots, false);
-  for (auto _ : state) {
-    auto out = xadt::GetElmIndex(bytes, "", "LINE", 250, 250);
-    benchmark::DoNotOptimize(out);
-  }
-}
-BENCHMARK(BM_GetElmIndexPlainVsDirectory)->Arg(0)->Arg(1);
-
 void BM_Unnest(benchmark::State& state) {
   auto frag = MakeSpeechFragment(64);
   std::string bytes = state.range(0) == 0
@@ -153,15 +137,14 @@ void PrintSizeSweep() {
     if (!frag.ok()) continue;
     std::vector<const xml::Node*> roots;
     for (const auto& child : (*frag)->children()) roots.push_back(child.get());
-    xadt::CompressionAdvisor advisor(0.2);
-    advisor.AddSample(roots);
-    double saving =
-        1.0 - static_cast<double>(advisor.compressed_bytes()) /
-                  static_cast<double>(advisor.raw_bytes());
-    table.AddRow({c.label, std::to_string(advisor.raw_bytes()),
-                  std::to_string(advisor.compressed_bytes()),
+    const size_t raw = xadt::EncodeRaw(roots).size();
+    const size_t compressed = xadt::EncodeCompressed(roots).size();
+    double saving = 1.0 - static_cast<double>(compressed) /
+                              static_cast<double>(raw);
+    table.AddRow({c.label, std::to_string(raw), std::to_string(compressed),
                   benchutil::Fmt(saving * 100, 1) + "%",
-                  advisor.UseCompression() ? "compressed" : "raw"});
+                  xadt::ChooseCompression(raw, compressed) ? "compressed"
+                                                           : "raw"});
   }
   table.Print();
 }

@@ -32,8 +32,11 @@ Result<Value> ColumnRefExpr::Eval(const Tuple& row, ExecContext*) const {
 }
 
 std::string LiteralExpr::ToString() const {
-  if (value_.type() == TypeId::kVarchar) return "'" + value_.ToString() + "'";
-  return value_.ToString();
+  if (value_.type() != TypeId::kVarchar) return value_.ToString();
+  std::string out = "'";
+  out += value_.ToString();
+  out += "'";
+  return out;
 }
 
 Result<Value> CompareExpr::Eval(const Tuple& row, ExecContext* ctx) const {
@@ -85,12 +88,21 @@ Result<Value> LogicExpr::Eval(const Tuple& row, ExecContext* ctx) const {
 
 std::string LogicExpr::ToString() const {
   switch (kind_) {
-    case Kind::kNot:
-      return "NOT (" + lhs_->ToString() + ")";
+    case Kind::kNot: {
+      std::string out = "NOT (";
+      out += lhs_->ToString();
+      out += ")";
+      return out;
+    }
     case Kind::kAnd:
-      return "(" + lhs_->ToString() + " AND " + rhs_->ToString() + ")";
-    case Kind::kOr:
-      return "(" + lhs_->ToString() + " OR " + rhs_->ToString() + ")";
+    case Kind::kOr: {
+      std::string out = "(";
+      out += lhs_->ToString();
+      out += kind_ == Kind::kAnd ? " AND " : " OR ";
+      out += rhs_->ToString();
+      out += ")";
+      return out;
+    }
   }
   return "?";
 }

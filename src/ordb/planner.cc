@@ -12,6 +12,10 @@ namespace {
 
 using sql::AstExpr;
 
+/// Outer-to-inner row ratio below which an index nested-loop join is
+/// considered profitable.
+constexpr double kIndexJoinOuterRatio = 0.25;
+
 bool IsAggregateName(const std::string& name) {
   std::string lower = ToLower(name);
   return lower == "count" || lower == "sum" || lower == "min" ||
@@ -546,8 +550,8 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt) {
           // selective relative to the inner table.
           double inner_rows =
               static_cast<double>(items[i].table->heap->record_count());
-          if (acc_rows <= options_.index_join_outer_ratio *
-                              std::max(inner_rows, 1.0)) {
+          if (acc_rows <=
+              kIndexJoinOuterRatio * std::max(inner_rows, 1.0)) {
             for (JoinKey& k : keys) {
               if (k.item_side->kind != AstExpr::Kind::kColumn) continue;
               auto res = scope.Resolve(k.item_side->name);

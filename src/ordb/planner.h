@@ -23,9 +23,6 @@ struct PlannerOptions {
   /// Use index nested-loop joins when the outer side is estimated to be
   /// selective and the inner column has an index.
   bool enable_index_join = true;
-  /// Outer-to-inner row ratio below which an index nested-loop join is
-  /// considered profitable.
-  double index_join_outer_ratio = 0.25;
 };
 
 /// Translates a parsed SELECT into a physical operator tree over the

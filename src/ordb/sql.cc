@@ -10,22 +10,33 @@ std::string AstExpr::ToString() const {
   switch (kind) {
     case Kind::kColumn:
       return name;
-    case Kind::kLiteral:
-      return literal.type() == TypeId::kVarchar ? "'" + literal.ToString() + "'"
-                                                : literal.ToString();
+    case Kind::kLiteral: {
+      if (literal.type() != TypeId::kVarchar) return literal.ToString();
+      std::string out = "'";
+      out += literal.ToString();
+      out += "'";
+      return out;
+    }
     case Kind::kStar:
       return "*";
     case Kind::kCompare:
       return children[0]->ToString() + " " + std::string(CompareOpName(op)) +
              " " + children[1]->ToString();
     case Kind::kAnd:
-      return "(" + children[0]->ToString() + " AND " +
-             children[1]->ToString() + ")";
-    case Kind::kOr:
-      return "(" + children[0]->ToString() + " OR " + children[1]->ToString() +
-             ")";
-    case Kind::kNot:
-      return "NOT (" + children[0]->ToString() + ")";
+    case Kind::kOr: {
+      std::string out = "(";
+      out += children[0]->ToString();
+      out += kind == Kind::kAnd ? " AND " : " OR ";
+      out += children[1]->ToString();
+      out += ")";
+      return out;
+    }
+    case Kind::kNot: {
+      std::string out = "NOT (";
+      out += children[0]->ToString();
+      out += ")";
+      return out;
+    }
     case Kind::kLike:
       return children[0]->ToString() + " LIKE '" + pattern + "'";
     case Kind::kIsNull:

@@ -2,8 +2,16 @@
 
 #include "common/timer.h"
 #include "shred/shredder.h"
+#include "xadt/xadt.h"
 
 namespace xorator::shred {
+
+namespace {
+
+// Documents trial-shredded both ways to choose the XADT representation.
+constexpr size_t kCompressionSampleDocs = 3;
+
+}  // namespace
 
 ordb::TypeId EngineType(mapping::ColumnType type) {
   switch (type) {
@@ -41,7 +49,7 @@ Result<LoadReport> Loader::Load(const std::vector<const xml::Node*>& documents,
   }
   bool compress = options.force_compression;
   if (schema_has_xadt && !options.force_compression && !options.force_raw) {
-    size_t samples = std::min(options.sample_docs, documents.size());
+    size_t samples = std::min(kCompressionSampleDocs, documents.size());
     uint64_t raw_bytes = 0;
     uint64_t compressed_bytes = 0;
     for (size_t pass = 0; pass < 2; ++pass) {
@@ -60,10 +68,7 @@ Result<LoadReport> Loader::Load(const std::vector<const xml::Node*>& documents,
       }
       (pass == 0 ? raw_bytes : compressed_bytes) = bytes;
     }
-    compress = raw_bytes > 0 &&
-               static_cast<double>(compressed_bytes) <=
-                   (1.0 - options.compression_threshold) *
-                       static_cast<double>(raw_bytes);
+    compress = xadt::ChooseCompression(raw_bytes, compressed_bytes);
   }
   report.used_compression = compress;
 
@@ -72,7 +77,7 @@ Result<LoadReport> Loader::Load(const std::vector<const xml::Node*>& documents,
   // Database::BulkInsert (and any XADT scans during shredding) poll it;
   // the between-document poll below is the loader's own cadence.
   ordb::ScopedGuardBind bind(options.guard);
-  Shredder shredder(schema_, compress, options.use_directory);
+  Shredder shredder(schema_, compress);
   for (size_t d = 0; d < documents.size(); ++d) {
     // Per-document fault isolation: one bad document (malformed structure,
     // or a storage error while inserting its rows) is recorded and skipped

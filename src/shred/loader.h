@@ -14,17 +14,12 @@ namespace xorator::shred {
 
 /// Knobs for shredding documents into the mapped tables.
 struct LoadOptions {
-  /// Pick the XADT representation by sampling (Section 4.1): compression is
-  /// used only when it saves at least `compression_threshold` on the first
-  /// `sample_docs` documents. Set `force_compression`/`force_raw` to skip
+  /// The loader picks the XADT representation by sampling (Section 4.1):
+  /// compression is used only when xadt::ChooseCompression accepts it on
+  /// the first three documents. Set `force_compression`/`force_raw` to skip
   /// the sampling.
   bool force_compression = false;
   bool force_raw = false;
-  double compression_threshold = 0.2;
-  size_t sample_docs = 3;
-  /// Store XADT values with the top-level fragment directory (Section 5
-  /// metadata extension); speeds up order access at a few bytes per value.
-  bool use_directory = false;
   /// Abort the batch on the first failed document instead of isolating the
   /// error and continuing with the rest (see LoadReport::errors).
   bool stop_on_error = false;

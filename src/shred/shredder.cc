@@ -29,11 +29,8 @@ std::string DirectText(const xml::Node& elem) {
 
 }  // namespace
 
-Shredder::Shredder(const mapping::MappedSchema* schema, bool use_compression,
-                   bool use_directory)
-    : schema_(schema),
-      use_compression_(use_compression),
-      use_directory_(use_directory) {
+Shredder::Shredder(const mapping::MappedSchema* schema, bool use_compression)
+    : schema_(schema), use_compression_(use_compression) {
   for (const TableSpec& table : schema_->tables) {
     TablePlan plan;
     plan.spec = &table;
@@ -132,9 +129,7 @@ Status Shredder::VisitRelation(const xml::Node& elem,
       WalkInlined(elem, plan, "", &tuple, &fragments, id, out));
 
   for (auto& [col, nodes] : fragments) {
-    tuple[col] = Value::Xadt(
-        use_directory_ ? xadt::EncodeWithDirectory(nodes, use_compression_)
-                       : xadt::Encode(nodes, use_compression_));
+    tuple[col] = Value::Xadt(xadt::Encode(nodes, use_compression_));
   }
   (*out)[spec.name].push_back(std::move(tuple));
   return Status::OK();

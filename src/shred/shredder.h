@@ -27,10 +27,7 @@ using RowBatch = std::map<std::string, std::vector<ordb::Tuple>>;
 ///     encoded raw or compressed per `use_compression`.
 class Shredder {
  public:
-  /// `use_directory` switches XADT columns to the directory-prefixed
-  /// representation (the paper's Section 5 metadata extension).
-  Shredder(const mapping::MappedSchema* schema, bool use_compression,
-           bool use_directory = false);
+  Shredder(const mapping::MappedSchema* schema, bool use_compression);
 
   /// Shreds one document rooted at `root`, appending rows to `*out`.
   /// Fails if the root element is not mapped to a relation.
@@ -64,7 +61,6 @@ class Shredder {
 
   const mapping::MappedSchema* schema_;
   bool use_compression_;
-  bool use_directory_;
   std::map<std::string, TablePlan> plans_;          // by table name
   std::map<std::string, const TablePlan*> by_element_;
   std::map<std::string, int64_t> next_id_;

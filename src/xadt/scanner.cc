@@ -1,7 +1,5 @@
 #include "xadt/scanner.h"
 
-#include "common/safe_math.h"
-
 namespace xorator::xadt {
 
 // Stored raw values keep the grammar and the depth bound, not the size
@@ -15,77 +13,16 @@ Result<FragmentScanner> FragmentScanner::Create(std::string_view bytes) {
     scanner.content_begin_ = 0;
     return scanner;
   }
-  size_t base = 0;
-  if (bytes[0] == kDirectoryMarker) {
-    // 'D' + varint count + count * (varint start, varint len), offsets
-    // relative to the embedded payload.
-    scanner.has_directory_ = true;
-    size_t pos = 1;
-    XO_ASSIGN_OR_RETURN(uint64_t count, GetVarint(bytes, &pos));
-    // Each directory entry needs at least two bytes; reject corrupt counts
-    // before reserving memory for them.
-    // The directory is stored metadata, not document text, so its failures
-    // are kCorruption; its offsets and lengths are attacker bytes and all
-    // arithmetic on them is checked (a wrapped start+len used to rely on
-    // the range checks below catching the wrapped values).
-    if (count > (bytes.size() - pos) / 2) {
-      return Status::Corruption("XADT directory count exceeds value size");
-    }
-    scanner.top_ranges_.reserve(count);
-    for (uint64_t i = 0; i < count; ++i) {
-      XO_ASSIGN_OR_RETURN(uint64_t start, GetVarint(bytes, &pos));
-      XO_ASSIGN_OR_RETURN(uint64_t len, GetVarint(bytes, &pos));
-      XO_ASSIGN_OR_RETURN(uint64_t end, xo::CheckedAdd(start, len));
-      scanner.top_ranges_.emplace_back(start, end);
-    }
-    base = pos;
-    if (base >= bytes.size()) {
-      return Status::Corruption("directory XADT value without payload");
-    }
-    for (auto& [start, end] : scanner.top_ranges_) {
-      XO_ASSIGN_OR_RETURN(start, xo::CheckedAdd<uint64_t>(start, base));
-      XO_ASSIGN_OR_RETURN(end, xo::CheckedAdd<uint64_t>(end, base));
-      if (end > bytes.size() || start >= end) {
-        return Status::Corruption("bad XADT directory range");
-      }
-    }
-  }
-  scanner.payload_base_ = base;
-  if (bytes[base] == kRawMarker) {
-    scanner.content_begin_ = base + 1;
-    scanner.lexer_ = xml::Lexer(bytes, base + 1, kStoredValueLimits);
+  if (bytes[0] == kRawMarker) {
+    scanner.lexer_ = xml::Lexer(bytes, 1, kStoredValueLimits);
     return scanner;
   }
-  if (bytes[base] == kCompressedMarker) {
+  if (bytes[0] == kCompressedMarker) {
     scanner.compressed_ = true;
-    XO_RETURN_NOT_OK(scanner.ParseDictionary(base + 1));
+    XO_RETURN_NOT_OK(scanner.ParseDictionary(1));
     return scanner;
   }
   return Status::ParseError("unknown XADT representation marker");
-}
-
-Result<std::string_view> FragmentScanner::NameAt(size_t offset) const {
-  if (offset >= bytes_.size()) {
-    return Status::OutOfRange("NameAt offset out of range");
-  }
-  if (!compressed_) {
-    xml::Lexer lexer(bytes_, offset, kStoredValueLimits);
-    XO_ASSIGN_OR_RETURN(xml::Token token, lexer.Next());
-    if (token.kind != xml::TokenKind::kStart || token.offset != offset) {
-      return Status::ParseError("NameAt: not a start tag");
-    }
-    return token.name;
-  }
-  size_t pos = offset;
-  if (static_cast<uint8_t>(bytes_[pos]) != kTokStart) {
-    return Status::ParseError("NameAt: not a start token");
-  }
-  ++pos;
-  XO_ASSIGN_OR_RETURN(uint64_t tag, GetVarint(bytes_, &pos));
-  if (tag >= dict_.size()) {
-    return Status::ParseError("NameAt: tag id out of range");
-  }
-  return dict_[tag];
 }
 
 Status FragmentScanner::ParseDictionary(size_t dict_begin) {

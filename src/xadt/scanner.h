@@ -17,7 +17,6 @@ namespace xorator::xadt {
 /// First byte of an encoded XADT value: its representation (xadt.h).
 inline constexpr char kRawMarker = 'R';
 inline constexpr char kCompressedMarker = 'C';
-inline constexpr char kDirectoryMarker = 'D';
 
 /// Token opcodes of the compressed representation.
 inline constexpr uint8_t kTokStart = 0x01;
@@ -62,9 +61,8 @@ class XO_GSL_POINTER(char) FragmentScanner {
   static constexpr size_t kRawTag = SIZE_MAX;
 
   /// `bytes` must outlive the scanner (enforced on Clang builds via the
-  /// lifetime-bound parameter). Accepts all three representations (raw,
-  /// compressed, and the directory-prefixed form, whose directory is
-  /// parsed into top_ranges()).
+  /// lifetime-bound parameter). Accepts both representations; any other
+  /// first byte is kParseError.
   [[nodiscard]] static Result<FragmentScanner> Create(
       std::string_view bytes XO_LIFETIME_BOUND);
 
@@ -83,17 +81,6 @@ class XO_GSL_POINTER(char) FragmentScanner {
 
   [[nodiscard]] bool compressed() const { return compressed_; }
 
-  /// True when the value carries a top-level fragment directory
-  /// (the 'D' representation, the paper's Section 5 metadata extension).
-  [[nodiscard]] bool has_directory() const { return has_directory_; }
-
-  /// Absolute (start, end) byte ranges of the top-level fragments, from the
-  /// directory; empty unless has_directory().
-  [[nodiscard]] const std::vector<std::pair<size_t, size_t>>& top_ranges()
-      const {
-    return top_ranges_;
-  }
-
   /// The compressed value's tag dictionary, indexed by tag id; views into
   /// the value. Empty for a raw value.
   [[nodiscard]] const std::vector<std::string_view>& dictionary() const
@@ -101,20 +88,15 @@ class XO_GSL_POINTER(char) FragmentScanner {
     return dict_;
   }
 
-  /// Element name of the start event at `offset` (which must be the first
-  /// byte of an element in this value), without walking the value. The
-  /// view points into the scanner's bytes.
-  [[nodiscard]] Result<std::string_view> NameAt(size_t offset) const
-      XO_LIFETIME_BOUND;
-
   /// Offset where the token/markup stream begins (after the marker byte
   /// and, for the compressed form, the dictionary).
   [[nodiscard]] size_t content_begin() const { return content_begin_; }
 
-  /// The dictionary prefix of a compressed value ('C' + dictionary), usable
-  /// verbatim as the header of a sliced output value.
+  /// Everything before the content ("R", or "C" + dictionary; empty for
+  /// the empty value), usable verbatim as the header of a sliced output
+  /// value.
   [[nodiscard]] std::string_view header() const XO_LIFETIME_BOUND {
-    return bytes_.substr(payload_base_, content_begin_ - payload_base_);
+    return bytes_.substr(0, content_begin_);
   }
 
  private:
@@ -144,11 +126,6 @@ class XO_GSL_POINTER(char) FragmentScanner {
 
   std::string_view bytes_;
   bool compressed_ = false;
-  bool has_directory_ = false;
-  /// First byte of the embedded payload ('R'/'C' marker) for the directory
-  /// form; 0 otherwise.
-  size_t payload_base_ = 0;
-  std::vector<std::pair<size_t, size_t>> top_ranges_;
   size_t content_begin_ = 1;
   /// Raw form (and the empty value): the XML lexer over the payload.
   xml::Lexer lexer_;

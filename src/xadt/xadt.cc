@@ -112,37 +112,11 @@ class KeyWindow {
   std::string tail_;
 };
 
-// The (start, length) of every top-level fragment in an encoded payload.
-Result<std::vector<std::pair<size_t, size_t>>> TopLevelRanges(
-    std::string_view payload) {
-  XO_ASSIGN_OR_RETURN(FragmentScanner scanner,
-                      FragmentScanner::Create(payload));
-  std::vector<std::pair<size_t, size_t>> ranges;
-  size_t open_offset = 0;
-  RETURN_IF_ERROR(scanner.Scan(
-      Visitor{[&](size_t, std::string_view, size_t offset, size_t depth) {
-                if (depth == 0) open_offset = offset;
-                return true;
-              },
-              [](std::string_view) { return true; },
-              [&](size_t end_offset, size_t depth) {
-                if (depth == 0) {
-                  ranges.emplace_back(open_offset, end_offset - open_offset);
-                }
-                return true;
-              }}));
-  return ranges;
-}
-
 }  // namespace
 
 bool IsCompressed(std::string_view bytes) {
   auto scanner = FragmentScanner::Create(bytes);
   return scanner.ok() && scanner->compressed();
-}
-
-bool HasDirectory(std::string_view bytes) {
-  return !bytes.empty() && bytes[0] == kDirectoryMarker;
 }
 
 std::string EncodeRaw(const std::vector<const xml::Node*>& fragments) {
@@ -168,24 +142,6 @@ std::string EncodeCompressed(const std::vector<const xml::Node*>& fragments) {
 std::string Encode(const std::vector<const xml::Node*>& fragments,
                    bool compressed) {
   return compressed ? EncodeCompressed(fragments) : EncodeRaw(fragments);
-}
-
-std::string EncodeWithDirectory(const std::vector<const xml::Node*>& fragments,
-                                bool compressed) {
-  std::string payload = Encode(fragments, compressed);
-  auto ranges = TopLevelRanges(payload);
-  // A payload the scanner rejects (say, a DOM nested deeper than the
-  // lexer's depth limit) is stored without a directory rather than with a
-  // short one; the XADT methods then report its error themselves.
-  if (!ranges.ok()) return payload;
-  std::string out(1, kDirectoryMarker);
-  PutVarint(&out, ranges->size());
-  for (const auto& [start, len] : *ranges) {
-    PutVarint(&out, start);
-    PutVarint(&out, len);
-  }
-  out += payload;
-  return out;
 }
 
 Result<std::unique_ptr<xml::Node>> Decode(std::string_view bytes) {
@@ -264,17 +220,10 @@ Result<std::string> TextContent(std::string_view bytes) {
   return out;
 }
 
-void CompressionAdvisor::AddSample(
-    const std::vector<const xml::Node*>& fragments) {
-  raw_bytes_ += EncodeRaw(fragments).size();
-  compressed_bytes_ += EncodeCompressed(fragments).size();
-}
-
-bool CompressionAdvisor::UseCompression() const {
-  if (raw_bytes_ == 0) return false;
-  double saving = 1.0 - static_cast<double>(compressed_bytes_) /
-                            static_cast<double>(raw_bytes_);
-  return saving >= min_saving_;
+bool ChooseCompression(uint64_t raw_bytes, uint64_t compressed_bytes) {
+  return raw_bytes > 0 &&
+         static_cast<double>(compressed_bytes) <=
+             (1.0 - kMinCompressionSaving) * static_cast<double>(raw_bytes);
 }
 
 Result<std::string> GetElm(std::string_view in, std::string_view root_elm,
@@ -420,23 +369,6 @@ Result<std::string> GetElmIndex(std::string_view in,
   std::string out(scanner.header());
   if (out.empty()) out.push_back(kRawMarker);
 
-  if (parent_elm.empty() && scanner.has_directory()) {
-    // Directory fast path: the fragment roots are indexed, so the
-    // requested positions are sliced without scanning fragment bodies.
-    int count = 0;
-    for (const auto& [start, end] : scanner.top_ranges()) {
-      XO_ASSIGN_OR_RETURN(std::string_view name, scanner.NameAt(start));
-      if (name != child_elm) continue;
-      ++count;
-      if (count >= start_pos && count <= end_pos) {
-        RETURN_IF_ERROR(budget.Charge(end - start));
-        out.append(in.substr(start, end - start));
-      }
-      if (count >= end_pos) break;
-    }
-    return out;
-  }
-
   struct Frame {
     bool is_parent;       // named parentElm
     int child_count = 0;  // direct children named childElm so far
@@ -520,14 +452,6 @@ Status UnnestElements(std::string_view in, std::string_view tag,
   auto frag_bytes = [&](size_t start, size_t end) -> size_t {
     return want_frag ? prefix.size() + (end - start) : 0;
   };
-  if (tag.empty() && scanner.has_directory() && !want_text) {
-    // Directory fast path: slice the indexed fragment roots directly.
-    for (const auto& [start, end] : scanner.top_ranges()) {
-      RETURN_IF_ERROR(budget.Charge(frag_bytes(start, end)));
-      RETURN_IF_ERROR(sink(std::string(), fragment(start, end)));
-    }
-    return Status::OK();
-  }
   struct Capture {
     size_t start_offset;
     size_t depth;

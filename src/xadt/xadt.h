@@ -1,6 +1,7 @@
 #ifndef XORATOR_XADT_XADT_H_
 #define XORATOR_XADT_XADT_H_
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -26,12 +27,8 @@ namespace xorator::xadt {
 /// methods accept either representation and produce their output in the same
 /// representation as their input.
 
-/// True if `bytes` holds the compressed representation (looking through a
-/// directory prefix when present; false when that directory is malformed).
+/// True if `bytes` holds the compressed representation.
 bool IsCompressed(std::string_view bytes);
-
-/// True if `bytes` carries the directory-prefixed representation.
-bool HasDirectory(std::string_view bytes);
 
 /// Encodes `fragments` (subtree roots; borrowed) in the raw representation.
 std::string EncodeRaw(const std::vector<const xml::Node*>& fragments);
@@ -43,19 +40,11 @@ std::string EncodeCompressed(const std::vector<const xml::Node*>& fragments);
 std::string Encode(const std::vector<const xml::Node*>& fragments,
                    bool compressed);
 
-/// The paper's Section 5 metadata extension: prefixes the encoded value
-/// with a directory of (offset, length) pairs, one per top-level fragment,
-/// so order-access methods (getElmIndex with an empty parentElm, unnest of
-/// the fragment roots) can slice fragments without scanning their bodies.
-/// All XADT methods accept this representation transparently.
-std::string EncodeWithDirectory(const std::vector<const xml::Node*>& fragments,
-                                bool compressed);
-
 /// Decodes an XADT value into a DOM forest under a synthetic `#fragment`
 /// root node: the inverse of Encode, keeping every text node (whitespace
 /// included) in either representation. One DOM builder over
-/// FragmentScanner events serves all representations, charging each node
-/// to the statement's bound guard. A malformed directory is kCorruption.
+/// FragmentScanner events serves both representations, charging each node
+/// to the statement's bound guard.
 [[nodiscard]] Result<std::unique_ptr<xml::Node>> Decode(std::string_view bytes);
 
 /// Renders an XADT value back to XML text (no enclosing root).
@@ -64,28 +53,14 @@ std::string EncodeWithDirectory(const std::vector<const xml::Node*>& fragments,
 /// Concatenated text content of all fragments.
 [[nodiscard]] Result<std::string> TextContent(std::string_view bytes);
 
-/// Decides between the two representations by trial-encoding sample
-/// fragments: compression is chosen only when it saves at least
-/// `min_saving` (the paper uses 20%) of the raw size (Section 4.1).
-class CompressionAdvisor {
- public:
-  explicit CompressionAdvisor(double min_saving = 0.2)
-      : min_saving_(min_saving) {}
+/// The least share of the raw size compression must save to be chosen: the
+/// paper's 20% rule (Section 4.1).
+inline constexpr double kMinCompressionSaving = 0.2;
 
-  /// Accounts one sample fragment forest.
-  void AddSample(const std::vector<const xml::Node*>& fragments);
-
-  size_t raw_bytes() const { return raw_bytes_; }
-  size_t compressed_bytes() const { return compressed_bytes_; }
-
-  /// True if enough saving was observed over the samples so far.
-  bool UseCompression() const;
-
- private:
-  double min_saving_;
-  size_t raw_bytes_ = 0;
-  size_t compressed_bytes_ = 0;
-};
+/// The choice between the two representations, from the XADT bytes of the
+/// same sample encoded both ways: compressed when that saves at least
+/// kMinCompressionSaving of a non-empty raw size.
+bool ChooseCompression(uint64_t raw_bytes, uint64_t compressed_bytes);
 
 // ---------------------------------------------------------------------------
 // XADT methods (Section 3.4.2). These mirror the UDFs the paper registered

@@ -27,7 +27,6 @@
 #include "ordb/row_codec.h"
 #include "ordb/tuple.h"
 #include "ordb/wal.h"
-#include "xadt/scanner.h"
 
 namespace xorator {
 namespace {
@@ -47,7 +46,6 @@ using ordb::SlottedPage;
 using ordb::TableSchema;
 using ordb::TypeId;
 using ordb::ValidateBPlusTreeNode;
-using xadt::FragmentScanner;
 
 // ---------------------------------------------------------------- safe_math
 
@@ -373,42 +371,6 @@ TEST(HeapFileBounds, OverflowChunkLengthEscapingPageFailsClosed) {
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kCorruption);
   EXPECT_EQ(pool.PinnedFrameCount(), 0u);
-}
-
-// --------------------------------------------------------- XADT directory
-
-TEST(XadtDirectoryBounds, RangeArithmeticCannotWrap) {
-  // 'D' + count + (start, len) entries, then the embedded payload. A
-  // start+len chosen to wrap uint64 used to rely on downstream range
-  // checks seeing the wrapped sum; now the add itself fails closed.
-  std::string value("D", 1);
-  PutVarint(&value, 1);                                  // one fragment
-  PutVarint(&value, std::numeric_limits<uint64_t>::max() - 2);  // start
-  PutVarint(&value, 16);                                 // len: wraps
-  value += "R<a>payload</a>";
-  auto scanner = FragmentScanner::Create(value);
-  ASSERT_FALSE(scanner.ok());
-  EXPECT_EQ(scanner.status().code(), StatusCode::kCorruption);
-}
-
-TEST(XadtDirectoryBounds, RangeCrossingValueEndRejected) {
-  std::string value("D", 1);
-  PutVarint(&value, 1);
-  PutVarint(&value, 0);     // start
-  PutVarint(&value, 4096);  // len: far past the tiny payload below
-  value += "R<a/>";
-  auto scanner = FragmentScanner::Create(value);
-  ASSERT_FALSE(scanner.ok());
-  EXPECT_EQ(scanner.status().code(), StatusCode::kCorruption);
-}
-
-TEST(XadtDirectoryBounds, CountExceedingValueRejected) {
-  std::string value("D", 1);
-  PutVarint(&value, uint64_t{1} << 32);  // more entries than bytes
-  value += "R<a/>";
-  auto scanner = FragmentScanner::Create(value);
-  ASSERT_FALSE(scanner.ok());
-  EXPECT_EQ(scanner.status().code(), StatusCode::kCorruption);
 }
 
 }  // namespace

@@ -38,7 +38,9 @@ class ValuesOp : public Operator {
 OperatorPtr MakeValues(std::vector<Tuple> rows, size_t width) {
   std::vector<ColumnMeta> cols;
   for (size_t i = 0; i < width; ++i) {
-    cols.push_back({"c" + std::to_string(i), TypeId::kInteger});
+    std::string name = "c";
+    name += std::to_string(i);
+    cols.push_back({name, TypeId::kInteger});
   }
   return std::make_unique<ValuesOp>(std::move(cols), std::move(rows));
 }

@@ -251,7 +251,8 @@ TEST(HealthDatabaseTest, ReadOnlyEngineFreezesDirtyWriteBack) {
   std::string values;
   for (int i = 0; i < 400; ++i) {
     if (!values.empty()) values += ", ";
-    values += "(" + std::to_string(i) + ", '" + pad + std::to_string(i) + "')";
+    values.append("(").append(std::to_string(i)).append(", '").append(pad);
+    values.append(std::to_string(i)).append("')");
   }
   ASSERT_TRUE((*db)->Execute("INSERT INTO t VALUES " + values).ok());
   ASSERT_TRUE((*db)->Checkpoint().ok());
@@ -378,8 +379,9 @@ TEST(HealthDegradedScanTest, SkipQuarantinedSelectSurvivesACorruptHeapPage) {
     std::string insert = "INSERT INTO t VALUES ";
     for (int i = 0; i < kRows; ++i) {
       if (i > 0) insert += ", ";
-      insert += "(" + std::to_string(i) + ", 'payload-payload-payload-" +
-                std::to_string(i) + "')";
+      insert.append("(").append(std::to_string(i));
+      insert.append(", 'payload-payload-payload-").append(std::to_string(i));
+      insert.append("')");
     }
     ASSERT_TRUE((*db)->Execute(insert).ok());
     const ordb::TableInfo* t = (*db)->catalog()->FindTable("t");

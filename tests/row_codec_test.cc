@@ -144,14 +144,16 @@ TEST(RowViewTest, WideSchemaWalksPastTheInlineOffsetCache) {
   TableSchema schema;
   Tuple in;
   for (int i = 0; i < 40; ++i) {
+    std::string name(1, "isn"[i % 3]);
+    name += std::to_string(i);
     if (i % 3 == 0) {
-      schema.columns.push_back({"i" + std::to_string(i), TypeId::kInteger});
+      schema.columns.push_back({name, TypeId::kInteger});
       in.push_back(Value::Int(i * 1000));
     } else if (i % 3 == 1) {
-      schema.columns.push_back({"s" + std::to_string(i), TypeId::kVarchar});
+      schema.columns.push_back({name, TypeId::kVarchar});
       in.push_back(Value::Varchar(std::string(i, 'a')));
     } else {
-      schema.columns.push_back({"n" + std::to_string(i), TypeId::kDouble});
+      schema.columns.push_back({name, TypeId::kDouble});
       in.push_back(i % 6 == 2 ? Value::Null() : Value::Double(i * 0.5));
     }
   }

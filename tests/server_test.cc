@@ -686,7 +686,8 @@ TEST(ServerTest, SkipQuarantinedSelectShipsTheReportNotThePlan) {
     std::string insert = "INSERT INTO t VALUES ";
     for (int i = 0; i < 400; ++i) {  // several heap pages
       if (i > 0) insert += ", ";
-      insert += "(" + std::to_string(i) + ", 'payload-payload-payload')";
+      insert.append("(").append(std::to_string(i));
+      insert.append(", 'payload-payload-payload')");
     }
     ASSERT_TRUE((*db)->Execute(insert).ok());
     first_page = (*db)->catalog()->FindTable("t")->heap->first_page();

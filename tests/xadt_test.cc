@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/str_util.h"
 #include "common/varint.h"
 #include "datagen/dtds.h"
 #include "datagen/generators.h"
+#include "xadt/scanner.h"
 #include "xadt/xadt.h"
 #include "xml/dtd.h"
 #include "xml/parser.h"
@@ -287,25 +290,23 @@ TEST(XadtCompressionTest, UniqueTagsCompressPoorly) {
   EXPECT_GE(compressed.size() + 2, raw.size());
 }
 
-TEST(XadtCompressionTest, AdvisorFollowsTwentyPercentRule) {
+TEST(XadtCompressionTest, ChooserFollowsTwentyPercentRule) {
   auto frag = xml::ParseFragment(
       "<LINE>a</LINE><LINE>b</LINE><LINE>c</LINE><LINE>d</LINE>"
       "<LINE>e</LINE><LINE>f</LINE><LINE>g</LINE><LINE>h</LINE>");
   ASSERT_TRUE(frag.ok());
   std::vector<const xml::Node*> roots;
   for (const auto& c : (*frag)->children()) roots.push_back(c.get());
-  CompressionAdvisor advisor(0.2);
-  advisor.AddSample(roots);
-  EXPECT_GT(advisor.raw_bytes(), 0u);
+  const size_t raw = EncodeRaw(roots).size();
+  EXPECT_GT(raw, 0u);
   // Many repeated tags: compression wins.
-  EXPECT_TRUE(advisor.UseCompression());
+  EXPECT_TRUE(ChooseCompression(raw, EncodeCompressed(roots).size()));
 
-  CompressionAdvisor strict(0.99);
-  strict.AddSample(roots);
-  EXPECT_FALSE(strict.UseCompression());
-
-  CompressionAdvisor empty(0.2);
-  EXPECT_FALSE(empty.UseCompression());
+  // The boundary: saving exactly 20% compresses, one byte less stays raw,
+  // and with no raw bytes there is nothing to save.
+  EXPECT_TRUE(ChooseCompression(100, 80));
+  EXPECT_FALSE(ChooseCompression(100, 81));
+  EXPECT_FALSE(ChooseCompression(0, 0));
 }
 
 TEST(XadtErrorsTest, BadInputsRejected) {
@@ -316,6 +317,58 @@ TEST(XadtErrorsTest, BadInputsRejected) {
   std::string bytes = EncodeXml("<a><b>text</b></a>", true);
   std::string truncated = bytes.substr(0, bytes.size() / 2);
   EXPECT_FALSE(Decode(truncated).ok());
+  // 'D' is no representation: a value that starts with it fails like any
+  // unknown marker, whatever follows (here the count and ranges of a
+  // fragment directory, some chosen to wrap or overrun).
+  auto d_value = [](std::initializer_list<uint64_t> varints,
+                    const char* payload) {
+    std::string value("D", 1);
+    for (uint64_t n : varints) PutVarint(&value, n);
+    value += payload;
+    return value;
+  };
+  const std::string unknown[] = {
+      d_value({5}, ""), d_value({0}, ""),
+      d_value({1, std::numeric_limits<uint64_t>::max() - 2, 16},
+              "R<a>payload</a>"),
+      d_value({1, 0, 4096}, "R<a/>"), d_value({uint64_t{1} << 32}, "R<a/>")};
+  for (const std::string& bad : unknown) {
+    EXPECT_EQ(FragmentScanner::Create(bad).status().code(),
+              StatusCode::kParseError);
+    EXPECT_EQ(Decode(bad).status().code(), StatusCode::kParseError);
+    EXPECT_EQ(GetElm(bad, "a", "", "").status().code(),
+              StatusCode::kParseError);
+    EXPECT_EQ(FindKeyInElm(bad, "a", "x").status().code(),
+              StatusCode::kParseError);
+    EXPECT_EQ(GetElmIndex(bad, "", "a", 1, 1).status().code(),
+              StatusCode::kParseError);
+    EXPECT_EQ(Unnest(bad, "").status().code(), StatusCode::kParseError);
+    EXPECT_FALSE(IsCompressed(bad));
+  }
+}
+
+TEST(XadtStoredValueTest, EscapedRunsLongerThanTheParserLimitStillScan) {
+  // 600 KB of '<' in CDATA parses under the 1 MiB token limit but is stored
+  // escaped (2.4 MB); text next to CDATA is stored as one run. Stored raw
+  // values are not held to the parse-time size limits.
+  std::string doc_text = "<doc><item><![CDATA[" + std::string(600000, '<') +
+                         "]]></item><item>x<![CDATA[&]]></item></doc>";
+  auto doc = xml::ParseDocument(doc_text);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  std::vector<const xml::Node*> roots;
+  for (const auto& c : doc->root->children()) roots.push_back(c.get());
+  std::string plain = Encode(roots, /*compressed=*/false);
+  auto elm = GetElm(plain, "item", "", "");
+  ASSERT_TRUE(elm.ok()) << elm.status().ToString();
+  EXPECT_EQ(*elm, plain);
+  auto index = GetElmIndex(plain, "", "item", 1, 2);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  EXPECT_EQ(*index, plain);
+  auto decoded = Decode(plain);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_EQ((*decoded)->children().size(), 2u);
+  EXPECT_EQ((*decoded)->children()[0]->TextContent().size(), 600000u);
+  EXPECT_EQ((*decoded)->children()[1]->TextContent(), "x&");
 }
 
 TEST(XadtGrammarTest, RawScansRejectWhatTheParserRejects) {
@@ -382,8 +435,7 @@ TEST(XadtPropertyTest, RandomDocsRoundTripBothFormats) {
 // ---------------------------------------------------------------------------
 // Differential: every method answers as the DOM oracle does on every
 // encoding of one fragment — the raw XML text as written (comments, CDATA
-// and entities kept), the raw and compressed encodings of its DOM, and
-// both with a fragment directory.
+// and entities kept) and the raw and compressed encodings of its DOM.
 
 // An XADT result as comparable text: the XML it holds, serialized from its
 // decoded tree (so a raw value's quoting and comments do not show), or its
@@ -567,7 +619,8 @@ class DomOracle {
     std::string out;
     for (const auto& [n, depth] : PostOrder()) {
       if (tag.empty() ? depth == 0 : n->name() == tag) {
-        out += "[" + n->TextContent() + "|" + Serialize({n}) + "]";
+        out.append("[").append(n->TextContent()).append("|");
+        out.append(Serialize({n})).append("]");
       }
     }
     return out;
@@ -590,9 +643,7 @@ std::string ExpectEncodingsAgree(const MethodCase& c) {
   const std::pair<const char*, std::string> encodings[] = {
       {"raw text", "R" + c.xml},
       {"raw", EncodeRaw(roots)},
-      {"compressed", EncodeCompressed(roots)},
-      {"raw+directory", EncodeWithDirectory(roots, false)},
-      {"compressed+directory", EncodeWithDirectory(roots, true)}};
+      {"compressed", EncodeCompressed(roots)}};
   for (const auto& [name, bytes] : encodings) {
     EXPECT_EQ(AllAnswers(bytes, c), expected) << name << " of " << c.xml;
   }
@@ -656,7 +707,8 @@ TEST(XadtDifferentialTest, MultiByteVarintsAgreeAcrossEncodings) {
   // first 64 ids matched by name.
   std::string xml = "<root>";
   for (int i = 0; i < 200; ++i) {
-    std::string name = "e" + std::to_string(i);
+    std::string name = "e";
+    name += std::to_string(i);
     xml += "<" + name + " a" + std::to_string(i) + "=\"" +
            std::string(130, 'v') + "\">" + name + "</" + name + ">";
   }
@@ -684,7 +736,8 @@ std::string Varint(uint64_t v) {
 // 'C' + a dictionary of `names` + `tokens`.
 std::string Compressed(const std::vector<std::string>& names,
                        const std::string& tokens) {
-  std::string out = "C" + Varint(names.size());
+  std::string out = "C";
+  out += Varint(names.size());
   for (const std::string& n : names) out += Varint(n.size()) + n;
   return out + tokens;
 }

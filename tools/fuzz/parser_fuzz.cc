@@ -8,10 +8,12 @@
 //     serialization;
 //   * one decoder: whenever the input parses, its raw and compressed
 //     encodings decode to the same serialization, and findKeyInElm,
-//     getElm, getElmIndex and unnest answer alike on the raw text, the
-//     raw and compressed encodings, and both with a fragment directory;
+//     getElm, getElmIndex and unnest answer alike on the raw text and the
+//     raw and compressed encodings;
 //   * the compressed decoder fails closed: "C" + input, fed to every XADT
-//     method, returns OK or a clean kParseError/kCorruption.
+//     method, returns OK or a clean kParseError/kCorruption;
+//   * 'D' is no representation: "D" + input, fed to every XADT method and
+//     to Decode/ToXmlString, returns kParseError.
 // A differential mismatch aborts, so it fails the fuzzer and the replay.
 //
 // Two build modes share this file:
@@ -88,7 +90,9 @@ std::string Show(
            std::string(xorator::StatusCodeToString(fragments.status().code()));
   }
   std::string out;
-  for (const std::string& f : *fragments) out += "[" + Show(f) + "]";
+  for (const std::string& f : *fragments) {
+    out.append("[").append(Show(f)).append("]");
+  }
   return out;
 }
 
@@ -127,11 +131,7 @@ void CheckMethodsAgree(const std::string& input,
   namespace xadt = xorator::xadt;
   Require(MethodAnswers(xadt::EncodeRaw(roots), elm, key) == expected &&
               MethodAnswers(xadt::EncodeCompressed(roots), elm, key) ==
-                  expected &&
-              MethodAnswers(xadt::EncodeWithDirectory(roots, false), elm,
-                            key) == expected &&
-              MethodAnswers(xadt::EncodeWithDirectory(roots, true), elm,
-                            key) == expected,
+                  expected,
           "XADT methods answer alike on every encoding");
 }
 
@@ -171,6 +171,24 @@ void CheckCompressedFailsClosed(const std::string& input) {
               CleanFailure(xadt::Decode(value).status()) &&
               CleanFailure(xadt::ToXmlString(value).status()),
           "every method fails closed on a compressed value");
+}
+
+// The input behind an unknown marker: every method, Decode and ToXmlString
+// return kParseError without looking further.
+void CheckUnknownMarkerRejected(const std::string& input) {
+  namespace xadt = xorator::xadt;
+  const std::string value = "D" + input;
+  auto parse_error = [](const xorator::Status& status) {
+    return status.code() == xorator::StatusCode::kParseError;
+  };
+  Require(parse_error(xadt::FindKeyInElm(value, "a", "ab").status()) &&
+              parse_error(xadt::FindKeyInElm(value, "", "ab").status()) &&
+              parse_error(xadt::GetElm(value, "a", "a", "ab").status()) &&
+              parse_error(xadt::GetElmIndex(value, "", "a", 1, 2).status()) &&
+              parse_error(xadt::Unnest(value, "").status()) &&
+              parse_error(xadt::Decode(value).status()) &&
+              parse_error(xadt::ToXmlString(value).status()),
+          "a value with an unknown marker is a parse error");
 }
 
 // The differential checks parse under the limits raw XADT values are
@@ -218,6 +236,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
                     "fuzz input; errors expected");
   CheckLexerAndDecoderAgree(input);
   CheckCompressedFailsClosed(input);
+  CheckUnknownMarkerRejected(input);
   return 0;
 }
 

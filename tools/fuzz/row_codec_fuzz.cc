@@ -57,8 +57,9 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   if (size < 1 + ncols) return 0;
   TableSchema schema;
   for (size_t i = 0; i < ncols; ++i) {
-    schema.columns.push_back(
-        {"c" + std::to_string(i), static_cast<TypeId>(data[1 + i] % 6)});
+    std::string name = "c";
+    name += std::to_string(i);
+    schema.columns.push_back({name, static_cast<TypeId>(data[1 + i] % 6)});
   }
   const std::string_view record(
       reinterpret_cast<const char*>(data) + 1 + ncols, size - 1 - ncols);

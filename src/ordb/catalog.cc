@@ -24,6 +24,13 @@ const IndexInfo* TableInfo::FindIndex(std::string_view column) const {
   return nullptr;
 }
 
+const IndexInfo* TableInfo::FindIndex(size_t column_index) const {
+  for (const IndexInfo* idx : indexes) {
+    if (static_cast<size_t>(idx->column_index) == column_index) return idx;
+  }
+  return nullptr;
+}
+
 Result<TableInfo*> Catalog::CreateTable(const std::string& name,
                                         TableSchema schema, BufferPool* pool) {
   // The heap pages are allocated before taking the registry lock so the

@@ -62,6 +62,8 @@ struct TableInfo {
 
   /// The index on `column`, or nullptr.
   const IndexInfo* FindIndex(std::string_view column) const;
+  /// The index on the schema's column at `column_index`, or nullptr.
+  const IndexInfo* FindIndex(size_t column_index) const;
 };
 
 /// In-memory catalog of tables and indexes. The catalog owns all table and

@@ -634,7 +634,7 @@ Status Database::RunStats() {
         // XADT columns get no statistics: no plan or advisor decision reads
         // them, and hashing every fragment would dominate the scan.
         if (t->schema.columns[i].type == TypeId::kXadt) continue;
-        const uint64_t hash = row.column(i).ToValue().Hash();
+        const uint64_t hash = row.column(i).Hash();
         // Cap the per-column map so runstats stays cheap on huge tables;
         // values already in it keep counting.
         auto it = counts[i].find(hash);
@@ -664,7 +664,7 @@ namespace {
 /// A column compared for equality, with the literal it is compared
 /// against (nullptr when the other side is not a literal, e.g. a join).
 struct Equality {
-  std::string column;
+  std::string_view column;
   const Value* literal = nullptr;
 };
 
@@ -752,6 +752,7 @@ Status Database::AdviseIndexes(const std::vector<std::string>& queries) {
   XO_RETURN_NOT_OK(health_.CheckWritable());
   xo::WriterLock lock(&mu_);
   using Column = std::pair<std::string, std::string>;  // (table, column)
+  Planner planner(&catalog_, &functions_, options_.planner);
   std::vector<sql::Statement> selects;
   std::set<Column> wanted;
   std::set<Column> rare_literal_only;
@@ -761,40 +762,32 @@ Status Database::AdviseIndexes(const std::vector<std::string>& queries) {
     if (parsed->kind != sql::Statement::Kind::kSelect) continue;
     const sql::SelectStmt& stmt = parsed->select;
     if (stmt.where == nullptr) continue;
+    // Names resolve exactly as the planner resolves them.
+    auto items = planner.BindFrom(stmt);
+    if (!items.ok()) continue;
+    const Scope scope(&*items);
     std::vector<Equality> equalities;
     CollectEqualities(*stmt.where, &equalities);
-    // Resolve alias.col / col names against the statement's FROM clause.
     for (const Equality& eq : equalities) {
-      std::string alias;
-      std::string col = eq.column;
-      size_t dot = eq.column.find('.');
-      if (dot != std::string::npos) {
-        alias = eq.column.substr(0, dot);
-        col = eq.column.substr(dot + 1);
-      }
-      for (const sql::TableRef& ref : stmt.from) {
-        if (ref.is_function) continue;
-        if (!alias.empty() && !EqualsIgnoreCase(ref.alias, alias)) continue;
-        const TableInfo* t = catalog_.FindTable(ref.table);
-        if (t == nullptr) continue;
-        int idx = t->schema.ColumnIndex(col);
-        if (idx < 0) continue;
-        if (t->schema.columns[idx].type == TypeId::kXadt) continue;
-        // Like DB2's Index Wizard, skip columns where an equality match is
-        // unselective: a join column with more than ~50 rows per distinct
-        // value, a literal matching more than 2% of the rows.
-        // Small tables and tables without statistics pass both rules.
-        const ColumnStats& cs = t->stats.columns[idx];
-        const uint64_t rows = t->stats.row_count;
-        const bool exempt = !t->stats.collected || rows <= 100;
-        const bool ndv_selective =
-            exempt || cs.ndv >= static_cast<double>(rows) * 0.02;
-        if (eq.literal == nullptr) {
-          if (ndv_selective) wanted.emplace(ref.table, col);
-        } else if (exempt ||
-                   cs.EqFraction(eq.literal->Hash(), rows) <= 0.02) {
-          (ndv_selective ? wanted : rare_literal_only).emplace(ref.table, col);
-        }
+      auto res = scope.Resolve(eq.column);
+      if (!res.ok()) continue;
+      const TableInfo* t = (*items)[res->item].table;
+      if (t == nullptr) continue;  // a table function's output
+      const ColumnDef& def = t->schema.columns[res->column];
+      if (def.type == TypeId::kXadt) continue;
+      // Like DB2's Index Wizard, skip columns where an equality match is
+      // unselective: a join column with more than ~50 rows per distinct
+      // value, a literal matching more than 2% of the rows.
+      // Small tables and tables without statistics pass both rules.
+      const ColumnStats& cs = t->stats.columns[res->column];
+      const uint64_t rows = t->stats.row_count;
+      const bool exempt = !t->stats.collected || rows <= 100;
+      const bool ndv_selective =
+          exempt || cs.ndv >= static_cast<double>(rows) * 0.02;
+      if (eq.literal == nullptr) {
+        if (ndv_selective) wanted.emplace(t->name, def.name);
+      } else if (exempt || cs.EqFraction(eq.literal->Hash(), rows) <= 0.02) {
+        (ndv_selective ? wanted : rare_literal_only).emplace(t->name, def.name);
       }
     }
     selects.push_back(std::move(*parsed));
@@ -809,7 +802,6 @@ Status Database::AdviseIndexes(const std::vector<std::string>& queries) {
   // plan would use it (DB2's Index Wizard plans against virtual indexes the
   // same way): a treeless stub stands in for the index while every advised
   // statement is planned, never opened.
-  Planner planner(&catalog_, &functions_, options_.planner);
   for (const auto& [table, col] : rare_literal_only) {
     TableInfo* t = catalog_.FindTable(table);
     if (t->FindIndex(col) != nullptr) continue;

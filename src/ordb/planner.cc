@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "common/str_util.h"
@@ -30,61 +31,14 @@ bool ContainsAggregate(const AstExpr& e) {
   return false;
 }
 
-/// One FROM entry with its contribution to the combined row layout.
-struct FromItem {
-  const TableInfo* table = nullptr;       // null for table functions
-  const TableFunction* function = nullptr;
-  std::string alias;
-  std::vector<ColumnMeta> columns;  // qualified alias.col
-  size_t offset = 0;
-};
-
-/// Resolves column names against the combined layout of all FROM items.
-class Scope {
- public:
-  explicit Scope(const std::vector<FromItem>* items) : items_(items) {}
-
-  struct Resolution {
-    size_t global_index;
-    size_t item;
-    TypeId type;
-    std::string qualified;
-  };
-
-  Result<Resolution> Resolve(const std::string& name) const {
-    bool qualified = name.find('.') != std::string::npos;
-    const FromItem* found_item = nullptr;
-    Resolution found{};
-    for (size_t i = 0; i < items_->size(); ++i) {
-      const FromItem& item = (*items_)[i];
-      for (size_t c = 0; c < item.columns.size(); ++c) {
-        std::string_view col = item.columns[c].name;
-        bool match = qualified ? EqualsIgnoreCase(col, name)
-                               : col.size() > name.size() &&
-                                     col[col.size() - name.size() - 1] == '.' &&
-                                     EqualsIgnoreCase(
-                                         col.substr(col.size() - name.size()),
-                                         name);
-        if (!match) continue;
-        if (found_item != nullptr) {
-          return Status::InvalidArgument("ambiguous column '" + name + "'");
-        }
-        found_item = &item;
-        found.global_index = item.offset + c;
-        found.item = i;
-        found.type = item.columns[c].type;
-        found.qualified = item.columns[c].name;
-      }
-    }
-    if (found_item == nullptr) {
-      return Status::NotFound("unknown column '" + name + "'");
-    }
-    return found;
-  }
-
- private:
-  const std::vector<FromItem>* items_;
-};
+/// True if layout column `column` ("alias.col") is the one `name` ("col"
+/// or "alias.col") names.
+bool NameMatches(std::string_view column, std::string_view name) {
+  if (EqualsIgnoreCase(column, name)) return true;
+  return column.size() > name.size() &&
+         column[column.size() - name.size() - 1] == '.' &&
+         EqualsIgnoreCase(column.substr(column.size() - name.size()), name);
+}
 
 /// Binds AST expressions to executable expressions against the combined
 /// layout, optionally shifted for side-local binding.
@@ -103,7 +57,8 @@ class Binder {
           return Status::Internal("column bound below side offset");
         }
         return ExprPtr(new ColumnRefExpr(res.global_index - offset_shift,
-                                         res.qualified, res.type));
+                                         std::string(res.qualified),
+                                         res.type));
       }
       case AstExpr::Kind::kLiteral:
         return ExprPtr(new LiteralExpr(e.literal));
@@ -168,9 +123,18 @@ FromItem TableItem(const TableInfo& table, const std::string& alias) {
   return item;
 }
 
-void CollectColumnNames(const AstExpr& e, std::vector<std::string>* out) {
-  if (e.kind == AstExpr::Kind::kColumn) out->push_back(e.name);
-  for (const auto& c : e.children) CollectColumnNames(*c, out);
+/// Appends the resolution of every column `e` names, in order; fails at
+/// the first name that does not resolve.
+Status ResolveColumns(const AstExpr& e, const Scope& scope,
+                      std::vector<Scope::Resolution>* out) {
+  if (e.kind == AstExpr::Kind::kColumn) {
+    XO_ASSIGN_OR_RETURN(Scope::Resolution res, scope.Resolve(e.name));
+    out->push_back(res);
+  }
+  for (const auto& c : e.children) {
+    XO_RETURN_NOT_OK(ResolveColumns(*c, scope, out));
+  }
+  return Status::OK();
 }
 
 /// A WHERE conjunct with the FROM items and layout columns it references.
@@ -222,16 +186,11 @@ double EstimateSelectivity(const AstExpr& e, const TableInfo& table,
       const AstExpr* col;
       const Value* literal;
       if (MatchColumnEqLiteral(e, &col, &literal) && table.stats.collected) {
+        // A pushed-down filter names only `table`'s own columns.
         auto res = scope.Resolve(col->name);
-        if (res.ok()) {
-          // Map the qualified name back to the table's local column.
-          std::string local = res->qualified.substr(
-              res->qualified.find('.') + 1);
-          int idx = table.schema.ColumnIndex(local);
-          if (idx >= 0 && table.stats.columns[idx].ndv > 0) {
-            return table.stats.columns[idx].EqFraction(literal->Hash(),
-                                                       table.stats.row_count);
-          }
+        if (res.ok() && table.stats.columns[res->column].ndv > 0) {
+          return table.stats.columns[res->column].EqFraction(
+              literal->Hash(), table.stats.row_count);
         }
       }
       return 0.05;
@@ -259,12 +218,28 @@ bool MatchEquiJoin(const AstExpr& e) {
 
 }  // namespace
 
-Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt) {
-  if (stmt.from.empty()) {
-    return Status::InvalidArgument("FROM clause is required");
+Result<Scope::Resolution> Scope::Resolve(std::string_view name) const {
+  std::optional<Resolution> found;
+  for (size_t i = 0; i < items_->size(); ++i) {
+    const FromItem& item = (*items_)[i];
+    for (size_t c = 0; c < item.columns.size(); ++c) {
+      if (!NameMatches(item.columns[c].name, name)) continue;
+      if (found.has_value()) {
+        return Status::InvalidArgument("ambiguous column '" +
+                                       std::string(name) + "'");
+      }
+      found = Resolution{i, c, item.offset + c, item.columns[c].type,
+                         item.columns[c].name};
+    }
   }
+  if (!found.has_value()) {
+    return Status::NotFound("unknown column '" + std::string(name) + "'");
+  }
+  return *found;
+}
 
-  // ---- Resolve FROM items and the combined layout. -----------------------
+Result<std::vector<FromItem>> Planner::BindFrom(
+    const sql::SelectStmt& stmt) const {
   std::vector<FromItem> items;
   items.reserve(stmt.from.size());
   size_t offset = 0;
@@ -291,6 +266,16 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt) {
     offset += item.columns.size();
     items.push_back(std::move(item));
   }
+  return items;
+}
+
+Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt) {
+  if (stmt.from.empty()) {
+    return Status::InvalidArgument("FROM clause is required");
+  }
+
+  XO_ASSIGN_OR_RETURN(std::vector<FromItem> items, BindFrom(stmt));
+  const size_t width = items.back().offset + items.back().columns.size();
   Scope scope(&items);
   Binder binder(&scope, functions_);
 
@@ -302,10 +287,9 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt) {
     for (const AstExpr* e : flat) {
       Conjunct c;
       c.ast = e;
-      std::vector<std::string> cols;
-      CollectColumnNames(*e, &cols);
-      for (const std::string& name : cols) {
-        XO_ASSIGN_OR_RETURN(auto res, scope.Resolve(name));
+      std::vector<Scope::Resolution> cols;
+      XO_RETURN_NOT_OK(ResolveColumns(*e, scope, &cols));
+      for (const Scope::Resolution& res : cols) {
         c.items.insert(res.item);
         c.columns.push_back(res.global_index);
       }
@@ -321,18 +305,17 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt) {
   // item); the select list and GROUP BY read at the top. Scans and the
   // index join's inner side materialize the columns read at any stage; a
   // lateral at position i copies only the columns read after stage 2i.
-  // Row layouts keep their width, so no expression is rebound. Names that
-  // do not resolve are skipped here; Bind reports them below.
-  std::vector<int> last_read(offset, -1);
+  // Row layouts keep their width, so no expression is rebound. An expression
+  // naming an unknown column is skipped here; Bind reports it below.
+  std::vector<int> last_read(width, -1);
   auto mark_column = [&](size_t column, int stage) {
     last_read[column] = std::max(last_read[column], stage);
   };
   auto mark_read = [&](const AstExpr& e, int stage) {
-    std::vector<std::string> cols;
-    CollectColumnNames(e, &cols);
-    for (const std::string& name : cols) {
-      auto res = scope.Resolve(name);
-      if (res.ok()) mark_column(res->global_index, stage);
+    std::vector<Scope::Resolution> cols;
+    if (!ResolveColumns(e, scope, &cols).ok()) return;
+    for (const Scope::Resolution& res : cols) {
+      mark_column(res.global_index, stage);
     }
   };
   const int top_stage = static_cast<int>(2 * items.size());
@@ -406,8 +389,7 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt) {
       if (!MatchColumnEqLiteral(*c->ast, &col, &literal)) continue;
       auto res = scope.Resolve(col->name);
       if (!res.ok() || res->item != i) continue;
-      std::string local = res->qualified.substr(res->qualified.find('.') + 1);
-      const IndexInfo* idx = item.table->FindIndex(local);
+      const IndexInfo* idx = item.table->FindIndex(res->column);
       if (idx == nullptr) continue;
       double selectivity = EstimateSelectivity(*c->ast, *item.table, scope);
       if (index == nullptr || selectivity < best_selectivity) {
@@ -455,10 +437,9 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt) {
       // layout (they may reference earlier items only).
       std::vector<ExprPtr> args;
       for (const auto& a : stmt.from[i].function_args) {
-        std::vector<std::string> cols;
-        CollectColumnNames(*a, &cols);
-        for (const std::string& name : cols) {
-          XO_ASSIGN_OR_RETURN(auto res, scope.Resolve(name));
+        std::vector<Scope::Resolution> cols;
+        XO_RETURN_NOT_OK(ResolveColumns(*a, scope, &cols));
+        for (const Scope::Resolution& res : cols) {
           if (!joined.count(res.item)) {
             return Status::InvalidArgument(
                 "table function argument references a later FROM item");
@@ -530,13 +511,9 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt) {
         if (items[i].table != nullptr && items[i].table->stats.collected &&
             keys[0].item_side->kind == AstExpr::Kind::kColumn) {
           auto res = scope.Resolve(keys[0].item_side->name);
-          if (res.ok() && res->item == i) {
-            std::string local =
-                res->qualified.substr(res->qualified.find('.') + 1);
-            int idx = items[i].table->schema.ColumnIndex(local);
-            if (idx >= 0 && items[i].table->stats.columns[idx].ndv > 0) {
-              ndv_key = items[i].table->stats.columns[idx].ndv;
-            }
+          if (res.ok() && res->item == i &&
+              items[i].table->stats.columns[res->column].ndv > 0) {
+            ndv_key = items[i].table->stats.columns[res->column].ndv;
           }
         }
         double join_rows = std::max(
@@ -555,10 +532,8 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt) {
             for (JoinKey& k : keys) {
               if (k.item_side->kind != AstExpr::Kind::kColumn) continue;
               auto res = scope.Resolve(k.item_side->name);
-              if (!res.ok()) continue;
-              std::string local =
-                  res->qualified.substr(res->qualified.find('.') + 1);
-              const IndexInfo* idx = items[i].table->FindIndex(local);
+              if (!res.ok() || res->item != i) continue;
+              const IndexInfo* idx = items[i].table->FindIndex(res->column);
               if (idx == nullptr) continue;
               // Residual: the remaining join keys (bound to the combined
               // layout).
@@ -771,14 +746,7 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt) {
       int found = -1;
       const auto& cols = plan->columns();
       for (size_t c = 0; c < cols.size(); ++c) {
-        if (EqualsIgnoreCase(cols[c].name, text)) {
-          found = static_cast<int>(c);
-          break;
-        }
-        // Allow matching the unqualified column suffix.
-        size_t dot = cols[c].name.find('.');
-        if (dot != std::string::npos &&
-            EqualsIgnoreCase(cols[c].name.substr(dot + 1), text)) {
+        if (NameMatches(cols[c].name, text)) {
           found = static_cast<int>(c);
           break;
         }

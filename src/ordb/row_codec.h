@@ -37,6 +37,11 @@ class XO_GSL_POINTER(char) ValueView {
   /// any, finally happens).
   Value ToValue() const;
 
+  /// Equals `ToValue().Hash()`, without the copy.
+  uint64_t Hash() const {
+    return HashValue(null_ ? TypeId::kNull : type_, int_, double_, bytes_);
+  }
+
  private:
   friend class RowView;
 

@@ -1,7 +1,10 @@
 #include "ordb/sql.h"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 
+#include "common/lifetime.h"
 #include "common/str_util.h"
 
 namespace xorator::ordb::sql {
@@ -57,92 +60,80 @@ namespace {
 
 enum class TokKind { kIdent, kString, kNumber, kPunct, kEnd };
 
+/// A token is a view into the statement text. A string literal's text is
+/// the body between its quotes, with each '' escape still doubled.
 struct Token {
   TokKind kind = TokKind::kEnd;
-  std::string text;   // ident (original case) / punct
-  std::string upper;  // ident upper-cased, for keyword matching
+  std::string_view text;
   int64_t number = 0;
-  std::string str;  // string literal value
 };
+
+/// The value of a string literal's body: each '' reads as one quote.
+std::string Unquote(std::string_view body) {
+  std::string value;
+  value.reserve(body.size());
+  for (size_t i = 0; i < body.size(); ++i) {
+    value.push_back(body[i]);
+    if (body[i] == '\'') ++i;  // the lexer admits quotes only in pairs
+  }
+  return value;
+}
 
 class Lexer {
  public:
   explicit Lexer(std::string_view input) : input_(input) {}
 
-  Result<std::vector<Token>> Lex() {
-    std::vector<Token> out;
-    while (true) {
-      SkipSpace();
-      if (pos_ >= input_.size()) break;
-      char c = input_[pos_];
-      if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-        size_t start = pos_;
-        while (pos_ < input_.size() &&
-               (std::isalnum(static_cast<unsigned char>(input_[pos_])) ||
-                input_[pos_] == '_')) {
-          ++pos_;
-        }
-        Token t;
-        t.kind = TokKind::kIdent;
-        t.text = std::string(input_.substr(start, pos_ - start));
-        t.upper = ToUpper(t.text);
-        out.push_back(std::move(t));
-      } else if (std::isdigit(static_cast<unsigned char>(c)) ||
-                 (c == '-' && pos_ + 1 < input_.size() &&
-                  std::isdigit(static_cast<unsigned char>(input_[pos_ + 1])) &&
-                  NumberMayFollow(out))) {
-        size_t start = pos_;
-        if (c == '-') ++pos_;
-        while (pos_ < input_.size() &&
-               std::isdigit(static_cast<unsigned char>(input_[pos_]))) {
-          ++pos_;
-        }
-        Token t;
-        t.kind = TokKind::kNumber;
-        t.number = std::stoll(std::string(input_.substr(start, pos_ - start)));
-        out.push_back(std::move(t));
-      } else if (c == '\'') {
+  /// The next token; kEnd once the input is used up.
+  Result<Token> Next() {
+    SkipSpace();
+    Token t;
+    if (pos_ >= input_.size()) return t;
+    const size_t start = pos_;
+    const char c = input_[pos_];
+    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
+      t.kind = TokKind::kIdent;
+      while (pos_ < input_.size() &&
+             (std::isalnum(static_cast<unsigned char>(input_[pos_])) ||
+              input_[pos_] == '_')) {
         ++pos_;
-        std::string value;
-        while (true) {
-          if (pos_ >= input_.size()) {
-            return Status::ParseError("unterminated string literal");
-          }
-          if (input_[pos_] == '\'') {
-            if (pos_ + 1 < input_.size() && input_[pos_ + 1] == '\'') {
-              value.push_back('\'');
-              pos_ += 2;
-              continue;
-            }
-            ++pos_;
-            break;
-          }
-          value.push_back(input_[pos_++]);
-        }
-        Token t;
-        t.kind = TokKind::kString;
-        t.str = std::move(value);
-        out.push_back(std::move(t));
-      } else {
-        Token t;
-        t.kind = TokKind::kPunct;
-        // Two-char operators.
-        if (pos_ + 1 < input_.size()) {
-          std::string two(input_.substr(pos_, 2));
-          if (two == "<>" || two == "<=" || two == ">=" || two == "!=") {
-            t.text = two == "!=" ? "<>" : two;
-            pos_ += 2;
-            out.push_back(std::move(t));
-            continue;
-          }
-        }
-        t.text = std::string(1, c);
-        ++pos_;
-        out.push_back(std::move(t));
       }
+    } else if (std::isdigit(static_cast<unsigned char>(c)) ||
+               (c == '-' && pos_ + 1 < input_.size() &&
+                std::isdigit(static_cast<unsigned char>(input_[pos_ + 1])) &&
+                NumberMayFollow())) {
+      t.kind = TokKind::kNumber;
+      ++pos_;
+      while (pos_ < input_.size() &&
+             std::isdigit(static_cast<unsigned char>(input_[pos_]))) {
+        ++pos_;
+      }
+    } else if (c == '\'') {
+      t.kind = TokKind::kString;
+      for (++pos_;; ++pos_) {
+        if (pos_ >= input_.size()) {
+          return Status::ParseError("unterminated string literal");
+        }
+        if (input_[pos_] != '\'') continue;
+        if (pos_ + 1 >= input_.size() || input_[pos_ + 1] != '\'') break;
+        ++pos_;  // '' stays in the body
+      }
+      ++pos_;
+    } else {
+      t.kind = TokKind::kPunct;
+      const std::string_view two = input_.substr(pos_, 2);
+      pos_ += two == "<>" || two == "<=" || two == ">=" || two == "!=" ? 2 : 1;
     }
-    out.push_back(Token{});
-    return out;
+    t.text = input_.substr(start, pos_ - start);
+    if (t.kind == TokKind::kString) t.text = t.text.substr(1, t.text.size() - 2);
+    if (t.kind == TokKind::kPunct && t.text == "!=") t.text = "<>";
+    if (t.kind == TokKind::kNumber &&
+        std::from_chars(t.text.data(), t.text.data() + t.text.size(), t.number)
+                .ec != std::errc()) {
+      return Status::ParseError("integer literal out of range: " +
+                                std::string(t.text));
+    }
+    last_ = t;
+    return t;
   }
 
  private:
@@ -159,20 +150,17 @@ class Lexer {
   }
 
   // '-' starts a negative number only where a value may begin.
-  static bool NumberMayFollow(const std::vector<Token>& out) {
-    if (out.empty()) return true;
-    const Token& last = out.back();
-    if (last.kind == TokKind::kPunct &&
-        (last.text == "(" || last.text == "," || last.text == "=" ||
-         last.text == "<" || last.text == ">" || last.text == "<=" ||
-         last.text == ">=" || last.text == "<>")) {
-      return true;
-    }
-    return false;
+  bool NumberMayFollow() const {
+    if (last_.kind == TokKind::kEnd) return true;  // no token yet
+    const std::string_view t = last_.text;
+    return last_.kind == TokKind::kPunct &&
+           (t == "(" || t == "," || t == "=" || t == "<" || t == ">" ||
+            t == "<=" || t == ">=" || t == "<>");
   }
 
   std::string_view input_;
   size_t pos_ = 0;
+  Token last_;
 };
 
 class Parser {
@@ -227,14 +215,15 @@ class Parser {
   }
 
  private:
-  const Token& Peek(size_t off = 0) const {
-    size_t i = pos_ + off;
-    return i < tokens_.size() ? tokens_[i] : tokens_.back();
+  const Token& Peek() const { return tokens_[pos_]; }
+  const Token& Advance() {
+    const Token& t = tokens_[pos_];
+    if (t.kind != TokKind::kEnd) ++pos_;
+    return t;
   }
-  const Token& Advance() { return tokens_[pos_++]; }
 
   bool PeekKeyword(std::string_view kw) const {
-    return Peek().kind == TokKind::kIdent && Peek().upper == kw;
+    return Peek().kind == TokKind::kIdent && EqualsIgnoreCase(Peek().text, kw);
   }
   bool ConsumeKeyword(std::string_view kw) {
     if (PeekKeyword(kw)) {
@@ -254,30 +243,53 @@ class Parser {
     return false;
   }
   Status Error(std::string msg) const {
-    std::string near = Peek().kind == TokKind::kEnd ? "<end>" : Peek().text;
-    if (Peek().kind == TokKind::kString) near = "'" + Peek().str + "'";
-    if (Peek().kind == TokKind::kNumber) near = std::to_string(Peek().number);
+    std::string near(Peek().text);
+    if (Peek().kind == TokKind::kEnd) near = "<end>";
+    if (Peek().kind == TokKind::kString) near = "'" + near + "'";
     return Status::ParseError(msg + " (near \"" + near + "\")");
   }
 
-  Result<std::string> ExpectIdent(std::string_view what) {
+  // The view points into the statement text, which outlives the parser.
+  Result<std::string_view> ExpectIdent(std::string_view what)
+      XO_LIFETIME_BOUND {
     if (Peek().kind != TokKind::kIdent) {
       return Error("expected " + std::string(what));
     }
     return Advance().text;
   }
 
-  static bool IsReserved(const std::string& upper) {
+  static bool IsReserved(std::string_view word) {
     static const char* kReserved[] = {
         "SELECT", "FROM",  "WHERE", "GROUP",  "ORDER", "BY",    "AND",
         "OR",     "NOT",   "LIKE",  "AS",     "TABLE", "ASC",   "DESC",
         "LIMIT",  "HAVING", "DISTINCT", "INSERT", "INTO", "VALUES",
-        "CREATE", "INDEX", "ON", "EXPLAIN", "IS", "NULL", "DELETE",
-        "FROM"};
+        "CREATE", "INDEX", "ON", "EXPLAIN", "IS", "NULL", "DELETE"};
     for (const char* k : kReserved) {
-      if (upper == k) return true;
+      if (EqualsIgnoreCase(word, k)) return true;
     }
     return false;
+  }
+
+  // An optional `[AS] alias`; leaves `*alias` as it is when there is none.
+  Status ParseAlias(std::string* alias) {
+    if (ConsumeKeyword("AS")) {
+      XO_ASSIGN_OR_RETURN(*alias, ExpectIdent("alias"));
+    } else if (Peek().kind == TokKind::kIdent && !IsReserved(Peek().text)) {
+      *alias = Advance().text;
+    }
+    return Status::OK();
+  }
+
+  // A call's arguments after its '(', through the closing ')'.
+  Status ParseArgs(std::vector<AstExprPtr>* args) {
+    if (!PeekPunct(")")) {
+      do {
+        XO_ASSIGN_OR_RETURN(auto arg, ParseExpr());
+        args->push_back(std::move(arg));
+      } while (ConsumePunct(","));
+    }
+    if (!ConsumePunct(")")) return Error("expected ')' after arguments");
+    return Status::OK();
   }
 
   Result<SelectStmt> ParseSelect() {
@@ -288,11 +300,7 @@ class Parser {
     while (true) {
       SelectItem item;
       XO_ASSIGN_OR_RETURN(item.expr, ParseExpr());
-      if (ConsumeKeyword("AS")) {
-        XO_ASSIGN_OR_RETURN(item.alias, ExpectIdent("alias"));
-      } else if (Peek().kind == TokKind::kIdent && !IsReserved(Peek().upper)) {
-        item.alias = Advance().text;
-      }
+      XO_RETURN_NOT_OK(ParseAlias(&item.alias));
       stmt.items.push_back(std::move(item));
       if (!ConsumePunct(",")) break;
     }
@@ -304,29 +312,14 @@ class Parser {
         ref.is_function = true;
         XO_ASSIGN_OR_RETURN(ref.function_name, ExpectIdent("function name"));
         if (!ConsumePunct("(")) return Error("expected '(' in table function");
-        if (!PeekPunct(")")) {
-          while (true) {
-            XO_ASSIGN_OR_RETURN(auto arg, ParseExpr());
-            ref.function_args.push_back(std::move(arg));
-            if (!ConsumePunct(",")) break;
-          }
-        }
-        if (!ConsumePunct(")")) return Error("expected ')' after arguments");
+        XO_RETURN_NOT_OK(ParseArgs(&ref.function_args));
         if (!ConsumePunct(")")) return Error("expected ')' after TABLE(...)");
-        if (Peek().kind == TokKind::kIdent && !IsReserved(Peek().upper)) {
-          ref.alias = Advance().text;
-        } else {
-          return Error("table function requires an alias");
-        }
+        XO_RETURN_NOT_OK(ParseAlias(&ref.alias));
+        if (ref.alias.empty()) return Error("table function requires an alias");
       } else {
         XO_ASSIGN_OR_RETURN(ref.table, ExpectIdent("table name"));
         ref.alias = ref.table;
-        if (ConsumeKeyword("AS")) {
-          XO_ASSIGN_OR_RETURN(ref.alias, ExpectIdent("alias"));
-        } else if (Peek().kind == TokKind::kIdent &&
-                   !IsReserved(Peek().upper)) {
-          ref.alias = Advance().text;
-        }
+        XO_RETURN_NOT_OK(ParseAlias(&ref.alias));
       }
       stmt.from.push_back(std::move(ref));
       if (!ConsumePunct(",")) break;
@@ -420,7 +413,7 @@ class Parser {
       }
       auto node = std::make_unique<AstExpr>();
       node->kind = AstExpr::Kind::kLike;
-      node->pattern = Advance().str;
+      node->pattern = Unquote(Advance().text);
       node->children.push_back(std::move(lhs));
       return node;
     }
@@ -450,7 +443,7 @@ class Parser {
     }
     if (Peek().kind == TokKind::kString) {
       node->kind = AstExpr::Kind::kLiteral;
-      node->literal = Value::Varchar(Advance().str);
+      node->literal = Value::Varchar(Unquote(Advance().text));
       return node;
     }
     if (Peek().kind == TokKind::kNumber) {
@@ -464,27 +457,17 @@ class Parser {
       return node;
     }
     if (Peek().kind != TokKind::kIdent) return Error("expected expression");
-    std::string first = Advance().text;
-    if (PeekPunct("(")) {
-      // Function call.
-      Advance();
+    node->name = Advance().text;
+    if (ConsumePunct("(")) {
       node->kind = AstExpr::Kind::kFunc;
-      node->name = first;
-      if (!PeekPunct(")")) {
-        while (true) {
-          XO_ASSIGN_OR_RETURN(auto arg, ParseExpr());
-          node->children.push_back(std::move(arg));
-          if (!ConsumePunct(",")) break;
-        }
-      }
-      if (!ConsumePunct(")")) return Error("expected ')' after arguments");
+      XO_RETURN_NOT_OK(ParseArgs(&node->children));
       return node;
     }
     node->kind = AstExpr::Kind::kColumn;
-    node->name = first;
     if (ConsumePunct(".")) {
-      XO_ASSIGN_OR_RETURN(std::string col, ExpectIdent("column name"));
-      node->name = first + "." + col;
+      XO_ASSIGN_OR_RETURN(std::string_view col, ExpectIdent("column name"));
+      node->name.push_back('.');
+      node->name.append(col);
     }
     return node;
   }
@@ -494,24 +477,22 @@ class Parser {
     XO_ASSIGN_OR_RETURN(stmt.name, ExpectIdent("table name"));
     if (!ConsumePunct("(")) return Error("expected '('");
     while (true) {
-      std::string col;
-      XO_ASSIGN_OR_RETURN(col, ExpectIdent("column name"));
-      XO_ASSIGN_OR_RETURN(std::string type_name, ExpectIdent("type"));
-      std::string upper = ToUpper(type_name);
-      TypeId type;
-      if (upper == "INTEGER" || upper == "INT" || upper == "BIGINT") {
-        type = TypeId::kInteger;
-      } else if (upper == "VARCHAR" || upper == "TEXT" || upper == "STRING" ||
-                 upper == "CHAR" || upper == "CLOB") {
-        type = TypeId::kVarchar;
-      } else if (upper == "XADT" || upper == "XML") {
-        type = TypeId::kXadt;
-      } else if (upper == "DOUBLE" || upper == "FLOAT" || upper == "REAL") {
-        type = TypeId::kDouble;
-      } else if (upper == "BOOLEAN" || upper == "BOOL") {
-        type = TypeId::kBoolean;
-      } else {
-        return Error("unknown type '" + type_name + "'");
+      XO_ASSIGN_OR_RETURN(std::string_view col, ExpectIdent("column name"));
+      XO_ASSIGN_OR_RETURN(std::string_view type_name, ExpectIdent("type"));
+      static const std::pair<const char*, TypeId> kTypes[] = {
+          {"INTEGER", TypeId::kInteger}, {"INT", TypeId::kInteger},
+          {"BIGINT", TypeId::kInteger},  {"VARCHAR", TypeId::kVarchar},
+          {"TEXT", TypeId::kVarchar},    {"STRING", TypeId::kVarchar},
+          {"CHAR", TypeId::kVarchar},    {"CLOB", TypeId::kVarchar},
+          {"XADT", TypeId::kXadt},       {"XML", TypeId::kXadt},
+          {"DOUBLE", TypeId::kDouble},   {"FLOAT", TypeId::kDouble},
+          {"REAL", TypeId::kDouble},     {"BOOLEAN", TypeId::kBoolean},
+          {"BOOL", TypeId::kBoolean}};
+      const auto* type = std::find_if(
+          std::begin(kTypes), std::end(kTypes),
+          [&](const auto& t) { return EqualsIgnoreCase(type_name, t.first); });
+      if (type == std::end(kTypes)) {
+        return Error("unknown type '" + std::string(type_name) + "'");
       }
       // Optional length/precision: VARCHAR(80).
       if (ConsumePunct("(")) {
@@ -521,12 +502,10 @@ class Parser {
         }
       }
       // Optional PRIMARY KEY / NOT NULL noise words.
-      while (Peek().kind == TokKind::kIdent &&
-             (Peek().upper == "PRIMARY" || Peek().upper == "KEY" ||
-              Peek().upper == "NOT" || Peek().upper == "NULL")) {
-        Advance();
+      while (ConsumeKeyword("PRIMARY") || ConsumeKeyword("KEY") ||
+             ConsumeKeyword("NOT") || ConsumeKeyword("NULL")) {
       }
-      stmt.columns.emplace_back(col, type);
+      stmt.columns.emplace_back(col, type->second);
       if (!ConsumePunct(",")) break;
     }
     if (!ConsumePunct(")")) return Error("expected ')'");
@@ -554,7 +533,7 @@ class Parser {
       std::vector<Value> row;
       while (true) {
         if (Peek().kind == TokKind::kString) {
-          row.push_back(Value::Varchar(Advance().str));
+          row.push_back(Value::Varchar(Unquote(Advance().text)));
         } else if (Peek().kind == TokKind::kNumber) {
           row.push_back(Value::Int(Advance().number));
         } else if (ConsumeKeyword("NULL")) {
@@ -579,34 +558,25 @@ class Parser {
 
 Result<Statement> ParseSql(std::string_view input) {
   Lexer lexer(input);
-  XO_ASSIGN_OR_RETURN(auto tokens, lexer.Lex());
-  Parser parser(std::move(tokens));
-  return parser.ParseStatement();
+  std::vector<Token> tokens;
+  do {
+    XO_ASSIGN_OR_RETURN(Token t, lexer.Next());
+    tokens.push_back(t);
+  } while (tokens.back().kind != TokKind::kEnd);
+  return Parser(std::move(tokens)).ParseStatement();
 }
 
 StatementClass ClassifyStatement(std::string_view input) {
-  size_t i = 0;
-  while (i < input.size() &&
-         std::isspace(static_cast<unsigned char>(input[i]))) {
-    ++i;
+  static const std::pair<const char*, StatementClass> kClasses[] = {
+      {"SELECT", StatementClass::kRead},     {"EXPLAIN", StatementClass::kRead},
+      {"CREATE", StatementClass::kMutation}, {"INSERT", StatementClass::kMutation},
+      {"DELETE", StatementClass::kMutation}, {"PRAGMA", StatementClass::kPragma}};
+  auto first = Lexer(input).Next();
+  if (!first.ok() || first->kind != TokKind::kIdent) {
+    return StatementClass::kUnknown;
   }
-  size_t j = i;
-  while (j < input.size() &&
-         std::isalpha(static_cast<unsigned char>(input[j]))) {
-    ++j;
-  }
-  const std::string_view keyword = input.substr(i, j - i);
-  if (EqualsIgnoreCase(keyword, "SELECT") ||
-      EqualsIgnoreCase(keyword, "EXPLAIN")) {
-    return StatementClass::kRead;
-  }
-  if (EqualsIgnoreCase(keyword, "CREATE") ||
-      EqualsIgnoreCase(keyword, "INSERT") ||
-      EqualsIgnoreCase(keyword, "DELETE")) {
-    return StatementClass::kMutation;
-  }
-  if (EqualsIgnoreCase(keyword, "PRAGMA")) {
-    return StatementClass::kPragma;
+  for (const auto& [keyword, statement_class] : kClasses) {
+    if (EqualsIgnoreCase(first->text, keyword)) return statement_class;
   }
   return StatementClass::kUnknown;
 }

@@ -142,12 +142,14 @@ enum class StatementClass {
   kUnknown,
 };
 
-/// Classifies `input` by its first keyword (case-insensitive, leading
-/// whitespace skipped). Never fails: garbage is kUnknown, and the caller
-/// falls through to ParseSql for the authoritative diagnosis. The
-/// classification is intentionally conservative — a kRead answer
-/// guarantees the statement cannot mutate, because the parser maps each
-/// leading keyword to exactly one statement kind.
+/// Classifies `input` by the first token ParseSql's lexer reads from it, so
+/// whitespace and `--` comments before the keyword are skipped alike, and
+/// the keyword matches case-insensitively. Never fails: garbage is
+/// kUnknown, and the caller falls through to ParseSql for the
+/// authoritative diagnosis. The classification is intentionally
+/// conservative — a kRead answer guarantees the statement cannot mutate,
+/// because the parser maps each leading keyword to exactly one statement
+/// kind.
 [[nodiscard]] StatementClass ClassifyStatement(std::string_view input);
 
 /// Parses one SQL statement (optionally ';'-terminated). Supported grammar:

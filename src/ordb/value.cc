@@ -46,30 +46,34 @@ int Value::Compare(const Value& other) const {
   return str_.compare(other.str_) < 0 ? -1 : (str_ == other.str_ ? 0 : 1);
 }
 
-uint64_t Value::Hash() const {
-  switch (type_) {
+uint64_t HashValue(TypeId type, int64_t int_part, double double_part,
+                   std::string_view bytes) {
+  switch (type) {
     case TypeId::kNull:
       return 0x9e3779b97f4a7c15ULL;
     case TypeId::kBoolean:
     case TypeId::kInteger:
-      return xo::WrapMul(static_cast<uint64_t>(int_), 0x9e3779b97f4a7c15ULL);
+      return xo::WrapMul(static_cast<uint64_t>(int_part),
+                         0x9e3779b97f4a7c15ULL);
     case TypeId::kDouble: {
       // Hash doubles through their integer value when exact so that
       // 1 == 1.0 hashes consistently.
-      auto as_int = static_cast<int64_t>(double_);
-      if (static_cast<double>(as_int) == double_) {
+      auto as_int = static_cast<int64_t>(double_part);
+      if (static_cast<double>(as_int) == double_part) {
         return xo::WrapMul(static_cast<uint64_t>(as_int),
                            0x9e3779b97f4a7c15ULL);
       }
-      return xo::WrapMul(std::bit_cast<uint64_t>(double_),
+      return xo::WrapMul(std::bit_cast<uint64_t>(double_part),
                          0x9e3779b97f4a7c15ULL);
     }
     case TypeId::kVarchar:
     case TypeId::kXadt:
-      return Hash64(str_);
+      return Hash64(bytes);
   }
   return 0;
 }
+
+uint64_t Value::Hash() const { return HashValue(type_, int_, double_, str_); }
 
 std::string Value::ToString() const {
   switch (type_) {

@@ -22,6 +22,13 @@ enum class TypeId : uint8_t {
 
 std::string_view TypeName(TypeId t);
 
+/// The hash of a value of `type` (kNull for NULL) whose numeric part is
+/// `int_part` (integers, booleans) or `double_part` and whose string or
+/// XADT payload is `bytes`. `Value::Hash` and `ValueView::Hash` both call
+/// it, so a row hashed in place agrees with the Values it decodes to.
+uint64_t HashValue(TypeId type, int64_t int_part, double double_part,
+                   std::string_view bytes);
+
 /// A dynamically-typed SQL value. Strings and XADT payloads share the string
 /// storage; nulls are typed `kNull`.
 class Value {

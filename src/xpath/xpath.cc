@@ -1,6 +1,7 @@
 #include "xpath/xpath.h"
 
 #include <cctype>
+#include <charconv>
 
 #include "common/str_util.h"
 
@@ -22,13 +23,10 @@ std::string Quote(const std::string& s) {
 }
 
 int FindColumn(const TableSpec& spec, ColumnRole role,
-               const std::vector<std::string>& path, const std::string& attr) {
+               const std::vector<std::string>& path) {
   for (size_t i = 0; i < spec.columns.size(); ++i) {
     const ColumnSpec& col = spec.columns[i];
-    if (col.role != role) continue;
-    if (col.path != path) continue;
-    if (role == ColumnRole::kInlinedAttr && col.attr != attr) continue;
-    return static_cast<int>(i);
+    if (col.role == role && col.path == path) return static_cast<int>(i);
   }
   return -1;
 }
@@ -139,7 +137,11 @@ Result<PathExpr> ParsePath(std::string_view input) {
         }
         if (pos == start) return Status::ParseError("expected number");
         pred.kind = Predicate::Kind::kPosition;
-        pred.position = std::stoi(std::string(input.substr(start, pos - start)));
+        if (std::from_chars(input.data() + start, input.data() + pos,
+                            pred.position)
+                .ec != std::errc()) {
+          return Status::ParseError("position out of range");
+        }
       } else if (input.compare(pos, 8, "contains") == 0) {
         pos += 8;
         skip_space();
@@ -304,8 +306,8 @@ class TranslateWalk {
       return Status::OK();
     }
     // XADT column: enter fragment context.
-    int xadt_col = FindColumn(*ctx->table, ColumnRole::kXadtFragment, {child},
-                              "");
+    int xadt_col =
+        FindColumn(*ctx->table, ColumnRole::kXadtFragment, {child});
     if (xadt_col >= 0) {
       ctx->kind = Ctx::Kind::kXadt;
       ctx->xadt_expr = ctx->Qualify(*ctx->table, xadt_col);
@@ -321,24 +323,25 @@ class TranslateWalk {
     ctx->kind = Ctx::Kind::kInlined;
     ctx->path = {child};
     ctx->element = child;
-    if (FindColumn(*ctx->table, ColumnRole::kInlinedValue, ctx->path, "") < 0 &&
-        !HasInlinedBelow(*ctx->table, ctx->path)) {
+    if (!HasInlinedBelow(*ctx->table, ctx->path)) {
       return Status::InvalidArgument("no mapping for '" + child +
                                      "' below '" + ctx->table->element + "'");
     }
     return Status::OK();
   }
 
+  /// True if text at `path` or below it is inlined into `spec`. Only text
+  /// is addressable in the path subset, and every mapping stores an XADT
+  /// fragment one level below its table's element, where
+  /// AdvanceFromRelation finds it first.
   bool HasInlinedBelow(const TableSpec& spec,
                        const std::vector<std::string>& path) const {
     for (const ColumnSpec& col : spec.columns) {
-      if (col.role != ColumnRole::kInlinedValue &&
-          col.role != ColumnRole::kInlinedAttr &&
-          col.role != ColumnRole::kXadtFragment) {
-        continue;
+      if (col.role == ColumnRole::kInlinedValue &&
+          col.path.size() >= path.size() &&
+          std::equal(path.begin(), path.end(), col.path.begin())) {
+        return true;
       }
-      if (col.path.size() < path.size()) continue;
-      if (std::equal(path.begin(), path.end(), col.path.begin())) return true;
     }
     return false;
   }
@@ -349,17 +352,7 @@ class TranslateWalk {
     }
     ctx->path.push_back(step.name);
     ctx->element = step.name;
-    // Deeper XADT below the inlined path? (possible under tuned mappings)
-    int xadt_col =
-        FindColumn(*ctx->table, ColumnRole::kXadtFragment, ctx->path, "");
-    if (xadt_col >= 0) {
-      ctx->kind = Ctx::Kind::kXadt;
-      ctx->xadt_expr = ctx->Qualify(*ctx->table, xadt_col);
-      ctx->xadt_at_roots = true;
-      return Status::OK();
-    }
-    if (FindColumn(*ctx->table, ColumnRole::kInlinedValue, ctx->path, "") < 0 &&
-        !HasInlinedBelow(*ctx->table, ctx->path)) {
+    if (!HasInlinedBelow(*ctx->table, ctx->path)) {
       return Status::InvalidArgument("no mapping for inlined path");
     }
     return Status::OK();
@@ -410,7 +403,7 @@ class TranslateWalk {
         // XADT child: findKeyInElm. Inlined child: LIKE. Relation child:
         // join (the paper's own style, see QE1).
         int xadt_col = FindColumn(spec, ColumnRole::kXadtFragment,
-                                  {pred.child}, "");
+                                  {pred.child});
         if (xadt_col >= 0) {
           ctx->where.push_back("findKeyInElm(" + ctx->Qualify(spec, xadt_col) +
                                ", " + Quote(pred.child) + ", " +
@@ -418,7 +411,7 @@ class TranslateWalk {
           return Status::OK();
         }
         int inlined_col = FindColumn(spec, ColumnRole::kInlinedValue,
-                                     {pred.child}, "");
+                                     {pred.child});
         if (inlined_col >= 0) {
           ctx->where.push_back(ctx->Qualify(spec, inlined_col) + " LIKE " +
                                Quote("%" + pred.key + "%"));
@@ -470,7 +463,7 @@ class TranslateWalk {
     const TableSpec& spec = *ctx->table;
     switch (pred.kind) {
       case Predicate::Kind::kContainsSelf: {
-        int col = FindColumn(spec, ColumnRole::kInlinedValue, ctx->path, "");
+        int col = FindColumn(spec, ColumnRole::kInlinedValue, ctx->path);
         if (col < 0) {
           return Status::InvalidArgument("inlined element has no text column");
         }
@@ -481,7 +474,7 @@ class TranslateWalk {
       case Predicate::Kind::kContainsChild: {
         std::vector<std::string> child_path = ctx->path;
         child_path.push_back(pred.child);
-        int col = FindColumn(spec, ColumnRole::kInlinedValue, child_path, "");
+        int col = FindColumn(spec, ColumnRole::kInlinedValue, child_path);
         if (col < 0) {
           return Status::InvalidArgument("no column for child '" +
                                          pred.child + "'");
@@ -544,7 +537,7 @@ class TranslateWalk {
       }
       case Ctx::Kind::kInlined: {
         int col =
-            FindColumn(*ctx.table, ColumnRole::kInlinedValue, ctx.path, "");
+            FindColumn(*ctx.table, ColumnRole::kInlinedValue, ctx.path);
         if (col < 0) {
           return Status::InvalidArgument("inlined element has no text column");
         }

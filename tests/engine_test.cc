@@ -751,5 +751,56 @@ TEST(DeleteWhereTest, UnknownColumnFailsOnAnEmptyTableLikeSelect) {
   EXPECT_EQ(deleted.status().ToString(), selected.status().ToString());
 }
 
+// BuildExperimentDb collects statistics once, before the advisor: creating
+// indexes changes no column statistic, so a second pass finds the same rows,
+// distinct counts and most-common values.
+TEST(RunStatsTest, AdvisedIndexesLeaveStatisticsAsOnePassLeftThem) {
+  datagen::ShakespeareOptions opts;
+  opts.plays = 3;
+  auto corpus = datagen::ShakespeareGenerator(opts).GenerateCorpus();
+  std::vector<const xml::Node*> docs;
+  for (const auto& d : corpus) docs.push_back(d.get());
+  std::vector<std::string> advisor;
+  for (const auto& q : benchutil::ShakespeareQueries()) {
+    advisor.push_back(q.hybrid_sql);
+    advisor.push_back(q.xorator_sql);
+  }
+  for (auto mapping : {benchutil::Mapping::kHybrid,
+                       benchutil::Mapping::kXorator}) {
+    benchutil::ExperimentOptions options;
+    options.mapping = mapping;
+    options.advisor_queries = advisor;
+    auto built =
+        benchutil::BuildExperimentDb(datagen::kShakespeareDtd, docs, options);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    Database* db = built->db.get();
+    auto snapshot = [&] {
+      std::vector<std::pair<uint64_t, std::vector<ColumnStats>>> out;
+      for (const TableInfo* t : db->catalog()->tables()) {
+        EXPECT_TRUE(t->stats.collected) << t->name;
+        out.emplace_back(t->stats.row_count, t->stats.columns);
+      }
+      return out;
+    };
+    auto pragma = db->Query("PRAGMA stats");
+    ASSERT_TRUE(pragma.ok()) << pragma.status().ToString();
+    const auto once = snapshot();
+    ASSERT_TRUE(db->RunStats().ok());
+    auto pragma_again = db->Query("PRAGMA stats");
+    ASSERT_TRUE(pragma_again.ok()) << pragma_again.status().ToString();
+    EXPECT_EQ(pragma_again->ToString(100000), pragma->ToString(100000));
+    const auto twice = snapshot();
+    ASSERT_EQ(twice.size(), once.size());
+    for (size_t t = 0; t < once.size(); ++t) {
+      EXPECT_EQ(twice[t].first, once[t].first);
+      ASSERT_EQ(twice[t].second.size(), once[t].second.size());
+      for (size_t c = 0; c < once[t].second.size(); ++c) {
+        EXPECT_EQ(twice[t].second[c].ndv, once[t].second[c].ndv);
+        EXPECT_EQ(twice[t].second[c].mcv, once[t].second[c].mcv);
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace xorator::ordb

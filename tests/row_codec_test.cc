@@ -97,6 +97,34 @@ TEST(RowViewTest, NullsKeepTheirColumnTypeAndDecodeAsNull) {
   ExpectTupleEq(in, out);
 }
 
+// RunStats hashes columns in place, and the planner looks the literal's
+// Value::Hash up in those statistics: the two hashes must agree.
+TEST(RowViewTest, HashInPlaceEqualsTheDecodedValuesHash) {
+  TableSchema schema;
+  schema.columns = {{"n", TypeId::kInteger}, {"i", TypeId::kInteger},
+                    {"b", TypeId::kBoolean}, {"f", TypeId::kBoolean},
+                    {"s", TypeId::kVarchar}, {"e", TypeId::kVarchar},
+                    {"d", TypeId::kDouble},  {"h", TypeId::kDouble},
+                    {"x", TypeId::kXadt}};
+  const Tuple in = {Value::Null(),       Value::Int(-42),
+                    Value::Bool(true),   Value::Bool(false),
+                    Value::Varchar("ROMEO"), Value::Varchar(""),
+                    Value::Double(3.0),  Value::Double(2.5),
+                    Value::Xadt("R<LINE>hi</LINE>")};
+  std::string bytes;
+  EncodeTuple(schema, in, &bytes);
+  auto row = RowView::Parse(schema, bytes);
+  ASSERT_TRUE(row.ok()) << row.status().ToString();
+  for (size_t i = 0; i < in.size(); ++i) {
+    EXPECT_EQ(row->column(i).Hash(), in[i].Hash()) << "column " << i;
+    EXPECT_EQ(row->column(i).Hash(), row->column(i).ToValue().Hash())
+        << "column " << i;
+  }
+  // An exact double hashes as the integer it equals, stored or literal.
+  EXPECT_EQ(row->column(6).Hash(), Value::Int(3).Hash());
+  EXPECT_NE(row->column(7).Hash(), Value::Int(2).Hash());
+}
+
 TEST(RowViewTest, EmptyAndLargeStrings) {
   TableSchema schema;
   schema.columns = {{"a", TypeId::kVarchar}, {"b", TypeId::kVarchar}};

@@ -790,6 +790,59 @@ TEST(ServerTest, MalformedFramesGetCleanErrorsAndAreCounted) {
   EXPECT_TRUE(client.Query("SELECT a FROM t").ok());
 }
 
+// An integer literal past int64 once threw out of the SQL lexer and took the
+// whole server process down. It is a parse error like any other: one ERROR
+// frame, and the same connection serves the next statement.
+TEST(ServerTest, OverflowingIntegerLiteralIsAnErrorFrameNotACrash) {
+  auto db = MakeDb();
+  auto started = Server::Start(db.get());
+  ASSERT_TRUE(started.ok()) << started.status().ToString();
+  std::unique_ptr<Server> srv = std::move(*started);
+
+  auto connected = server::Connect("127.0.0.1", srv->port(),
+                                   server::Deadline::After(1000));
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  server::Socket socket = std::move(*connected);
+  auto round_trip = [&](const std::string& sql, std::string* payload) {
+    server::QueryRequest request;
+    request.sql = sql;
+    EXPECT_TRUE(server::WriteFull(
+                    socket,
+                    server::EncodeQueryRequest(server::FrameType::kQuery,
+                                               request),
+                    server::Deadline::After(1000))
+                    .ok());
+    std::string header_bytes;
+    EXPECT_TRUE(server::ReadFull(socket, &header_bytes,
+                                 server::kFrameHeaderBytes,
+                                 server::Deadline::After(5000))
+                    .ok());
+    auto header = server::DecodeFrameHeader(header_bytes);
+    EXPECT_TRUE(header.ok()) << header.status().ToString();
+    if (!header.ok()) return server::FrameType::kError;
+    EXPECT_TRUE(server::ReadFull(socket, payload, header->payload_bytes,
+                                 server::Deadline::After(5000))
+                    .ok());
+    return header->type;
+  };
+
+  std::string payload;
+  ASSERT_EQ(round_trip("SELECT a FROM t WHERE a = 99999999999999999999999",
+                       &payload),
+            server::FrameType::kError);
+  auto error = server::DecodeError(payload);
+  ASSERT_TRUE(error.ok()) << error.status().ToString();
+  EXPECT_EQ(server::StatusFromError(*error).code(), StatusCode::kParseError);
+
+  payload.clear();
+  EXPECT_EQ(round_trip("SELECT a FROM t WHERE a = 2", &payload),
+            server::FrameType::kResult);
+  auto result = server::DecodeResult(payload);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->rows.size(), 1u);
+  EXPECT_EQ(result->rows[0][0], "2");
+}
+
 // -- Hostile-peer client behavior. ------------------------------------------
 
 /// A minimal hostile peer for exercising the client's failure handling:

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <utility>
+
 #include "ordb/sql.h"
 
 namespace xorator::ordb::sql {
@@ -47,6 +51,22 @@ TEST(SqlParserTest, StringLiteralsWithEscapes) {
   auto stmt = ParseSelect("SELECT a FROM t WHERE b = 'it''s'");
   ASSERT_TRUE(stmt.ok());
   EXPECT_EQ(stmt->where->children[1]->literal.AsString(), "it's");
+  // The same unescaping builds a LIKE pattern and an INSERT value.
+  stmt = ParseSelect(
+      "SELECT a FROM t WHERE b LIKE '%it''s%' AND c = '''' AND d = ''");
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  const AstExpr& like = *stmt->where->children[0]->children[0];
+  EXPECT_EQ(like.pattern, "%it's%");
+  const AstExpr& quote = *stmt->where->children[0]->children[1];
+  EXPECT_EQ(quote.children[1]->literal.AsString(), "'");
+  EXPECT_EQ(stmt->where->children[1]->children[1]->literal.AsString(), "");
+  // A literal's body is text, never an operator.
+  auto bang = ParseSelect("SELECT a FROM t WHERE b = '!='");
+  ASSERT_TRUE(bang.ok()) << bang.status().ToString();
+  EXPECT_EQ(bang->where->children[1]->literal.AsString(), "!=");
+  auto insert = ParseSql("INSERT INTO t VALUES ('a''b')");
+  ASSERT_TRUE(insert.ok()) << insert.status().ToString();
+  EXPECT_EQ(insert->insert.rows[0][0].AsString(), "a'b");
 }
 
 TEST(SqlParserTest, AndOrPrecedence) {
@@ -66,11 +86,16 @@ TEST(SqlParserTest, NotAndParens) {
 }
 
 TEST(SqlParserTest, ComparisonOperators) {
-  for (const char* op : {"=", "<>", "!=", "<", "<=", ">", ">="}) {
+  const std::pair<const char*, CompareOp> kOps[] = {
+      {"=", CompareOp::kEq}, {"<>", CompareOp::kNe}, {"!=", CompareOp::kNe},
+      {"<", CompareOp::kLt}, {"<=", CompareOp::kLe}, {">", CompareOp::kGt},
+      {">=", CompareOp::kGe}};
+  for (const auto& [op, expected] : kOps) {
     auto stmt = ParseSelect(std::string("SELECT a FROM t WHERE a ") + op +
                             " 5");
     ASSERT_TRUE(stmt.ok()) << op;
     EXPECT_EQ(stmt->where->kind, AstExpr::Kind::kCompare) << op;
+    EXPECT_EQ(stmt->where->op, expected) << op;
   }
 }
 
@@ -149,6 +174,19 @@ TEST(SqlParserTest, CreateTable) {
   EXPECT_EQ(stmt->create_table.columns[0].second, TypeId::kInteger);
   EXPECT_EQ(stmt->create_table.columns[1].second, TypeId::kXadt);
   EXPECT_EQ(stmt->create_table.columns[2].second, TypeId::kVarchar);
+  // Type names and noise words match in any case.
+  stmt = ParseSql(
+      "create table t (a int primary key, b Varchar(8) not null, c xml, "
+      "d real, e bool)");
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  const auto& cols = stmt->create_table.columns;
+  ASSERT_EQ(cols.size(), 5u);
+  EXPECT_EQ(cols[0], std::make_pair(std::string("a"), TypeId::kInteger));
+  EXPECT_EQ(cols[1].second, TypeId::kVarchar);
+  EXPECT_EQ(cols[2].second, TypeId::kXadt);
+  EXPECT_EQ(cols[3].second, TypeId::kDouble);
+  EXPECT_EQ(cols[4].second, TypeId::kBoolean);
+  EXPECT_FALSE(ParseSql("CREATE TABLE t (a BLOB)").ok());
 }
 
 TEST(SqlParserTest, CreateIndex) {
@@ -187,6 +225,65 @@ TEST(SqlParserTest, Errors) {
 
 TEST(SqlParserTest, StatementTerminator) {
   EXPECT_TRUE(ParseSql("SELECT a FROM t;").ok());
+}
+
+TEST(SqlParserTest, IntegerLiteralsAtTheLimitsParse) {
+  auto max = ParseSelect("SELECT a FROM t WHERE a = 9223372036854775807");
+  ASSERT_TRUE(max.ok()) << max.status().ToString();
+  EXPECT_EQ(max->where->children[1]->literal.AsInt(), INT64_MAX);
+  auto min = ParseSelect("SELECT a FROM t WHERE a = -9223372036854775808");
+  ASSERT_TRUE(min.ok()) << min.status().ToString();
+  EXPECT_EQ(min->where->children[1]->literal.AsInt(), INT64_MIN);
+}
+
+TEST(SqlParserTest, OverflowingIntegerLiteralIsAParseError) {
+  for (const char* sql :
+       {"SELECT a FROM t WHERE a = 99999999999999999999999",
+        "SELECT a FROM t WHERE a = 9223372036854775808",
+        "SELECT a FROM t WHERE a = -9223372036854775809",
+        "SELECT a FROM t LIMIT 99999999999999999999",
+        "INSERT INTO t VALUES (-99999999999999999999)",
+        "PRAGMA scrub(99999999999999999999)"}) {
+    auto stmt = ParseSql(sql);
+    ASSERT_FALSE(stmt.ok()) << sql;
+    EXPECT_EQ(stmt.status().code(), StatusCode::kParseError) << sql;
+  }
+}
+
+TEST(SqlParserTest, ErrorsQuoteTheTokenTheyStopAt) {
+  auto stmt = ParseSql("SELECT a FROM t WHERE b LIKE c");
+  ASSERT_FALSE(stmt.ok());
+  EXPECT_NE(stmt.status().message().find("(near \"c\")"), std::string::npos)
+      << stmt.status().ToString();
+  stmt = ParseSql("SELECT a FROM t 'x''y'");
+  ASSERT_FALSE(stmt.ok());
+  EXPECT_NE(stmt.status().message().find("(near \"'x''y'\")"),
+            std::string::npos)
+      << stmt.status().ToString();
+}
+
+TEST(ClassifyStatementTest, FirstTokenOfTheSqlLexerDecides) {
+  EXPECT_EQ(ClassifyStatement("SELECT a FROM t"), StatementClass::kRead);
+  EXPECT_EQ(ClassifyStatement("  explain select a from t"),
+            StatementClass::kRead);
+  EXPECT_EQ(ClassifyStatement("insert into t values (1)"),
+            StatementClass::kMutation);
+  EXPECT_EQ(ClassifyStatement("Create TABLE t (a INT)"),
+            StatementClass::kMutation);
+  EXPECT_EQ(ClassifyStatement("DELETE FROM t"), StatementClass::kMutation);
+  EXPECT_EQ(ClassifyStatement("PRAGMA stats"), StatementClass::kPragma);
+  // Comments before the keyword are skipped as ParseSql skips them.
+  EXPECT_EQ(ClassifyStatement("-- note\n\tDELETE FROM t"),
+            StatementClass::kMutation);
+  EXPECT_EQ(ClassifyStatement("--a\n--b\nSELECT 1 FROM t"),
+            StatementClass::kRead);
+  // A keyword is a whole identifier, as the parser reads it.
+  EXPECT_EQ(ClassifyStatement("SELECT1 FROM t"), StatementClass::kUnknown);
+  for (const char* garbage : {"", "   ", "-- only a comment", "DROP TABLE t",
+                              "'unterminated", "(SELECT a FROM t)", "42"}) {
+    EXPECT_EQ(ClassifyStatement(garbage), StatementClass::kUnknown)
+        << garbage;
+  }
 }
 
 }  // namespace

@@ -56,6 +56,15 @@ TEST(PathParserTest, Errors) {
   EXPECT_FALSE(ParsePath("/PLAY[contains(., unquoted)]").ok());
 }
 
+TEST(PathParserTest, PositionOutOfRangeIsAParseError) {
+  auto path = ParsePath("/PLAY/ACT[position() = 99999999999]");
+  ASSERT_FALSE(path.ok());
+  EXPECT_EQ(path.status().code(), StatusCode::kParseError);
+  auto max = ParsePath("/PLAY/ACT[position() = 2147483647]");
+  ASSERT_TRUE(max.ok()) << max.status().ToString();
+  EXPECT_EQ(max->steps[1].predicates[0].position, 2147483647);
+}
+
 // -------------------------------------------------------------- SQL shapes
 
 class TranslatorSqlTest : public ::testing::Test {
@@ -166,6 +175,68 @@ TEST_F(TranslatorSqlTest, UnsupportedPathsReportErrors) {
 
 // --------------------------------------------------------- end-to-end runs
 
+/// The number of elements `path_text` selects, by running the SQL the
+/// translator emits for `db`'s mapping; -1 if it does not translate or run.
+int64_t PathCount(const ExperimentDb& db, const dtdgraph::SimplifiedDtd& dtd,
+                  const char* path_text) {
+  auto path = ParsePath(path_text);
+  EXPECT_TRUE(path.ok());
+  Translator translator(&db.schema, &dtd);
+  auto sql = translator.ToSql(*path, OutputMode::kCount);
+  EXPECT_TRUE(sql.ok()) << path_text << ": " << sql.status().ToString();
+  if (!sql.ok()) return -1;
+  auto r = db.db->Query(*sql);
+  EXPECT_TRUE(r.ok()) << *sql << "\n -> " << r.status().ToString();
+  if (!r.ok()) return -1;
+  return r->rows[0][0].AsInt();
+}
+
+/// The DOM's answer to a path of child steps (`steps[0]` names the
+/// document element): the elements at the last step for which `keep` holds.
+int64_t DomCount(const std::vector<std::unique_ptr<xml::Node>>& docs,
+                 const std::vector<std::string>& steps,
+                 const std::function<bool(const xml::Node&)>& keep) {
+  std::function<int64_t(const xml::Node&, size_t)> walk =
+      [&](const xml::Node& n, size_t depth) -> int64_t {
+    if (!n.is_element() || n.name() != steps[depth]) return 0;
+    if (depth + 1 == steps.size()) return keep(n) ? 1 : 0;
+    int64_t count = 0;
+    for (const auto& c : n.children()) count += walk(*c, depth + 1);
+    return count;
+  };
+  int64_t total = 0;
+  for (const auto& doc : docs) total += walk(*doc, 0);
+  return total;
+}
+
+bool Any(const xml::Node&) { return true; }
+
+std::function<bool(const xml::Node&)> TextHas(std::string key) {
+  return [key](const xml::Node& n) {
+    return n.TextContent().find(key) != std::string::npos;
+  };
+}
+
+std::function<bool(const xml::Node&)> ChildTextHas(std::string child,
+                                                   std::string key) {
+  return [child, key](const xml::Node& n) {
+    for (const auto& c : n.children()) {
+      if (c->is_element() && c->name() == child &&
+          c->TextContent().find(key) != std::string::npos) {
+        return true;
+      }
+    }
+    return false;
+  };
+}
+
+/// A path, the DOM steps it walks and the test on the last step's elements.
+struct DomCase {
+  const char* path;
+  std::vector<std::string> steps;
+  std::function<bool(const xml::Node&)> keep;
+};
+
 class XPathEndToEndTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -205,21 +276,6 @@ class XPathEndToEndTest : public ::testing::Test {
     dtd_ = nullptr;
   }
 
-  static int64_t CountOn(ExperimentDb* db,
-                         const mapping::MappedSchema& schema,
-                         const char* path_text) {
-    auto path = ParsePath(path_text);
-    EXPECT_TRUE(path.ok());
-    Translator translator(&schema, dtd_);
-    auto sql = translator.ToSql(*path, OutputMode::kCount);
-    EXPECT_TRUE(sql.ok()) << path_text << ": " << sql.status().ToString();
-    if (!sql.ok()) return -1;
-    auto r = db->db->Query(*sql);
-    EXPECT_TRUE(r.ok()) << *sql << "\n -> " << r.status().ToString();
-    if (!r.ok()) return -1;
-    return r->rows[0][0].AsInt();
-  }
-
   static std::vector<std::unique_ptr<xml::Node>>* corpus_;
   static ExperimentDb* hybrid_;
   static ExperimentDb* xorator_;
@@ -244,8 +300,8 @@ TEST_F(XPathEndToEndTest, SamePathSameCountOnBothMappings) {
       "/PLAY[contains(TITLE, 'Romeo')]/ACT",
   };
   for (const char* path : kPaths) {
-    int64_t h = CountOn(hybrid_, hybrid_->schema, path);
-    int64_t x = CountOn(xorator_, xorator_->schema, path);
+    int64_t h = PathCount(*hybrid_, *dtd_, path);
+    int64_t x = PathCount(*xorator_, *dtd_, path);
     EXPECT_GE(h, 0) << path;
     EXPECT_EQ(h, x) << path;
   }
@@ -268,11 +324,81 @@ TEST_F(XPathEndToEndTest, CountsMatchDomGroundTruth) {
   // corpus also puts speeches in prologues/epilogues/inducts, so the path
   // count is at most the DOM count — and the XADT self-match uses the full
   // subtree text, as TextContent does.
-  int64_t path_count = CountOn(
-      xorator_, xorator_->schema,
-      "/PLAY/ACT/SCENE/SPEECH/LINE[contains(., 'love')]");
+  int64_t path_count = PathCount(
+      *xorator_, *dtd_, "/PLAY/ACT/SCENE/SPEECH/LINE[contains(., 'love')]");
   EXPECT_GT(path_count, 0);
   EXPECT_LE(path_count, love_lines);
+}
+
+TEST_F(XPathEndToEndTest, PathsEndingInInlinedContentMatchTheDom) {
+  // TITLE is an inlined column under both mappings; PERSONAE is a relation
+  // under Hybrid and an XADT fragment under XORator.
+  const DomCase kCases[] = {
+      {"/PLAY/TITLE", {"PLAY", "TITLE"}, Any},
+      {"/PLAY/TITLE[contains(., 'Romeo')]", {"PLAY", "TITLE"},
+       TextHas("Romeo")},
+      {"/PLAY/ACT/SCENE/TITLE[contains(., 'SCENE')]",
+       {"PLAY", "ACT", "SCENE", "TITLE"}, TextHas("SCENE")},
+      {"/PLAY/PERSONAE/TITLE", {"PLAY", "PERSONAE", "TITLE"}, Any},
+      {"/PLAY/PERSONAE[contains(TITLE, 'Personae')]", {"PLAY", "PERSONAE"},
+       ChildTextHas("TITLE", "Personae")},
+  };
+  for (const DomCase& c : kCases) {
+    const int64_t dom = DomCount(*corpus_, c.steps, c.keep);
+    EXPECT_GT(dom, 0) << c.path;
+    EXPECT_EQ(PathCount(*hybrid_, *dtd_, c.path), dom) << c.path;
+    EXPECT_EQ(PathCount(*xorator_, *dtd_, c.path), dom) << c.path;
+  }
+  // A single-occurrence inlined element has no position to select.
+  auto path = ParsePath("/PLAY/TITLE[position() = 1]");
+  ASSERT_TRUE(path.ok());
+  for (const ExperimentDb* db : {hybrid_, xorator_}) {
+    auto sql = Translator(&db->schema, dtd_).ToSql(*path, OutputMode::kCount);
+    EXPECT_EQ(sql.status().code(), StatusCode::kNotImplemented);
+  }
+}
+
+TEST(XPathNestedInlineTest, PathsThroughNestedInlinedContentMatchTheDom) {
+  // Hybrid inlines the SIGMOD DTD's Toindex/index and fullText/size into
+  // atuple two levels deep; XORator keeps them inside XADT fragments.
+  datagen::SigmodOptions opts;
+  opts.documents = 20;
+  auto corpus = datagen::SigmodGenerator(opts).GenerateCorpus();
+  std::vector<const xml::Node*> docs;
+  for (const auto& d : corpus) docs.push_back(d.get());
+  auto dtd = xml::ParseDtd(datagen::kSigmodDtd);
+  ASSERT_TRUE(dtd.ok());
+  auto simplified = dtdgraph::Simplify(*dtd);
+  ASSERT_TRUE(simplified.ok());
+  const std::vector<std::string> kTuple = {"PP", "sList", "sListTuple",
+                                           "articles", "aTuple"};
+  auto below = [&](std::vector<std::string> tail) {
+    std::vector<std::string> steps = kTuple;
+    steps.insert(steps.end(), tail.begin(), tail.end());
+    return steps;
+  };
+  // Toindex holds at most one index, so its child predicate selects the
+  // same index elements as a test on their own text.
+  const DomCase kCases[] = {
+      {"/PP/sList/sListTuple/articles/aTuple/Toindex/index",
+       below({"Toindex", "index"}), Any},
+      {"/PP/sList/sListTuple/articles/aTuple/fullText/size[contains(., '1')]",
+       below({"fullText", "size"}), TextHas("1")},
+      {"/PP/sList/sListTuple/articles/aTuple/Toindex[contains(index, 'term')]"
+       "/index",
+       below({"Toindex", "index"}), TextHas("term")},
+  };
+  for (Mapping mapping : {Mapping::kHybrid, Mapping::kXorator}) {
+    ExperimentOptions options;
+    options.mapping = mapping;
+    auto db = BuildExperimentDb(datagen::kSigmodDtd, docs, options);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    for (const DomCase& c : kCases) {
+      const int64_t dom = DomCount(corpus, c.steps, c.keep);
+      EXPECT_GT(dom, 0) << c.path;
+      EXPECT_EQ(PathCount(*db, *simplified, c.path), dom) << c.path;
+    }
+  }
 }
 
 TEST_F(XPathEndToEndTest, TextModeReturnsLineText) {

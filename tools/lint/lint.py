@@ -11,9 +11,10 @@ Checks, in order of appearance in DESIGN.md:
   docs       Namespace-scope classes, structs, enums, and free functions
              declared in src/ headers must carry a `///` doc comment.
   banned     rand/srand (seeded std::mt19937_64 only), strcpy/strcat/sprintf/
-             gets (bounds-unsafe), and raw printf (library code reports
-             through Status messages; diagnostics go to stderr) are banned
-             in src/.
+             gets (bounds-unsafe), raw printf (library code reports
+             through Status messages; diagnostics go to stderr), and the
+             throwing or unchecked number parsers (std::stoi and its
+             siblings, atoi; use std::from_chars) are banned in src/.
   discard    A bare `(void)call(...)` discard is banned everywhere: a
              deliberately ignored Status/Result must use
              XO_DISCARD_STATUS(expr, "why"), and other unused results should
@@ -82,6 +83,11 @@ BANNED_CALLS = {
     "printf": "library code reports through Status; diagnostics use "
               "std::fprintf(stderr, ...)",
 }
+BANNED_CALLS.update({
+    name: "throws or is undefined on bad input; use std::from_chars"
+    for name in ("stoi", "stol", "stoll", "stoul", "stoull", "stof", "stod",
+                 "stold", "atoi")
+})
 
 # `(void)name(...)` or `(void)obj.method(...)` / `(void)p->method(...)`:
 # a call result dropped without justification.
@@ -544,6 +550,13 @@ def self_test(script_dir):
             failures.append(f"{name}: expected rules {sorted(expected)}, "
                             f"got {sorted(got)}: "
                             + "; ".join(str(f) for f in findings))
+        if name == "bad_banned.cc":
+            # Every banned name must fire, not just the rule.
+            named = {re.match(r"'(\w+)'", f.message).group(1)
+                     for f in findings if f.rule == "banned"}
+            missing = sorted(set(BANNED_CALLS) - named)
+            if missing:
+                failures.append(f"{name}: no finding for {missing}")
     if failures:
         print("lint self-test FAILED:")
         for f in failures:

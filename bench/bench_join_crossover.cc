@@ -1,11 +1,20 @@
 // Ablation for the Figure 13 crossover mechanism (Section 4.4): the same
-// Hybrid join query executed with each join algorithm the planner can pick
-// (index nested-loop, hash, sort-merge), against the XORator single-table
-// scan, across scale factors. Shows why the Hybrid side degrades once its
-// build sides outgrow the sort heap while the XORator side stays a linear
-// scan with a constant number of UDF calls per tuple.
+// Hybrid join query executed with hash joins forced, with sort-merge joins
+// forced, and under the default planner policy, against the XORator
+// single-table scan, across scale factors. The "auto joins" column lists
+// the join operators the default policy picked: four hash joins at the
+// default 300 documents up to DSx4; at 1,500 documents two of them turn
+// sort-merge from DSx4 on, once the estimated build side outgrows the sort
+// heap. The XORator side stays a linear scan with a constant number of UDF
+// calls per tuple.
+//
+//   build/bench/bench_join_crossover
+//
+// XORATOR_SIGMOD_DOCS, XORATOR_MAX_SCALE and XORATOR_RUNS shrink it.
 
 #include <cstdio>
+#include <string>
+#include <utility>
 
 #include "benchutil/benchutil.h"
 #include "benchutil/fixture.h"
@@ -20,6 +29,27 @@ namespace {
 using benchutil::BuildExperimentDb;
 using benchutil::ExperimentOptions;
 using benchutil::Mapping;
+
+/// The join operators of an EXPLAIN plan, e.g. "3 hash + 1 index-NL".
+std::string JoinMix(const std::string& plan) {
+  const std::pair<const char*, const char*> kJoins[] = {
+      {"HashJoin(", "hash"},
+      {"SortMergeJoin(", "sort-merge"},
+      {"IndexNLJoin(", "index-NL"},
+      {"NestedLoopJoin(", "NL"}};
+  std::string out;
+  for (const auto& [op, name] : kJoins) {
+    int n = 0;
+    for (size_t pos = plan.find(op); pos != std::string::npos;
+         pos = plan.find(op, pos + 1)) {
+      ++n;
+    }
+    if (n == 0) continue;
+    if (!out.empty()) out += " + ";
+    out += std::to_string(n) + " " + name;
+  }
+  return out.empty() ? "none" : out;
+}
 
 int Run() {
   bool full = benchutil::FullScale();
@@ -37,14 +67,17 @@ int Run() {
   std::printf(
       "== Join-algorithm ablation on QG2 (%d docs, scales up to DSx%d) ==\n"
       "Columns are milliseconds for the Hybrid plan under each forced join "
-      "algorithm, and for the XORator UDF-scan plan.\n\n",
+      "algorithm and the default policy (whose joins \"auto joins\" "
+      "lists), and for the XORator UDF-scan plan.\n\n",
       gen_opts.documents, max_scale);
 
   benchutil::TablePrinter table({"Scale", "Hybrid hash", "Hybrid sort-merge",
-                                 "Hybrid auto", "XORator scan"});
+                                 "Hybrid auto", "auto joins", "XORator scan"});
   for (int scale = 1; scale <= max_scale; scale *= 2) {
-    auto time_hybrid = [&](bool hash, size_t sort_heap,
-                           bool index) -> Result<double> {
+    std::string auto_joins;
+    // `joins`, when given, receives the JoinMix of the plan.
+    auto time_hybrid = [&](bool hash, size_t sort_heap, bool index,
+                           std::string* joins = nullptr) -> Result<double> {
       ExperimentOptions opts;
       opts.mapping = Mapping::kHybrid;
       opts.load_multiplier = scale;
@@ -53,13 +86,18 @@ int Run() {
       opts.db_options.planner.sort_heap_bytes = sort_heap;
       XO_ASSIGN_OR_RETURN(auto db,
                           BuildExperimentDb(datagen::kSigmodDtd, docs, opts));
+      if (joins != nullptr) {
+        XO_ASSIGN_OR_RETURN(std::string plan, db.db->Explain(hybrid_sql));
+        *joins = JoinMix(plan);
+      }
       return benchutil::TimeMedianOfMiddle(
           [&]() { return db.db->Query(hybrid_sql).status(); }, runs);
     };
     auto hash_ms =
         time_hybrid(true, static_cast<size_t>(1) << 40, false);  // always hash
     auto merge_ms = time_hybrid(false, 0, false);  // always sort-merge
-    auto auto_ms = time_hybrid(true, 8u << 20, true);  // default policy
+    auto auto_ms = time_hybrid(true, 8u << 20, true,  // default policy
+                               &auto_joins);
 
     ExperimentOptions xopts;
     xopts.mapping = Mapping::kXorator;
@@ -77,13 +115,14 @@ int Run() {
     }
     table.AddRow({"DSx" + std::to_string(scale), benchutil::Fmt(*hash_ms, 2),
                   benchutil::Fmt(*merge_ms, 2), benchutil::Fmt(*auto_ms, 2),
-                  benchutil::Fmt(*xorator_ms, 2)});
+                  auto_joins, benchutil::Fmt(*xorator_ms, 2)});
   }
   table.Print();
   std::printf(
       "\nExpected shape: hash stays near-linear; sort-merge grows "
-      "O(n log n); the auto policy tracks hash at small scales and "
-      "sort-merge once the build side exceeds the sort heap. The XORator "
+      "O(n log n); the auto policy uses the joins its column lists, hash "
+      "until an estimated build side outgrows the sort heap (at 1,500 "
+      "documents from DSx4 on), then sort-merge for that join. The XORator "
       "scan is linear with a higher per-tuple constant (UDF parsing).\n");
   return 0;
 }

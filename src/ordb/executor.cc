@@ -11,16 +11,6 @@ namespace xorator::ordb {
 
 namespace {
 
-std::vector<ColumnMeta> QualifiedColumns(const TableInfo& table,
-                                         const std::string& alias) {
-  std::vector<ColumnMeta> out;
-  out.reserve(table.schema.size());
-  for (const ColumnDef& c : table.schema.columns) {
-    out.push_back({alias + "." + c.name, c.type});
-  }
-  return out;
-}
-
 Result<bool> EvalPredicate(const Expr* pred, const Tuple& row,
                            ExecContext* ctx) {
   if (pred == nullptr) return true;
@@ -28,15 +18,26 @@ Result<bool> EvalPredicate(const Expr* pred, const Tuple& row,
   return !v.is_null() && v.AsBool();
 }
 
-Result<std::vector<Value>> EvalKeys(const std::vector<ExprPtr>& keys,
-                                    const Tuple& row, ExecContext* ctx) {
-  std::vector<Value> out;
-  out.reserve(keys.size());
+/// Evaluates `keys` over `row` into `*out`, reusing its capacity.
+Status EvalKeys(const std::vector<ExprPtr>& keys, const Tuple& row,
+                ExecContext* ctx, std::vector<Value>* out) {
+  out->clear();
+  out->reserve(keys.size());
   for (const ExprPtr& k : keys) {
     XO_ASSIGN_OR_RETURN(Value v, k->Eval(row, ctx));
-    out.push_back(std::move(v));
+    out->push_back(std::move(v));
   }
-  return out;
+  return Status::OK();
+}
+
+/// The join-key path: EvalKeys, then whether the row can join at all. NULL
+/// equals nothing (CompareExpr's rule, and IndexScanOp::Seek's), so a row
+/// with a NULL key is neither stored nor probed by any join.
+Result<bool> EvalJoinKeys(const std::vector<ExprPtr>& keys, const Tuple& row,
+                          ExecContext* ctx, std::vector<Value>* out) {
+  RETURN_IF_ERROR(EvalKeys(keys, row, ctx, out));
+  return std::none_of(out->begin(), out->end(),
+                      [](const Value& v) { return v.is_null(); });
 }
 
 int CompareValueLists(const std::vector<Value>& a,
@@ -46,6 +47,16 @@ int CompareValueLists(const std::vector<Value>& a,
     if (c != 0) return c;
   }
   return 0;
+}
+
+/// The end of the run of rows sharing the key of `rows[begin]`.
+size_t RunEnd(const std::vector<KeyedRow>& rows, size_t begin) {
+  size_t end = begin + 1;
+  while (end < rows.size() &&
+         CompareValueLists(rows[end].first, rows[begin].first) == 0) {
+    ++end;
+  }
+  return end;
 }
 
 void AppendRow(const Tuple& left, const Tuple& right, Tuple* out) {
@@ -81,6 +92,56 @@ uint64_t ApproxTupleBytes(const Tuple& row) {
   return bytes;
 }
 
+/// Opens `child`, hands each of its rows to `consume` (a `Status(Tuple&)`
+/// callable that may move from the row) and closes the child: the one loop
+/// by which an operator materializes an input in Open(). Polls the guard
+/// once per row.
+template <typename Consume>
+Status Drain(Operator* child, ExecContext* ctx, Consume&& consume) {
+  XO_RETURN_NOT_OK(child->Open(ctx));
+  Tuple row;
+  while (true) {
+    RETURN_IF_ERROR(ctx->CheckPoint());
+    XO_ASSIGN_OR_RETURN(bool ok, child->Next(&row));
+    if (!ok) break;
+    XO_RETURN_NOT_OK(consume(row));
+  }
+  child->Close();
+  return Status::OK();
+}
+
+/// The keyed sort of SortOp and SortMergeJoinOp: drains `input` into
+/// (key values, row) pairs charged to `arena` and stable-sorts them, key i
+/// ascending when `ascending[i]`. With `drop_null_keys` (a join's inputs),
+/// rows with a NULL key are dropped before they are stored (EvalJoinKeys).
+Status SortInput(Operator* input, const std::vector<ExprPtr>& keys,
+                 const std::vector<bool>& ascending, bool drop_null_keys,
+                 ExecContext* ctx, TrackedArena* arena,
+                 std::vector<KeyedRow>* rows) {
+  rows->clear();
+  std::vector<Value> k;
+  RETURN_IF_ERROR(Drain(input, ctx, [&](Tuple& row) -> Status {
+    if (drop_null_keys) {
+      XO_ASSIGN_OR_RETURN(bool joins, EvalJoinKeys(keys, row, ctx, &k));
+      if (!joins) return Status::OK();
+    } else {
+      RETURN_IF_ERROR(EvalKeys(keys, row, ctx, &k));
+    }
+    RETURN_IF_ERROR(arena->Charge(ApproxTupleBytes(row)));
+    rows->emplace_back(std::move(k), std::move(row));
+    return Status::OK();
+  }));
+  std::stable_sort(rows->begin(), rows->end(),
+                   [&](const KeyedRow& a, const KeyedRow& b) {
+                     for (size_t i = 0; i < a.first.size(); ++i) {
+                       int c = a.first[i].Compare(b.first[i]);
+                       if (c != 0) return ascending[i] ? c < 0 : c > 0;
+                     }
+                     return false;
+                   });
+  return Status::OK();
+}
+
 std::string RowFingerprint(const Tuple& row) {
   std::string key;
   for (const Value& v : row) {
@@ -108,14 +169,24 @@ std::string RowFingerprint(const Tuple& row) {
   return key;
 }
 
-}  // namespace
-
 uint64_t HashValues(const std::vector<Value>& values) {
   uint64_t h = 0x9ae16a3b2f90404fULL;
   for (const Value& v : values) {
     h ^= v.Hash() + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
   }
   return h;
+}
+
+}  // namespace
+
+std::vector<ColumnMeta> QualifiedColumns(const std::vector<ColumnDef>& columns,
+                                         const std::string& alias) {
+  std::vector<ColumnMeta> out;
+  out.reserve(columns.size());
+  for (const ColumnDef& c : columns) {
+    out.push_back({alias + "." + c.name, c.type});
+  }
+  return out;
 }
 
 std::string Operator::Explain(int indent) const {
@@ -133,7 +204,7 @@ std::string Operator::Explain(int indent) const {
 SeqScanOp::SeqScanOp(const TableInfo* table, const std::string& alias,
                      ColumnMask live)
     : table_(table), alias_(alias), live_(std::move(live)) {
-  columns_ = QualifiedColumns(*table, alias);
+  columns_ = QualifiedColumns(table->schema.columns, alias);
 }
 
 Status SeqScanOp::Open(ExecContext* ctx) {
@@ -167,14 +238,21 @@ IndexScanOp::IndexScanOp(const TableInfo* table, const IndexInfo* index,
       key_(std::move(key)),
       alias_(alias),
       live_(std::move(live)) {
-  columns_ = QualifiedColumns(*table, alias);
+  columns_ = QualifiedColumns(table->schema.columns, alias);
 }
 
 Status IndexScanOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
+  return Seek(key_);
+}
+
+Status IndexScanOp::Seek(Value key) {
+  key_ = std::move(key);
+  rids_.clear();
+  pos_ = 0;
+  if (key_.is_null()) return Status::OK();
   XO_ASSIGN_OR_RETURN(rids_,
                       index_->tree->Find(IndexKey(index_->key_type, key_)));
-  pos_ = 0;
   return Status::OK();
 }
 
@@ -184,8 +262,7 @@ Result<bool> IndexScanOp::Next(Tuple* out) {
     Rid rid = Rid::Decode(rids_[pos_++]);
     XO_ASSIGN_OR_RETURN(record_, table_->heap->Get(rid));
     XO_ASSIGN_OR_RETURN(RowView row, RowView::Parse(table_->schema, record_));
-    // Recheck the key in place before materializing anything (string keys
-    // are hashed in the index, so false positives are expected): a
+    // Recheck the key in place before materializing anything: a
     // mismatched row is skipped without a single string copy.
     if (!ViewEqualsValue(row.column(static_cast<size_t>(index_->column_index)),
                          key_)) {
@@ -205,13 +282,8 @@ std::string IndexScanOp::Label() const {
 // -------------------------------------------------------------- filter etc.
 
 FilterOp::FilterOp(OperatorPtr child, ExprPtr predicate)
-    : child_(std::move(child)), predicate_(std::move(predicate)) {
+    : UnaryOp(std::move(child)), predicate_(std::move(predicate)) {
   columns_ = child_->columns();
-}
-
-Status FilterOp::Open(ExecContext* ctx) {
-  ctx_ = ctx;
-  return child_->Open(ctx);
 }
 
 Result<bool> FilterOp::Next(Tuple* out) {
@@ -230,15 +302,10 @@ std::string FilterOp::Label() const {
 
 ProjectOp::ProjectOp(OperatorPtr child, std::vector<ExprPtr> exprs,
                      std::vector<std::string> names)
-    : child_(std::move(child)), exprs_(std::move(exprs)) {
+    : UnaryOp(std::move(child)), exprs_(std::move(exprs)) {
   for (size_t i = 0; i < exprs_.size(); ++i) {
     columns_.push_back({names[i], exprs_[i]->type()});
   }
-}
-
-Status ProjectOp::Open(ExecContext* ctx) {
-  ctx_ = ctx;
-  return child_->Open(ctx);
 }
 
 Result<bool> ProjectOp::Next(Tuple* out) {
@@ -278,18 +345,12 @@ Status NestedLoopJoinOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
   arena_.Rebind(ctx->guard);
   XO_RETURN_NOT_OK(left_->Open(ctx));
-  XO_RETURN_NOT_OK(right_->Open(ctx));
   right_rows_.clear();
-  Tuple row;
-  while (true) {
-    RETURN_IF_ERROR(ctx->CheckPoint());
-    auto ok = right_->Next(&row);
-    XO_RETURN_NOT_OK(ok.status());
-    if (!*ok) break;
+  XO_RETURN_NOT_OK(Drain(right_.get(), ctx, [&](Tuple& row) -> Status {
     RETURN_IF_ERROR(arena_.Charge(ApproxTupleBytes(row)));
     right_rows_.push_back(std::move(row));
-  }
-  right_->Close();
+    return Status::OK();
+  }));
   left_valid_ = false;
   right_pos_ = 0;
   return Status::OK();
@@ -326,35 +387,45 @@ std::string NestedLoopJoinOp::Label() const {
          (predicate_ != nullptr ? predicate_->ToString() : "true") + ")";
 }
 
-HashJoinOp::HashJoinOp(OperatorPtr left, OperatorPtr right,
+EquiJoinOp::EquiJoinOp(std::string name, OperatorPtr left, OperatorPtr right,
                        std::vector<ExprPtr> left_keys,
-                       std::vector<ExprPtr> right_keys, ExprPtr residual)
-    : left_(std::move(left)),
+                       std::vector<ExprPtr> right_keys)
+    : name_(std::move(name)),
+      left_(std::move(left)),
       right_(std::move(right)),
       left_keys_(std::move(left_keys)),
-      right_keys_(std::move(right_keys)),
-      residual_(std::move(residual)) {
+      right_keys_(std::move(right_keys)) {
   columns_ = left_->columns();
   for (const ColumnMeta& c : right_->columns()) columns_.push_back(c);
 }
 
+std::string EquiJoinOp::Label() const {
+  std::string out = name_ + "(";
+  for (size_t i = 0; i < left_keys_.size(); ++i) {
+    if (i > 0) out += " AND ";
+    out += left_keys_[i]->ToString() + " = " + right_keys_[i]->ToString();
+  }
+  return out + ")";
+}
+
+HashJoinOp::HashJoinOp(OperatorPtr left, OperatorPtr right,
+                       std::vector<ExprPtr> left_keys,
+                       std::vector<ExprPtr> right_keys)
+    : EquiJoinOp("HashJoin", std::move(left), std::move(right),
+                 std::move(left_keys), std::move(right_keys)) {}
+
 Status HashJoinOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
   arena_.Rebind(ctx->guard);
-  XO_RETURN_NOT_OK(left_->Open(ctx));
   table_.clear();
-  Tuple row;
-  while (true) {
-    RETURN_IF_ERROR(ctx->CheckPoint());
-    auto ok = left_->Next(&row);
-    XO_RETURN_NOT_OK(ok.status());
-    if (!*ok) break;
-    auto keys = EvalKeys(left_keys_, row, ctx);
-    XO_RETURN_NOT_OK(keys.status());
+  XO_RETURN_NOT_OK(Drain(left_.get(), ctx, [&](Tuple& row) -> Status {
+    XO_ASSIGN_OR_RETURN(bool joins,
+                        EvalJoinKeys(left_keys_, row, ctx, &build_keys_));
+    if (!joins) return Status::OK();
     RETURN_IF_ERROR(arena_.Charge(ApproxTupleBytes(row)));
-    table_[HashValues(*keys)].push_back(std::move(row));
-  }
-  left_->Close();
+    table_[HashValues(build_keys_)].push_back(std::move(row));
+    return Status::OK();
+  }));
   XO_RETURN_NOT_OK(right_->Open(ctx));
   matches_ = nullptr;
   match_pos_ = 0;
@@ -367,22 +438,20 @@ Result<bool> HashJoinOp::Next(Tuple* out) {
     if (matches_ != nullptr) {
       while (match_pos_ < matches_->size()) {
         const Tuple& l = (*matches_)[match_pos_++];
+        // Recheck key equality (hash collisions).
+        RETURN_IF_ERROR(EvalKeys(left_keys_, l, ctx_, &build_keys_));
+        if (CompareValueLists(build_keys_, probe_keys_) != 0) continue;
         AppendRow(l, probe_row_, out);
-        // Recheck key equality (hash collisions) plus any residual. Key
-        // expressions are bound to their own side's row layout.
-        XO_ASSIGN_OR_RETURN(auto lk, EvalKeys(left_keys_, l, ctx_));
-        XO_ASSIGN_OR_RETURN(auto rk, EvalKeys(right_keys_, probe_row_, ctx_));
-        if (CompareValueLists(lk, rk) != 0) continue;
-        XO_ASSIGN_OR_RETURN(bool pass,
-                            EvalPredicate(residual_.get(), *out, ctx_));
-        if (pass) return true;
+        return true;
       }
       matches_ = nullptr;
     }
     XO_ASSIGN_OR_RETURN(bool ok, right_->Next(&probe_row_));
     if (!ok) return false;
-    XO_ASSIGN_OR_RETURN(auto keys, EvalKeys(right_keys_, probe_row_, ctx_));
-    auto it = table_.find(HashValues(keys));
+    XO_ASSIGN_OR_RETURN(bool joins, EvalJoinKeys(right_keys_, probe_row_, ctx_,
+                                                 &probe_keys_));
+    if (!joins) continue;
+    auto it = table_.find(HashValues(probe_keys_));
     if (it == table_.end()) continue;
     matches_ = &it->second;
     match_pos_ = 0;
@@ -395,113 +464,56 @@ void HashJoinOp::Close() {
   arena_.Release();
 }
 
-std::string HashJoinOp::Label() const {
-  std::string out = "HashJoin(";
-  for (size_t i = 0; i < left_keys_.size(); ++i) {
-    if (i > 0) out += " AND ";
-    out += left_keys_[i]->ToString() + " = " + right_keys_[i]->ToString();
-  }
-  return out + ")";
-}
-
 SortMergeJoinOp::SortMergeJoinOp(OperatorPtr left, OperatorPtr right,
                                  std::vector<ExprPtr> left_keys,
-                                 std::vector<ExprPtr> right_keys,
-                                 ExprPtr residual)
-    : left_(std::move(left)),
-      right_(std::move(right)),
-      left_keys_(std::move(left_keys)),
-      right_keys_(std::move(right_keys)),
-      residual_(std::move(residual)) {
-  columns_ = left_->columns();
-  for (const ColumnMeta& c : right_->columns()) columns_.push_back(c);
-}
+                                 std::vector<ExprPtr> right_keys)
+    : EquiJoinOp("SortMergeJoin", std::move(left), std::move(right),
+                 std::move(left_keys), std::move(right_keys)) {}
 
 Status SortMergeJoinOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
   arena_.Rebind(ctx->guard);
-  auto load = [&](Operator* input, const std::vector<ExprPtr>& keys,
-                  std::vector<std::pair<std::vector<Value>, Tuple>>* rows)
-      -> Status {
-    XO_RETURN_NOT_OK(input->Open(ctx));
-    Tuple row;
-    while (true) {
-      RETURN_IF_ERROR(ctx->CheckPoint());
-      auto ok = input->Next(&row);
-      XO_RETURN_NOT_OK(ok.status());
-      if (!*ok) break;
-      auto k = EvalKeys(keys, row, ctx);
-      XO_RETURN_NOT_OK(k.status());
-      RETURN_IF_ERROR(arena_.Charge(ApproxTupleBytes(row)));
-      rows->emplace_back(std::move(*k), std::move(row));
-    }
-    input->Close();
-    std::stable_sort(rows->begin(), rows->end(),
-                     [](const auto& a, const auto& b) {
-                       return CompareValueLists(a.first, b.first) < 0;
-                     });
-    return Status::OK();
-  };
-  left_rows_.clear();
-  right_rows_.clear();
-  XO_RETURN_NOT_OK(load(left_.get(), left_keys_, &left_rows_));
-  XO_RETURN_NOT_OK(load(right_.get(), right_keys_, &right_rows_));
-  li_ = ri_ = 0;
-  in_run_ = false;
+  const std::vector<bool> ascending(left_keys_.size(), true);
+  XO_RETURN_NOT_OK(SortInput(left_.get(), left_keys_, ascending,
+                             /*drop_null_keys=*/true, ctx, &arena_,
+                             &left_rows_));
+  XO_RETURN_NOT_OK(SortInput(right_.get(), right_keys_, ascending,
+                             /*drop_null_keys=*/true, ctx, &arena_,
+                             &right_rows_));
+  li_ = ri_ = run_l_end_ = run_r_end_ = cur_l_ = cur_r_ = 0;
   return Status::OK();
-}
-
-Result<bool> SortMergeJoinOp::AdvanceRuns() {
-  while (li_ < left_rows_.size() && ri_ < right_rows_.size()) {
-    int c = CompareValueLists(left_rows_[li_].first, right_rows_[ri_].first);
-    if (c < 0) {
-      ++li_;
-    } else if (c > 0) {
-      ++ri_;
-    } else {
-      run_l_end_ = li_ + 1;
-      while (run_l_end_ < left_rows_.size() &&
-             CompareValueLists(left_rows_[run_l_end_].first,
-                               left_rows_[li_].first) == 0) {
-        ++run_l_end_;
-      }
-      run_r_end_ = ri_ + 1;
-      while (run_r_end_ < right_rows_.size() &&
-             CompareValueLists(right_rows_[run_r_end_].first,
-                               right_rows_[ri_].first) == 0) {
-        ++run_r_end_;
-      }
-      cur_l_ = li_;
-      cur_r_ = ri_;
-      in_run_ = true;
-      return true;
-    }
-  }
-  return false;
 }
 
 Result<bool> SortMergeJoinOp::Next(Tuple* out) {
   while (true) {
     RETURN_IF_ERROR(ctx_->CheckPoint());
-    if (!in_run_) {
-      XO_ASSIGN_OR_RETURN(bool ok, AdvanceRuns());
-      if (!ok) return false;
-    }
-    while (cur_l_ < run_l_end_) {
-      if (cur_r_ >= run_r_end_) {
-        cur_r_ = ri_;
-        ++cur_l_;
-        continue;
+    if (cur_l_ < run_l_end_) {
+      if (cur_r_ < run_r_end_) {
+        AppendRow(left_rows_[cur_l_].second, right_rows_[cur_r_++].second,
+                  out);
+        return true;
       }
-      const Tuple& l = left_rows_[cur_l_].second;
-      const Tuple& r = right_rows_[cur_r_++].second;
-      AppendRow(l, r, out);
-      XO_ASSIGN_OR_RETURN(bool pass, EvalPredicate(residual_.get(), *out, ctx_));
-      if (pass) return true;
+      ++cur_l_;
+      cur_r_ = ri_;
+      continue;
     }
+    // Both runs are spent: merge forward to the next pair of equal keys.
     li_ = run_l_end_;
     ri_ = run_r_end_;
-    in_run_ = false;
+    while (li_ < left_rows_.size() && ri_ < right_rows_.size()) {
+      int c = CompareValueLists(left_rows_[li_].first, right_rows_[ri_].first);
+      if (c == 0) break;
+      if (c < 0) {
+        ++li_;
+      } else {
+        ++ri_;
+      }
+    }
+    if (li_ >= left_rows_.size() || ri_ >= right_rows_.size()) return false;
+    run_l_end_ = RunEnd(left_rows_, li_);
+    run_r_end_ = RunEnd(right_rows_, ri_);
+    cur_l_ = li_;
+    cur_r_ = ri_;
   }
 }
 
@@ -511,37 +523,23 @@ void SortMergeJoinOp::Close() {
   arena_.Release();
 }
 
-std::string SortMergeJoinOp::Label() const {
-  std::string out = "SortMergeJoin(";
-  for (size_t i = 0; i < left_keys_.size(); ++i) {
-    if (i > 0) out += " AND ";
-    out += left_keys_[i]->ToString() + " = " + right_keys_[i]->ToString();
-  }
-  return out + ")";
-}
-
 IndexNestedLoopJoinOp::IndexNestedLoopJoinOp(
     OperatorPtr left, const TableInfo* inner, const IndexInfo* index,
     ExprPtr left_key, const std::string& inner_alias, ExprPtr residual,
     ColumnMask inner_live)
     : left_(std::move(left)),
-      inner_(inner),
-      index_(index),
       left_key_(std::move(left_key)),
       residual_(std::move(residual)),
-      inner_live_(std::move(inner_live)) {
+      inner_(inner, index, Value::Null(), inner_alias, std::move(inner_live)) {
   columns_ = left_->columns();
-  for (const ColumnMeta& c : QualifiedColumns(*inner, inner_alias)) {
-    columns_.push_back(c);
-  }
+  for (const ColumnMeta& c : inner_.columns()) columns_.push_back(c);
 }
 
 Status IndexNestedLoopJoinOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
   XO_RETURN_NOT_OK(left_->Open(ctx));
+  XO_RETURN_NOT_OK(inner_.Open(ctx));
   left_valid_ = false;
-  rids_.clear();
-  rid_pos_ = 0;
   return Status::OK();
 }
 
@@ -553,27 +551,11 @@ Result<bool> IndexNestedLoopJoinOp::Next(Tuple* out) {
       if (!ok) return false;
       left_valid_ = true;
       XO_ASSIGN_OR_RETURN(Value key, left_key_->Eval(left_row_, ctx_));
-      if (key.is_null()) {
-        left_valid_ = false;
-        continue;
-      }
-      XO_ASSIGN_OR_RETURN(rids_,
-                          index_->tree->Find(IndexKey(index_->key_type, key)));
-      rid_pos_ = 0;
+      XO_RETURN_NOT_OK(inner_.Seek(std::move(key)));
     }
-    while (rid_pos_ < rids_.size()) {
-      Rid rid = Rid::Decode(rids_[rid_pos_++]);
-      XO_ASSIGN_OR_RETURN(record_, inner_->heap->Get(rid));
-      XO_ASSIGN_OR_RETURN(RowView row,
-                          RowView::Parse(inner_->schema, record_));
-      // Recheck the join key in place first (hashed string keys): a miss
-      // skips the row before any string is copied out of the record.
-      XO_ASSIGN_OR_RETURN(Value key, left_key_->Eval(left_row_, ctx_));
-      if (!ViewEqualsValue(
-              row.column(static_cast<size_t>(index_->column_index)), key)) {
-        continue;
-      }
-      row.Materialize(&inner_row_, inner_live_);
+    while (true) {
+      XO_ASSIGN_OR_RETURN(bool found, inner_.Next(&inner_row_));
+      if (!found) break;
       AppendRow(left_row_, inner_row_, out);
       XO_ASSIGN_OR_RETURN(bool pass, EvalPredicate(residual_.get(), *out, ctx_));
       if (pass) return true;
@@ -585,15 +567,15 @@ Result<bool> IndexNestedLoopJoinOp::Next(Tuple* out) {
 void IndexNestedLoopJoinOp::Close() { left_->Close(); }
 
 std::string IndexNestedLoopJoinOp::Label() const {
-  return "IndexNLJoin(" + inner_->name + "." + index_->column + " = " +
-         left_key_->ToString() + ")";
+  return "IndexNLJoin(" + inner_.table()->name + "." +
+         inner_.index()->column + " = " + left_key_->ToString() + ")";
 }
 
 // ---------------------------------------------------------- sort / distinct
 
 SortOp::SortOp(OperatorPtr child, std::vector<ExprPtr> keys,
                std::vector<bool> ascending)
-    : child_(std::move(child)),
+    : UnaryOp(std::move(child)),
       keys_(std::move(keys)),
       ascending_(std::move(ascending)) {
   columns_ = child_->columns();
@@ -602,31 +584,8 @@ SortOp::SortOp(OperatorPtr child, std::vector<ExprPtr> keys,
 Status SortOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
   arena_.Rebind(ctx->guard);
-  XO_RETURN_NOT_OK(child_->Open(ctx));
-  rows_.clear();
-  std::vector<std::pair<std::vector<Value>, Tuple>> keyed;
-  Tuple row;
-  while (true) {
-    RETURN_IF_ERROR(ctx->CheckPoint());
-    auto ok = child_->Next(&row);
-    XO_RETURN_NOT_OK(ok.status());
-    if (!*ok) break;
-    auto k = EvalKeys(keys_, row, ctx);
-    XO_RETURN_NOT_OK(k.status());
-    RETURN_IF_ERROR(arena_.Charge(ApproxTupleBytes(row)));
-    keyed.emplace_back(std::move(*k), std::move(row));
-  }
-  child_->Close();
-  std::stable_sort(keyed.begin(), keyed.end(), [this](const auto& a,
-                                                      const auto& b) {
-    for (size_t i = 0; i < a.first.size(); ++i) {
-      int c = a.first[i].Compare(b.first[i]);
-      if (c != 0) return ascending_[i] ? c < 0 : c > 0;
-    }
-    return false;
-  });
-  rows_.reserve(keyed.size());
-  for (auto& [k, r] : keyed) rows_.push_back(std::move(r));
+  XO_RETURN_NOT_OK(SortInput(child_.get(), keys_, ascending_,
+                             /*drop_null_keys=*/false, ctx, &arena_, &rows_));
   pos_ = 0;
   return Status::OK();
 }
@@ -634,7 +593,7 @@ Status SortOp::Open(ExecContext* ctx) {
 Result<bool> SortOp::Next(Tuple* out) {
   RETURN_IF_ERROR(ctx_->CheckPoint());
   if (pos_ >= rows_.size()) return false;
-  *out = rows_[pos_++];
+  *out = rows_[pos_++].second;
   return true;
 }
 
@@ -653,15 +612,14 @@ std::string SortOp::Label() const {
   return out + ")";
 }
 
-DistinctOp::DistinctOp(OperatorPtr child) : child_(std::move(child)) {
+DistinctOp::DistinctOp(OperatorPtr child) : UnaryOp(std::move(child)) {
   columns_ = child_->columns();
 }
 
 Status DistinctOp::Open(ExecContext* ctx) {
-  ctx_ = ctx;
   arena_.Rebind(ctx->guard);
   seen_.clear();
-  return child_->Open(ctx);
+  return UnaryOp::Open(ctx);
 }
 
 Result<bool> DistinctOp::Next(Tuple* out) {
@@ -691,7 +649,7 @@ std::string DistinctOp::Label() const { return "Distinct"; }
 AggregateOp::AggregateOp(OperatorPtr child, std::vector<ExprPtr> group_keys,
                          std::vector<std::string> group_names,
                          std::vector<AggregateSpec> aggs)
-    : child_(std::move(child)),
+    : UnaryOp(std::move(child)),
       group_keys_(std::move(group_keys)),
       aggs_(std::move(aggs)) {
   for (size_t i = 0; i < group_keys_.size(); ++i) {
@@ -710,35 +668,29 @@ AggregateOp::AggregateOp(OperatorPtr child, std::vector<ExprPtr> group_keys,
 Status AggregateOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
   arena_.Rebind(ctx->guard);
-  XO_RETURN_NOT_OK(child_->Open(ctx));
   struct GroupState {
-    std::vector<Value> keys;
-    std::vector<Value> accumulators;
+    Tuple keys;
+    std::vector<Value> accumulators;  // NULL until a value arrives
     std::vector<int64_t> counts;
   };
-  std::unordered_map<std::string, GroupState> groups;
-  std::vector<std::string> order;  // first-seen group order
-  Tuple row;
-  while (true) {
-    RETURN_IF_ERROR(ctx->CheckPoint());
-    auto ok = child_->Next(&row);
-    XO_RETURN_NOT_OK(ok.status());
-    if (!*ok) break;
-    auto keys = EvalKeys(group_keys_, row, ctx);
-    XO_RETURN_NOT_OK(keys.status());
-    Tuple key_tuple(keys->begin(), keys->end());
-    std::string fp = RowFingerprint(key_tuple);
-    auto [it, inserted] = groups.emplace(fp, GroupState{});
-    GroupState& g = it->second;
+  auto new_group = [&](Tuple keys) {
+    return GroupState{std::move(keys), std::vector<Value>(aggs_.size()),
+                      std::vector<int64_t>(aggs_.size(), 0)};
+  };
+  std::unordered_map<std::string, size_t> group_of;  // fingerprint -> index
+  std::vector<GroupState> groups;                    // first-seen order
+  std::vector<Value> keys;
+  XO_RETURN_NOT_OK(Drain(child_.get(), ctx, [&](const Tuple& row) -> Status {
+    RETURN_IF_ERROR(EvalKeys(group_keys_, row, ctx, &keys));
+    std::string fp = RowFingerprint(keys);
+    auto [it, inserted] = group_of.emplace(fp, groups.size());
     if (inserted) {
-      g.keys = *keys;
-      g.accumulators.resize(aggs_.size());
-      g.counts.assign(aggs_.size(), 0);
-      order.push_back(fp);
-      RETURN_IF_ERROR(arena_.Charge(ApproxTupleBytes(key_tuple) + fp.size() +
+      groups.push_back(new_group(keys));
+      RETURN_IF_ERROR(arena_.Charge(ApproxTupleBytes(keys) + fp.size() +
                                     aggs_.size() *
                                         (sizeof(Value) + sizeof(int64_t))));
     }
+    GroupState& g = groups[it->second];
     for (size_t i = 0; i < aggs_.size(); ++i) {
       const AggregateSpec& a = aggs_[i];
       if (a.kind == AggKind::kCountStar) {
@@ -774,34 +726,18 @@ Status AggregateOp::Open(ExecContext* ctx) {
           break;
       }
     }
-  }
-  child_->Close();
+    return Status::OK();
+  }));
+  // A global aggregate (no GROUP BY) over zero rows still yields one row:
+  // counts 0, the rest NULL.
+  if (groups.empty() && group_keys_.empty()) groups.push_back(new_group({}));
   results_.clear();
-  // A global aggregate (no GROUP BY) over zero rows still yields one row.
-  if (order.empty() && group_keys_.empty()) {
-    Tuple out;
-    for (const AggregateSpec& a : aggs_) {
-      if (a.kind == AggKind::kMin || a.kind == AggKind::kMax ||
-          a.kind == AggKind::kSum) {
-        out.push_back(Value::Null());
-      } else {
-        out.push_back(Value::Int(0));
-      }
-    }
-    results_.push_back(std::move(out));
-  }
-  for (const std::string& fp : order) {
-    GroupState& g = groups[fp];
-    Tuple out(g.keys.begin(), g.keys.end());
+  for (GroupState& g : groups) {
+    Tuple out = std::move(g.keys);
     for (size_t i = 0; i < aggs_.size(); ++i) {
-      switch (aggs_[i].kind) {
-        case AggKind::kCountStar:
-        case AggKind::kCount:
-          out.push_back(Value::Int(g.counts[i]));
-          break;
-        default:
-          out.push_back(g.accumulators[i]);
-      }
+      const bool count = aggs_[i].kind == AggKind::kCountStar ||
+                         aggs_[i].kind == AggKind::kCount;
+      out.push_back(count ? Value::Int(g.counts[i]) : g.accumulators[i]);
     }
     results_.push_back(std::move(out));
   }
@@ -838,8 +774,8 @@ LateralTableFuncOp::LateralTableFuncOp(OperatorPtr child,
     : child_(std::move(child)), fn_(fn), args_(std::move(args)) {
   if (child_ != nullptr) columns_ = child_->columns();
   input_width_ = columns_.size();
-  for (const ColumnDef& c : fn_->output) {
-    columns_.push_back({alias + "." + c.name, c.type});
+  for (const ColumnMeta& c : QualifiedColumns(fn_->output, alias)) {
+    columns_.push_back(c);
   }
   input_live_.assign(live.begin(), live.begin() + input_width_);
   output_live_.assign(live.begin() + input_width_, live.end());
@@ -869,7 +805,8 @@ Result<bool> LateralTableFuncOp::Next(Tuple* out) {
         if (!ok) return false;
       }
       input_valid_ = true;
-      XO_ASSIGN_OR_RETURN(auto args, EvalKeys(args_, input_row_, ctx_));
+      std::vector<Value> args;
+      RETURN_IF_ERROR(EvalKeys(args_, input_row_, ctx_, &args));
       // Each input row's function results replace the previous row's:
       // re-account the batch rather than accumulating charges forever.
       arena_.Release();

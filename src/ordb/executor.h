@@ -53,6 +53,11 @@ class Operator {
 
 using OperatorPtr = std::unique_ptr<Operator>;
 
+/// `alias.name` for each of `columns`: how every FROM item, scan and table
+/// function names its output columns.
+std::vector<ColumnMeta> QualifiedColumns(const std::vector<ColumnDef>& columns,
+                                         const std::string& alias);
+
 /// Full-table scan. Only the columns `live` marks are materialized; the
 /// others stay NULL (one entry per table column, see ColumnMask).
 class SeqScanOp : public Operator {
@@ -77,8 +82,10 @@ class SeqScanOp : public Operator {
 };
 
 /// Point index scan: rows of `table` whose `index` column equals `key`.
-/// String keys are hashed in the index, so the column value is rechecked.
-/// Materializes only the `live` columns, as SeqScanOp does.
+/// String keys are hashed in the index, so each row's column is rechecked
+/// in place before any string is copied out of the record; a NULL key
+/// matches nothing. Materializes only the `live` columns, as SeqScanOp
+/// does. It is also the index join's probe, re-aimed by Seek().
 class IndexScanOp : public Operator {
  public:
   IndexScanOp(const TableInfo* table, const IndexInfo* index, Value key,
@@ -87,7 +94,11 @@ class IndexScanOp : public Operator {
   [[nodiscard]] Status Open(ExecContext* ctx) override;
   [[nodiscard]] Result<bool> Next(Tuple* out) override;
   std::string Label() const override;
+  const TableInfo* table() const { return table_; }
   const IndexInfo* index() const { return index_; }
+
+  /// Restarts the scan at the rows of `key`.
+  [[nodiscard]] Status Seek(Value key);
 
  private:
   const TableInfo* table_;
@@ -102,43 +113,49 @@ class IndexScanOp : public Operator {
   size_t pos_ = 0;
 };
 
-/// Drops rows whose predicate does not evaluate to TRUE.
-class FilterOp : public Operator {
+/// An operator over one input, which Open and Close pass through to (an
+/// operator that drains its input in Open overrides both).
+class UnaryOp : public Operator {
  public:
-  FilterOp(OperatorPtr child, ExprPtr predicate);
-
-  [[nodiscard]] Status Open(ExecContext* ctx) override;
-  [[nodiscard]] Result<bool> Next(Tuple* out) override;
+  [[nodiscard]] Status Open(ExecContext* ctx) override {
+    ctx_ = ctx;
+    return child_->Open(ctx);
+  }
   void Close() override { child_->Close(); }
-  std::string Label() const override;
   std::vector<const Operator*> Children() const override {
     return {child_.get()};
   }
 
- private:
+ protected:
+  explicit UnaryOp(OperatorPtr child) : child_(std::move(child)) {}
+
   OperatorPtr child_;
-  ExprPtr predicate_;
   ExecContext* ctx_ = nullptr;
 };
 
+/// Drops rows whose predicate does not evaluate to TRUE.
+class FilterOp : public UnaryOp {
+ public:
+  FilterOp(OperatorPtr child, ExprPtr predicate);
+
+  [[nodiscard]] Result<bool> Next(Tuple* out) override;
+  std::string Label() const override;
+
+ private:
+  ExprPtr predicate_;
+};
+
 /// Evaluates one output expression per projected column.
-class ProjectOp : public Operator {
+class ProjectOp : public UnaryOp {
  public:
   ProjectOp(OperatorPtr child, std::vector<ExprPtr> exprs,
             std::vector<std::string> names);
 
-  [[nodiscard]] Status Open(ExecContext* ctx) override;
   [[nodiscard]] Result<bool> Next(Tuple* out) override;
-  void Close() override { child_->Close(); }
   std::string Label() const override;
-  std::vector<const Operator*> Children() const override {
-    return {child_.get()};
-  }
 
  private:
-  OperatorPtr child_;
   std::vector<ExprPtr> exprs_;
-  ExecContext* ctx_ = nullptr;
   /// The child's row, kept across calls so the scan below refills the same
   /// slots (and string capacity) every row.
   Tuple row_;
@@ -169,68 +186,76 @@ class NestedLoopJoinOp : public Operator {
   size_t right_pos_ = 0;
 };
 
-/// Hash join on equi-key lists; the left input is the build side.
-class HashJoinOp : public Operator {
+/// Equi-join on key lists: `left_keys` are bound to the left input's row
+/// layout, `right_keys` to the right's. A row with a NULL key joins
+/// nothing, since NULL equals nothing (CompareExpr's rule).
+class EquiJoinOp : public Operator {
  public:
-  HashJoinOp(OperatorPtr left, OperatorPtr right,
-             std::vector<ExprPtr> left_keys, std::vector<ExprPtr> right_keys,
-             ExprPtr residual);
-
-  [[nodiscard]] Status Open(ExecContext* ctx) override;
-  [[nodiscard]] Result<bool> Next(Tuple* out) override;
-  void Close() override;
   std::string Label() const override;
   std::vector<const Operator*> Children() const override {
     return {left_.get(), right_.get()};
   }
 
- private:
+ protected:
+  EquiJoinOp(std::string name, OperatorPtr left, OperatorPtr right,
+             std::vector<ExprPtr> left_keys, std::vector<ExprPtr> right_keys);
+
+  std::string name_;  // EXPLAIN label
   OperatorPtr left_;
   OperatorPtr right_;
   std::vector<ExprPtr> left_keys_;
   std::vector<ExprPtr> right_keys_;
-  ExprPtr residual_;  // may be null
   ExecContext* ctx_ = nullptr;
-  TrackedArena arena_;  // accounts the build-side hash table
+  TrackedArena arena_;  // accounts the materialized input(s)
+};
+
+/// Hash join; the left input is the build side.
+class HashJoinOp : public EquiJoinOp {
+ public:
+  HashJoinOp(OperatorPtr left, OperatorPtr right,
+             std::vector<ExprPtr> left_keys, std::vector<ExprPtr> right_keys);
+
+  [[nodiscard]] Status Open(ExecContext* ctx) override;
+  [[nodiscard]] Result<bool> Next(Tuple* out) override;
+  void Close() override;
+
+ private:
   std::unordered_map<uint64_t, std::vector<Tuple>> table_;
   Tuple probe_row_;
+  /// The probe row's keys, evaluated once before the lookup, and a reused
+  /// buffer for a build row's keys (rechecked against hash collisions).
+  std::vector<Value> probe_keys_;
+  std::vector<Value> build_keys_;
   const std::vector<Tuple>* matches_ = nullptr;
   size_t match_pos_ = 0;
 };
 
-/// Sort-merge join: both inputs are materialized and sorted on Open. This
-/// is the join the planner picks when the build side exceeds the sort heap
-/// (mirroring DB2's behaviour the paper observes at larger scale factors).
-class SortMergeJoinOp : public Operator {
+/// A materialized row with its sort-key values.
+using KeyedRow = std::pair<std::vector<Value>, Tuple>;
+
+/// Sort-merge join: both inputs are materialized and sorted on Open. The
+/// planner picks it when hash joins are disabled or the estimated build
+/// side exceeds the sort heap. Under the default options, Hybrid QG2-QG5
+/// reach it once about 6,000 SIGMOD documents are loaded (paper-scale
+/// Fig. 13 from DSx2 on); the 400-document Fig. 13 run never does.
+class SortMergeJoinOp : public EquiJoinOp {
  public:
   SortMergeJoinOp(OperatorPtr left, OperatorPtr right,
                   std::vector<ExprPtr> left_keys,
-                  std::vector<ExprPtr> right_keys, ExprPtr residual);
+                  std::vector<ExprPtr> right_keys);
 
   [[nodiscard]] Status Open(ExecContext* ctx) override;
   [[nodiscard]] Result<bool> Next(Tuple* out) override;
   void Close() override;
-  std::string Label() const override;
-  std::vector<const Operator*> Children() const override {
-    return {left_.get(), right_.get()};
-  }
 
  private:
-  [[nodiscard]] Result<bool> AdvanceRuns();
-
-  OperatorPtr left_;
-  OperatorPtr right_;
-  std::vector<ExprPtr> left_keys_;
-  std::vector<ExprPtr> right_keys_;
-  ExprPtr residual_;
-  ExecContext* ctx_ = nullptr;
-  TrackedArena arena_;  // accounts both materialized, sorted inputs
-  std::vector<std::pair<std::vector<Value>, Tuple>> left_rows_;
-  std::vector<std::pair<std::vector<Value>, Tuple>> right_rows_;
+  std::vector<KeyedRow> left_rows_;
+  std::vector<KeyedRow> right_rows_;
+  // The current runs of equal keys are [li_, run_l_end_) and
+  // [ri_, run_r_end_); (cur_l_, cur_r_) is the next pair they emit.
   size_t li_ = 0, ri_ = 0;
   size_t run_l_end_ = 0, run_r_end_ = 0;
   size_t cur_l_ = 0, cur_r_ = 0;
-  bool in_run_ = false;
 };
 
 /// Index nested-loop join: for each outer row, look up matching inner rows
@@ -253,24 +278,18 @@ class IndexNestedLoopJoinOp : public Operator {
 
  private:
   OperatorPtr left_;
-  const TableInfo* inner_;
-  const IndexInfo* index_;
   ExprPtr left_key_;
   ExprPtr residual_;
-  ColumnMask inner_live_;
   ExecContext* ctx_ = nullptr;
   Tuple left_row_;
   bool left_valid_ = false;
-  std::vector<uint64_t> rids_;
-  /// Reused record buffer / inner tuple for in-place rechecks and
-  /// capacity-recycling materialization (see SeqScanOp).
-  std::string record_;
+  IndexScanOp inner_;  // Seek()s each outer row's key
+  /// Reused inner tuple for capacity-recycling materialization.
   Tuple inner_row_;
-  size_t rid_pos_ = 0;
 };
 
 /// ORDER BY: materializes and sorts on Open.
-class SortOp : public Operator {
+class SortOp : public UnaryOp {
  public:
   SortOp(OperatorPtr child, std::vector<ExprPtr> keys,
          std::vector<bool> ascending);
@@ -279,22 +298,17 @@ class SortOp : public Operator {
   [[nodiscard]] Result<bool> Next(Tuple* out) override;
   void Close() override;
   std::string Label() const override;
-  std::vector<const Operator*> Children() const override {
-    return {child_.get()};
-  }
 
  private:
-  OperatorPtr child_;
   std::vector<ExprPtr> keys_;
   std::vector<bool> ascending_;
-  ExecContext* ctx_ = nullptr;
   TrackedArena arena_;  // accounts the materialized sort input
-  std::vector<Tuple> rows_;
+  std::vector<KeyedRow> rows_;
   size_t pos_ = 0;
 };
 
 /// Hash-based DISTINCT over whole rows.
-class DistinctOp : public Operator {
+class DistinctOp : public UnaryOp {
  public:
   explicit DistinctOp(OperatorPtr child);
 
@@ -302,13 +316,8 @@ class DistinctOp : public Operator {
   [[nodiscard]] Result<bool> Next(Tuple* out) override;
   void Close() override;
   std::string Label() const override;
-  std::vector<const Operator*> Children() const override {
-    return {child_.get()};
-  }
 
  private:
-  OperatorPtr child_;
-  ExecContext* ctx_ = nullptr;
   TrackedArena arena_;  // accounts the seen-row fingerprint set
   std::unordered_set<std::string> seen_;
 };
@@ -324,7 +333,7 @@ struct AggregateSpec {
 };
 
 /// Hash aggregation: GROUP BY keys + aggregates.
-class AggregateOp : public Operator {
+class AggregateOp : public UnaryOp {
  public:
   AggregateOp(OperatorPtr child, std::vector<ExprPtr> group_keys,
               std::vector<std::string> group_names,
@@ -334,15 +343,10 @@ class AggregateOp : public Operator {
   [[nodiscard]] Result<bool> Next(Tuple* out) override;
   void Close() override;
   std::string Label() const override;
-  std::vector<const Operator*> Children() const override {
-    return {child_.get()};
-  }
 
  private:
-  OperatorPtr child_;
   std::vector<ExprPtr> group_keys_;
   std::vector<AggregateSpec> aggs_;
-  ExecContext* ctx_ = nullptr;
   TrackedArena arena_;  // accounts the group hash table / result rows
   std::vector<Tuple> results_;
   size_t pos_ = 0;
@@ -384,9 +388,6 @@ class LateralTableFuncOp : public Operator {
   std::vector<Tuple> fn_rows_;
   size_t fn_pos_ = 0;
 };
-
-/// Hashes a key-value list for join/distinct bookkeeping.
-uint64_t HashValues(const std::vector<Value>& values);
 
 }  // namespace xorator::ordb
 

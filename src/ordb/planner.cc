@@ -112,15 +112,13 @@ class Binder {
   const FunctionRegistry* functions_;
 };
 
-/// The FROM item of `table` read under `alias`.
-FromItem TableItem(const TableInfo& table, const std::string& alias) {
-  FromItem item;
-  item.table = &table;
-  item.alias = alias;
-  for (const ColumnDef& c : table.schema.columns) {
-    item.columns.push_back({alias + "." + c.name, c.type});
-  }
-  return item;
+/// ANDs `pred` into `*residual` (which may be null).
+void AndInto(ExprPtr* residual, ExprPtr pred) {
+  *residual = *residual == nullptr
+                  ? std::move(pred)
+                  : ExprPtr(new LogicExpr(LogicExpr::Kind::kAnd,
+                                          std::move(*residual),
+                                          std::move(pred)));
 }
 
 /// Appends the resolution of every column `e` names, in order; fails at
@@ -252,15 +250,13 @@ Result<std::vector<FromItem>> Planner::BindFrom(
         return Status::NotFound("unknown table function '" +
                                 ref.function_name + "'");
       }
-      for (const ColumnDef& c : item.function->output) {
-        item.columns.push_back({ref.alias + "." + c.name, c.type});
-      }
+      item.columns = QualifiedColumns(item.function->output, ref.alias);
     } else {
-      const TableInfo* table = catalog_->FindTable(ref.table);
-      if (table == nullptr) {
+      item.table = catalog_->FindTable(ref.table);
+      if (item.table == nullptr) {
         return Status::NotFound("unknown table '" + ref.table + "'");
       }
-      item = TableItem(*table, ref.alias);
+      item.columns = QualifiedColumns(item.table->schema.columns, ref.alias);
     }
     item.offset = offset;
     offset += item.columns.size();
@@ -419,6 +415,12 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt) {
 
   // ---- Left-deep join in FROM order. --------------------------------------
   std::set<size_t> joined;
+  // True once every item `c` references is joined or is item `i`.
+  auto bound_with = [&](const Conjunct& c, size_t i) {
+    return std::all_of(c.items.begin(), c.items.end(), [&](size_t it) {
+      return it == i || joined.count(it) > 0;
+    });
+  };
   OperatorPtr plan;
   double acc_rows = 0;
   double acc_bytes_per_row = 64;
@@ -487,18 +489,9 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt) {
         // Cross product with any applicable predicate as residual.
         ExprPtr residual;
         for (Conjunct& c : conjuncts) {
-          if (c.consumed || !c.items.count(i)) continue;
-          bool complete = true;
-          for (size_t it : c.items) {
-            if (it != i && !joined.count(it)) complete = false;
-          }
-          if (!complete) continue;
+          if (c.consumed || !c.items.count(i) || !bound_with(c, i)) continue;
           XO_ASSIGN_OR_RETURN(auto pred, binder.Bind(*c.ast));
-          residual = residual == nullptr
-                         ? std::move(pred)
-                         : ExprPtr(new LogicExpr(LogicExpr::Kind::kAnd,
-                                                 std::move(residual),
-                                                 std::move(pred)));
+          AndInto(&residual, std::move(pred));
           c.consumed = true;
         }
         plan = std::make_unique<NestedLoopJoinOp>(
@@ -545,11 +538,7 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt) {
                 }
                 XO_ASSIGN_OR_RETURN(auto pred,
                                     binder.Bind(*other.conjunct->ast));
-                residual = residual == nullptr
-                               ? std::move(pred)
-                               : ExprPtr(new LogicExpr(LogicExpr::Kind::kAnd,
-                                                       std::move(residual),
-                                                       std::move(pred)));
+                AndInto(&residual, std::move(pred));
                 other.conjunct->consumed = true;
               }
               XO_ASSIGN_OR_RETURN(auto outer_key, binder.Bind(*k.acc_side));
@@ -557,11 +546,7 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt) {
               // residual (the index join reads the base table directly).
               for (Conjunct* c : base_filters(i)) {
                 XO_ASSIGN_OR_RETURN(auto pred, binder.Bind(*c->ast));
-                residual = residual == nullptr
-                               ? std::move(pred)
-                               : ExprPtr(new LogicExpr(LogicExpr::Kind::kAnd,
-                                                       std::move(residual),
-                                                       std::move(pred)));
+                AndInto(&residual, std::move(pred));
                 c->consumed = true;
               }
               plan = std::make_unique<IndexNestedLoopJoinOp>(
@@ -591,11 +576,11 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt) {
           if (hash_fits) {
             plan = std::make_unique<HashJoinOp>(
                 std::move(plan), std::move(right), std::move(left_keys),
-                std::move(right_keys), nullptr);
+                std::move(right_keys));
           } else {
             plan = std::make_unique<SortMergeJoinOp>(
                 std::move(plan), std::move(right), std::move(left_keys),
-                std::move(right_keys), nullptr);
+                std::move(right_keys));
           }
         }
         acc_rows = join_rows;
@@ -605,12 +590,7 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt) {
     joined.insert(i);
     // Apply any conjuncts that have just become fully bound.
     for (Conjunct& c : conjuncts) {
-      if (c.consumed) continue;
-      bool complete = true;
-      for (size_t it : c.items) {
-        if (!joined.count(it)) complete = false;
-      }
-      if (!complete) continue;
+      if (c.consumed || !bound_with(c, i)) continue;
       XO_ASSIGN_OR_RETURN(auto pred, binder.Bind(*c.ast));
       plan = std::make_unique<FilterOp>(std::move(plan), std::move(pred));
       c.consumed = true;
@@ -769,7 +749,10 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt) {
 
 Result<ExprPtr> Planner::BindPredicate(const AstExpr& predicate,
                                        const TableInfo& table) const {
-  const std::vector<FromItem> items = {TableItem(table, table.name)};
+  const std::vector<FromItem> items = {
+      {.table = &table,
+       .alias = table.name,
+       .columns = QualifiedColumns(table.schema.columns, table.name)}};
   Scope scope(&items);
   return Binder(&scope, functions_).Bind(predicate);
 }

@@ -248,14 +248,29 @@ class TranslateWalk {
     return Status::OK();
   }
 
-  /// True if `child` is a DTD child of `parent`.
-  bool IsDtdChild(const std::string& parent, const std::string& child) const {
+  /// `child`'s entry in the DTD declaration of `parent`, or null.
+  const dtdgraph::ChildSpec* DtdChild(const std::string& parent,
+                                      const std::string& child) const {
     const dtdgraph::SimplifiedElement* decl = dtd_->Find(parent);
-    if (decl == nullptr) return false;
+    if (decl == nullptr) return nullptr;
     for (const auto& spec : decl->children) {
-      if (spec.name == child) return true;
+      if (spec.name == child) return &spec;
     }
-    return false;
+    return nullptr;
+  }
+
+  /// True if the DTD requires every step of `path` below `element` to
+  /// occur exactly once, so each `element` holds one element at `path`.
+  bool RequiredBelow(std::string element,
+                     const std::vector<std::string>& path) const {
+    for (const std::string& child : path) {
+      const dtdgraph::ChildSpec* spec = DtdChild(element, child);
+      if (spec == nullptr || spec->occurrence != dtdgraph::Occurrence::kOne) {
+        return false;
+      }
+      element = child;
+    }
+    return true;
   }
 
   Status Advance(const Step& step, Ctx* ctx) {
@@ -275,11 +290,11 @@ class TranslateWalk {
     // Relation child: join.
     const TableSpec* child_table = schema_->TableForElement(child);
     if (child_table != nullptr) {
-      if (!step.descendant && !IsDtdChild(ctx->element, child)) {
+      if (!step.descendant && DtdChild(ctx->element, child) == nullptr) {
         return Status::InvalidArgument("'" + child + "' is not a child of '" +
                                        ctx->element + "'");
       }
-      if (step.descendant && !IsDtdChild(ctx->element, child)) {
+      if (step.descendant && DtdChild(ctx->element, child) == nullptr) {
         return Status::NotImplemented(
             "'//' across relation boundaries is only supported one level "
             "deep ('" + child + "' below '" + ctx->element + "')");
@@ -316,7 +331,7 @@ class TranslateWalk {
       return Status::OK();
     }
     // Inlined column(s): switch to the inlined binding.
-    if (!IsDtdChild(ctx->element, child) && !step.descendant) {
+    if (DtdChild(ctx->element, child) == nullptr && !step.descendant) {
       return Status::InvalidArgument("'" + child + "' is not a child of '" +
                                      ctx->element + "'");
     }
@@ -538,14 +553,23 @@ class TranslateWalk {
       case Ctx::Kind::kInlined: {
         int col =
             FindColumn(*ctx.table, ColumnRole::kInlinedValue, ctx.path);
-        if (col < 0) {
-          return Status::InvalidArgument("inlined element has no text column");
+        if (col >= 0) {
+          // Count elements = rows where the inlined column is populated.
+          ctx.where.push_back(ctx.Qualify(*ctx.table, col) + " IS NOT NULL");
+          select = mode == OutputMode::kCount
+                       ? "COUNT(*) AS n"
+                       : ctx.Qualify(*ctx.table, col) + " AS text";
+        } else if (mode == OutputMode::kCount &&
+                   RequiredBelow(ctx.table->element, ctx.path)) {
+          // No text of its own, but every row holds exactly one.
+          select = "COUNT(*) AS n";
+        } else {
+          return Status::InvalidArgument(
+              "inlined element '" + ctx.element + "' has no text column" +
+              (mode == OutputMode::kCount
+                   ? " and is optional, so no table records whether it occurs"
+                   : ""));
         }
-        // Count elements = rows where the inlined column is populated.
-        ctx.where.push_back(ctx.Qualify(*ctx.table, col) + " IS NOT NULL");
-        select = mode == OutputMode::kCount
-                     ? "COUNT(*) AS n"
-                     : ctx.Qualify(*ctx.table, col) + " AS text";
         break;
       }
       case Ctx::Kind::kXadt: {

@@ -130,6 +130,44 @@ TEST_F(EngineTest, TinySortHeapForcesSortMerge) {
   EXPECT_NE(plan->find("SortMergeJoin"), std::string::npos) << *plan;
 }
 
+// NULL equals nothing (CompareExpr's rule), so a NULL join key matches
+// nothing, whichever join algorithm the planner picks.
+TEST(NullJoinKeyTest, MatchesNothingUnderEveryJoinAlgorithm) {
+  auto db = OpenDb();
+  ASSERT_TRUE(db->Execute("CREATE TABLE a (x INTEGER, v INTEGER)").ok());
+  ASSERT_TRUE(db->Execute("CREATE TABLE b (y INTEGER, w INTEGER)").ok());
+  ASSERT_TRUE(db->Execute("INSERT INTO a VALUES (1, 10), (NULL, 20)").ok());
+  std::string rows = "(1, 100), (NULL, 200)";
+  for (int y = 2; y <= 40; ++y) rows += ", (" + std::to_string(y) + ", 0)";
+  ASSERT_TRUE(db->Execute("INSERT INTO b VALUES " + rows).ok());
+  ASSERT_TRUE(db->Execute("CREATE INDEX bi ON b (y)").ok());
+  const std::string kEqui = "SELECT COUNT(*) AS n FROM a, b WHERE a.x = b.y";
+  struct Case {
+    const char* join;
+    bool hash;
+    bool index;
+    std::string sql;
+  };
+  const Case kCases[] = {
+      {"HashJoin", true, false, kEqui},
+      {"SortMergeJoin", false, false, kEqui},
+      {"IndexNLJoin", true, true, kEqui},
+      {"NestedLoopJoin", true, true,
+       "SELECT COUNT(*) AS n FROM a, b WHERE a.x <= b.y AND a.x >= b.y"},
+  };
+  for (const Case& c : kCases) {
+    SCOPED_TRACE(c.join);
+    db->mutable_options()->planner.enable_hash_join = c.hash;
+    db->mutable_options()->planner.enable_index_join = c.index;
+    auto plan = db->Explain(c.sql);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    EXPECT_NE(plan->find(c.join), std::string::npos) << *plan;
+    auto r = db->Query(c.sql);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->rows[0][0].AsInt(), 1);
+  }
+}
+
 TEST_F(EngineTest, CrossProductNestedLoop) {
   QueryResult r = Q("SELECT name, dname FROM emp, dept");
   EXPECT_EQ(r.rows.size(), 15u);
@@ -627,6 +665,90 @@ TEST(ColumnLivenessOracleTest, SigmodQueriesMatchWideForm) {
   ExpectPaperQueriesMatchWide(datagen::kSigmodDtd,
                               datagen::SigmodGenerator(opts).GenerateCorpus(),
                               benchutil::SigmodQueries());
+}
+
+// ---------------------------------------------------- join-algorithm oracle
+//
+// Every paper statement gives the same answer under each planner setting
+// that changes which join algorithms a plan may use.
+
+void ExpectPaperQueriesIgnoreJoinAlgorithm(
+    const std::string& dtd,
+    const std::vector<std::unique_ptr<xml::Node>>& corpus,
+    const std::vector<benchutil::PaperQuery>& queries) {
+  std::vector<const xml::Node*> docs;
+  for (const auto& d : corpus) docs.push_back(d.get());
+  struct Setting {
+    const char* name;
+    PlannerOptions planner;
+  };
+  const PlannerOptions kDefault;
+  const Setting kSettings[] = {
+      {"default", kDefault},
+      {"no index join", {.enable_index_join = false}},
+      {"no hash join", {.enable_hash_join = false}},
+      {"neither", {.enable_hash_join = false, .enable_index_join = false}},
+      {"sort heap 1 byte", {.sort_heap_bytes = 1}},
+  };
+  for (benchutil::Mapping mapping :
+       {benchutil::Mapping::kHybrid, benchutil::Mapping::kXorator}) {
+    benchutil::ExperimentOptions options;
+    options.mapping = mapping;
+    options.advisor_queries = AllPaperSql();
+    auto db = benchutil::BuildExperimentDb(dtd, docs, options);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    size_t sort_merge_plans = 0;
+    for (const benchutil::PaperQuery& q : queries) {
+      const std::string& sql = mapping == benchutil::Mapping::kHybrid
+                                   ? q.hybrid_sql
+                                   : q.xorator_sql;
+      SCOPED_TRACE(q.id);
+      std::multiset<std::string> expected;
+      for (const Setting& s : kSettings) {
+        SCOPED_TRACE(s.name);
+        db->db->mutable_options()->planner = s.planner;
+        auto plan = db->db->Explain(sql);
+        ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+        if (plan->find("SortMergeJoin") != std::string::npos) {
+          ++sort_merge_plans;
+        }
+        auto r = db->db->Query(sql);
+        ASSERT_TRUE(r.ok()) << sql << " -> " << r.status().ToString();
+        std::multiset<std::string> rows;
+        for (const Tuple& row : r->rows) rows.insert(RowKey(row));
+        if (&s == &kSettings[0]) {
+          EXPECT_FALSE(rows.empty()) << sql;
+          expected = std::move(rows);
+        } else {
+          EXPECT_EQ(rows, expected) << sql << "\n" << *plan;
+        }
+      }
+    }
+    // The Hybrid joins reach the sort-merge path once hash joins are off.
+    if (mapping == benchutil::Mapping::kHybrid) {
+      EXPECT_GT(sort_merge_plans, 0u);
+    }
+  }
+}
+
+TEST(JoinAlgorithmOracleTest, ShakespeareQueriesAgreeUnderEveryJoinSetting) {
+  datagen::ShakespeareOptions opts;
+  opts.plays = 3;
+  opts.acts_per_play = 2;
+  opts.scenes_per_act = 2;
+  opts.speeches_per_scene = 8;
+  ExpectPaperQueriesIgnoreJoinAlgorithm(
+      datagen::kShakespeareDtd,
+      datagen::ShakespeareGenerator(opts).GenerateCorpus(),
+      benchutil::ShakespeareQueries());
+}
+
+TEST(JoinAlgorithmOracleTest, SigmodQueriesAgreeUnderEveryJoinSetting) {
+  datagen::SigmodOptions opts;
+  opts.documents = 80;
+  ExpectPaperQueriesIgnoreJoinAlgorithm(
+      datagen::kSigmodDtd, datagen::SigmodGenerator(opts).GenerateCorpus(),
+      benchutil::SigmodQueries());
 }
 
 TEST_F(EngineTest, NarrowMatchesWideAcrossClauses) {

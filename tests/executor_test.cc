@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
 
 #include "ordb/database.h"
@@ -106,7 +107,7 @@ TEST(HashJoinOpTest, JoinsOnKeysWithDuplicates) {
   std::vector<ExprPtr> rk;
   rk.push_back(Col(0));
   HashJoinOp join(std::move(left), std::move(right), std::move(lk),
-                  std::move(rk), nullptr);
+                  std::move(rk));
   auto rows = Drain(&join, &ctx);
   // 2 left dups x 2 right dups on key 2 = 4 rows.
   EXPECT_EQ(rows.size(), 4u);
@@ -138,13 +139,13 @@ TEST(SortMergeJoinOpTest, MatchesHashJoinSemantics) {
     std::multiset<std::pair<int64_t, int64_t>> out;
     if (hash) {
       HashJoinOp join(std::move(left), std::move(right), std::move(lk),
-                      std::move(rk), nullptr);
+                      std::move(rk));
       for (const Tuple& row : Drain(&join, &ctx)) {
         out.emplace(row[0].AsInt(), row[2].AsInt());
       }
     } else {
       SortMergeJoinOp join(std::move(left), std::move(right), std::move(lk),
-                           std::move(rk), nullptr);
+                           std::move(rk));
       for (const Tuple& row : Drain(&join, &ctx)) {
         out.emplace(row[0].AsInt(), row[2].AsInt());
       }
@@ -243,6 +244,81 @@ TEST(AggregateOpTest, GroupsAndAggregates) {
   EXPECT_EQ(rows[1][1].AsInt(), 2);
   EXPECT_EQ(rows[1][2].AsInt(), 1);
   EXPECT_EQ(rows[1][3].AsInt(), 5);
+}
+
+TEST(OperatorBudgetTest, EveryMaterializingOperatorHonoursTheBudget) {
+  // 200 rows of ~100 bytes each against a 4 KB budget; the one-row side of
+  // a join fits, so a join trips on the input named in the case.
+  std::vector<Tuple> big;
+  for (int i = 0; i < 200; ++i) {
+    big.push_back({Value::Int(i), Value::Varchar(std::string(40, 'x'))});
+  }
+  auto big_input = [&] { return MakeValues(big, 2); };
+  auto one_row = [] { return MakeValues({{Value::Int(7), Value::Int(7)}}, 2); };
+  auto key = [] {
+    std::vector<ExprPtr> keys;
+    keys.push_back(Col(0));
+    return keys;
+  };
+  const std::vector<std::pair<std::string, std::function<OperatorPtr()>>>
+      kCases = {
+          {"NestedLoopJoin right",
+           [&] {
+             return std::make_unique<NestedLoopJoinOp>(one_row(), big_input(),
+                                                       nullptr);
+           }},
+          {"HashJoin build",
+           [&] {
+             return std::make_unique<HashJoinOp>(big_input(), one_row(), key(),
+                                                 key());
+           }},
+          {"SortMergeJoin left",
+           [&] {
+             return std::make_unique<SortMergeJoinOp>(big_input(), one_row(),
+                                                      key(), key());
+           }},
+          {"SortMergeJoin right",
+           [&] {
+             return std::make_unique<SortMergeJoinOp>(one_row(), big_input(),
+                                                      key(), key());
+           }},
+          {"Sort",
+           [&] {
+             return std::make_unique<SortOp>(big_input(), key(),
+                                             std::vector<bool>{true});
+           }},
+          {"Aggregate",
+           [&] {
+             std::vector<AggregateSpec> aggs(1);
+             aggs[0].name = "n";
+             return std::make_unique<AggregateOp>(
+                 big_input(), key(), std::vector<std::string>{"g"},
+                 std::move(aggs));
+           }},
+          {"Distinct",
+           [&] { return std::make_unique<DistinctOp>(big_input()); }},
+      };
+  for (const auto& [name, make] : kCases) {
+    SCOPED_TRACE(name);
+    QueryGuard guard(0, 4096);
+    ExecContext ctx;
+    ctx.guard = &guard;
+    OperatorPtr op = make();
+    Status status = op->Open(&ctx);
+    Tuple row;
+    while (status.ok()) {
+      auto ok = op->Next(&row);
+      if (!ok.ok()) {
+        status = ok.status();
+      } else if (!*ok) {
+        break;
+      }
+    }
+    EXPECT_EQ(status.code(), StatusCode::kResourceExhausted)
+        << status.ToString();
+    op->Close();
+    EXPECT_EQ(guard.Stats().tracked_bytes, 0u);
+  }
 }
 
 TEST(OperatorTest, RescanAfterCloseOpen) {

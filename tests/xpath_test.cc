@@ -378,8 +378,11 @@ TEST(XPathNestedInlineTest, PathsThroughNestedInlinedContentMatchTheDom) {
     return steps;
   };
   // Toindex holds at most one index, so its child predicate selects the
-  // same index elements as a test on their own text.
+  // same index elements as a test on their own text. Toindex itself has no
+  // text, but aTuple requires exactly one, so Hybrid counts atuple rows.
   const DomCase kCases[] = {
+      {"/PP/sList/sListTuple/articles/aTuple/Toindex", below({"Toindex"}),
+       Any},
       {"/PP/sList/sListTuple/articles/aTuple/Toindex/index",
        below({"Toindex", "index"}), Any},
       {"/PP/sList/sListTuple/articles/aTuple/fullText/size[contains(., '1')]",
@@ -399,6 +402,36 @@ TEST(XPathNestedInlineTest, PathsThroughNestedInlinedContentMatchTheDom) {
       EXPECT_EQ(PathCount(*db, *simplified, c.path), dom) << c.path;
     }
   }
+}
+
+TEST(XPathNestedInlineTest, OptionalElementWithoutTextIsNotCountable) {
+  // Under Hybrid, opt is inlined into item with no text column of its own;
+  // being optional, its presence leaves no trace in the item table.
+  const char* kDtd = R"(
+<!ELEMENT root (item*)>
+<!ELEMENT item (name, opt?, req)>
+<!ELEMENT name (#PCDATA)>
+<!ELEMENT opt (leaf?)>
+<!ELEMENT req (leaf?)>
+<!ELEMENT leaf (#PCDATA)>
+)";
+  auto dtd = xml::ParseDtd(kDtd);
+  ASSERT_TRUE(dtd.ok());
+  auto simplified = dtdgraph::Simplify(*dtd);
+  ASSERT_TRUE(simplified.ok());
+  auto hybrid = benchutil::MapDtd(kDtd, Mapping::kHybrid);
+  ASSERT_TRUE(hybrid.ok()) << hybrid.status().ToString();
+  Translator translator(&*hybrid, &*simplified);
+  auto opt = translator.ToSql(*ParsePath("/root/item/opt"), OutputMode::kCount);
+  ASSERT_FALSE(opt.ok());
+  EXPECT_EQ(opt.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(opt.status().ToString().find("optional"), std::string::npos)
+      << opt.status().ToString();
+  auto req = translator.ToSql(*ParsePath("/root/item/req"), OutputMode::kCount);
+  ASSERT_TRUE(req.ok()) << req.status().ToString();
+  EXPECT_EQ(req->find("IS NOT NULL"), std::string::npos) << *req;
+  EXPECT_FALSE(
+      translator.ToSql(*ParsePath("/root/item/req"), OutputMode::kText).ok());
 }
 
 TEST_F(XPathEndToEndTest, TextModeReturnsLineText) {

@@ -15,13 +15,17 @@
 
 #include "common/crc32.h"
 #include "common/span.h"
+#include "benchutil/fixture.h"
+#include "benchutil/workload.h"
 #include "common/varint.h"
+#include "datagen/dtds.h"
 #include "datagen/generators.h"
 #include "ordb/bptree.h"
 #include "ordb/buffer_pool.h"
 #include "ordb/database.h"
 #include "ordb/heap_file.h"
 #include "ordb/pager.h"
+#include "ordb/planner.h"
 #include "ordb/row_codec.h"
 #include "ordb/tuple.h"
 #include "xadt/functions.h"
@@ -670,6 +674,79 @@ void BM_XmlParse(benchmark::State& state) {
                           static_cast<int64_t>(doc.size()));
 }
 BENCHMARK(BM_XmlParse);
+
+// The planner alone: the 24 paper statements (Fig. 11 and Fig. 13, both
+// dialects), parsed once, planned on small advised databases of their
+// mapping (2 plays, 40 proceedings documents). No parse, no execution, no
+// EXPLAIN rendering. Items are statements planned.
+void BM_PlanPaperQueries(benchmark::State& state) {
+  struct Planned {
+    benchutil::ExperimentDb db;
+    std::vector<sql::Statement> statements;
+  };
+  std::vector<Planned> dbs;
+  datagen::ShakespeareOptions plays;
+  plays.plays = 2;
+  datagen::SigmodOptions proceedings;
+  proceedings.documents = 40;
+  const auto shakespeare = datagen::ShakespeareGenerator(plays).GenerateCorpus();
+  const auto sigmod = datagen::SigmodGenerator(proceedings).GenerateCorpus();
+  struct Set {
+    const char* dtd;
+    const std::vector<std::unique_ptr<xml::Node>>* corpus;
+    const std::vector<benchutil::PaperQuery>* queries;
+  };
+  for (const Set& set :
+       {Set{datagen::kShakespeareDtd, &shakespeare,
+            &benchutil::ShakespeareQueries()},
+        Set{datagen::kSigmodDtd, &sigmod, &benchutil::SigmodQueries()}}) {
+    std::vector<const xml::Node*> docs;
+    for (const auto& d : *set.corpus) docs.push_back(d.get());
+    for (benchutil::Mapping mapping :
+         {benchutil::Mapping::kHybrid, benchutil::Mapping::kXorator}) {
+      const bool hybrid = mapping == benchutil::Mapping::kHybrid;
+      benchutil::ExperimentOptions options;
+      options.mapping = mapping;
+      for (const benchutil::PaperQuery& q : *set.queries) {
+        options.advisor_queries.push_back(hybrid ? q.hybrid_sql
+                                                 : q.xorator_sql);
+      }
+      auto db = benchutil::BuildExperimentDb(set.dtd, docs, options);
+      if (!db.ok()) {
+        state.SkipWithError(db.status().ToString().c_str());
+        return;
+      }
+      Planned planned{std::move(*db), {}};
+      for (const std::string& sql : options.advisor_queries) {
+        auto stmt = sql::ParseSql(sql);
+        if (!stmt.ok()) {
+          state.SkipWithError(stmt.status().ToString().c_str());
+          return;
+        }
+        planned.statements.push_back(std::move(*stmt));
+      }
+      dbs.push_back(std::move(planned));
+    }
+  }
+  int64_t planned = 0;
+  for (auto _ : state) {
+    for (Planned& p : dbs) {
+      Database* db = p.db.db.get();
+      Planner planner(db->catalog(), db->functions(), db->options().planner);
+      for (const sql::Statement& s : p.statements) {
+        auto plan = planner.PlanSelect(s.select);
+        if (!plan.ok()) {
+          state.SkipWithError(plan.status().ToString().c_str());
+          return;
+        }
+        benchmark::DoNotOptimize(plan);
+        ++planned;
+      }
+    }
+  }
+  state.SetItemsProcessed(planned);
+}
+BENCHMARK(BM_PlanPaperQueries)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace xorator::ordb

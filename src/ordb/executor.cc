@@ -1,6 +1,7 @@
 #include "ordb/executor.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/span.h"
 #include "common/str_util.h"
@@ -192,6 +193,22 @@ std::vector<ColumnMeta> QualifiedColumns(const std::vector<ColumnDef>& columns,
 std::string Operator::Explain(int indent) const {
   std::string out(static_cast<size_t>(indent) * 2, ' ');
   out += Label();
+  auto approx = [&](double v) { out += std::to_string(std::llround(v)); };
+  if (estimate_.cost >= 0) {
+    out += "  cost≈";
+    approx(estimate_.cost);
+    if (estimate_.rejected != nullptr) {
+      out += " (";
+      out += estimate_.rejected;
+      out += "≈";
+      approx(estimate_.rejected_cost);
+      out += ")";
+    }
+  }
+  if (estimate_.rows >= 0) {
+    out += estimate_.cost >= 0 ? " rows≈" : "  rows≈";
+    approx(estimate_.rows);
+  }
   out += "\n";
   for (const Operator* c : Children()) {
     out += c->Explain(indent + 1);

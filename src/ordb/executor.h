@@ -44,11 +44,26 @@ class Operator {
   virtual std::string Label() const = 0;
   virtual std::vector<const Operator*> Children() const { return {}; }
 
-  /// Renders this subtree as an indented EXPLAIN plan.
+  /// Renders this subtree as an indented EXPLAIN plan: one line per
+  /// operator, its label followed by the planner's estimates.
   std::string Explain(int indent = 0) const;
+
+  /// What the planner estimated for this operator, printed after the
+  /// label: `cost≈C (alternative≈A)` for a join, then `rows≈R`.
+  struct Estimate {
+    double rows = -1;  // < 0: no estimate
+    double cost = -1;  // < 0: not a join
+    /// The cheapest join algorithm the planner rejected, if any.
+    const char* rejected = nullptr;
+    double rejected_cost = 0;
+  };
+  void set_estimate(const Estimate& estimate) { estimate_ = estimate; }
 
  protected:
   std::vector<ColumnMeta> columns_;
+
+ private:
+  Estimate estimate_;
 };
 
 using OperatorPtr = std::unique_ptr<Operator>;
@@ -234,10 +249,10 @@ class HashJoinOp : public EquiJoinOp {
 using KeyedRow = std::pair<std::vector<Value>, Tuple>;
 
 /// Sort-merge join: both inputs are materialized and sorted on Open. The
-/// planner picks it when hash joins are disabled or the estimated build
-/// side exceeds the sort heap. Under the default options, Hybrid QG2-QG5
-/// reach it once about 6,000 SIGMOD documents are loaded (paper-scale
-/// Fig. 13 from DSx2 on); the 400-document Fig. 13 run never does.
+/// planner picks it when it is the cheapest candidate, which takes hash
+/// joins disabled or a build side over the sort heap, and no cheaper
+/// index join: with the Fig. 13 advisor's indexes, Hybrid QG2 at 6,000
+/// SIGMOD documents takes index joins instead (bench_join_crossover).
 class SortMergeJoinOp : public EquiJoinOp {
  public:
   SortMergeJoinOp(OperatorPtr left, OperatorPtr right,

@@ -17,12 +17,12 @@ namespace xorator::ordb {
 /// Planner knobs, mirroring the DB2 configuration the paper describes
 /// (hash joins enabled, a bounded sort heap, index-wizard indexes).
 struct PlannerOptions {
-  /// Hash-join build side must fit here, else the planner falls back to
-  /// sort-merge.
+  /// A hash join is considered only while its estimated build side fits
+  /// here.
   size_t sort_heap_bytes = 8u << 20;
   bool enable_hash_join = true;
-  /// Use index nested-loop joins when the outer side is estimated to be
-  /// selective and the inner column has an index.
+  /// Consider index nested-loop joins into an indexed inner column; the
+  /// planner uses one when its estimated cost is the lowest.
   bool enable_index_join = true;
 };
 
@@ -60,16 +60,20 @@ class Scope {
 };
 
 /// Translates a parsed SELECT into a physical operator tree over the
-/// catalog: filter pushdown, left-deep joins in FROM order with
-/// index-NL/hash/sort-merge selection, lateral table functions, aggregation,
-/// DISTINCT and ORDER BY.
+/// catalog: filter pushdown, a left-deep join order and each join's
+/// algorithm (index-NL, hash, sort-merge) chosen by estimated cost over
+/// every order (DESIGN.md section 21), lateral table functions,
+/// aggregation, DISTINCT and ORDER BY. The estimates appear in EXPLAIN.
 class Planner {
  public:
   Planner(Catalog* catalog, FunctionRegistry* functions,
           const PlannerOptions& options)
       : catalog_(catalog), functions_(functions), options_(options) {}
 
-  [[nodiscard]] Result<OperatorPtr> PlanSelect(const sql::SelectStmt& stmt);
+  /// Plans `stmt`. `cost`, when given, receives the estimated cost of the
+  /// chosen joins (DESIGN.md section 21), which the index advisor compares.
+  [[nodiscard]] Result<OperatorPtr> PlanSelect(const sql::SelectStmt& stmt,
+                                               double* cost = nullptr);
 
   /// The FROM items of `stmt` and their combined layout, for a Scope.
   /// Fails on an unknown table or table function.

@@ -94,14 +94,97 @@ TEST_F(PlannerTest, IndexJoinRequiresSelectiveOuter) {
       "SELECT v FROM small, big WHERE small.id = big.fk "
       "AND name = 'name-3'");
   EXPECT_NE(selective.find("IndexNLJoin"), std::string::npos) << selective;
-  // Unselective outer (all 2000 big rows probing small) -> hash join.
+  // Unselective outer (all 2000 big rows probing small) -> hash join. The
+  // join column of big has no index, so the only index join is that one.
   ASSERT_TRUE(db_->Execute("CREATE INDEX i3 ON small (id)").ok());
   ASSERT_TRUE(db_->RunStats().ok());
   std::string unselective =
-      Plan("SELECT v FROM big, small WHERE big.fk = small.id");
+      Plan("SELECT v FROM big, small WHERE big.id = small.id");
   EXPECT_EQ(unselective.find("IndexNLJoin"), std::string::npos)
       << unselective;
   EXPECT_NE(unselective.find("HashJoin"), std::string::npos) << unselective;
+}
+
+TEST_F(PlannerTest, JoinOrderFollowsCostNotFromOrder) {
+  // Hybrid's QS2 shape: lines that have stage directions. The FROM list
+  // names the unfiltered `line` first; the cheaper plan starts at the
+  // filtered `stagedir` scan and probes line's ID index once per row.
+  ASSERT_TRUE(db_->Execute("CREATE TABLE line (lineID INTEGER, "
+                           "line_value VARCHAR)")
+                  .ok());
+  ASSERT_TRUE(db_->Execute("CREATE TABLE stagedir (stagedir_parentID "
+                           "INTEGER, stagedir_parentCODE VARCHAR)")
+                  .ok());
+  std::vector<Tuple> lines;
+  for (int i = 0; i < 3000; ++i) {
+    lines.push_back({Value::Int(i), Value::Varchar("line-" + std::to_string(i))});
+  }
+  ASSERT_TRUE(db_->BulkInsert("line", lines).ok());
+  std::vector<Tuple> stagedirs;
+  size_t expected = 0;
+  for (int i = 0; i < 150; ++i) {
+    const bool in_line = i % 3 != 0;
+    expected += in_line;
+    stagedirs.push_back({Value::Int(i * 17),
+                         Value::Varchar(in_line ? "LINE" : "SPEECH")});
+  }
+  ASSERT_TRUE(db_->BulkInsert("stagedir", stagedirs).ok());
+  ASSERT_TRUE(db_->Execute("CREATE INDEX il ON line (lineID)").ok());
+  ASSERT_TRUE(db_->RunStats().ok());
+  const std::string sql =
+      "SELECT line_value FROM line, stagedir "
+      "WHERE stagedir_parentID = lineID AND stagedir_parentCODE = 'LINE'";
+  std::string plan = Plan(sql);
+  // The join's outer input is the filtered stagedir scan.
+  size_t join = plan.find("IndexNLJoin(line.lineID = stagedir.stagedir_parentID)");
+  ASSERT_NE(join, std::string::npos) << plan;
+  const size_t outer = plan.find('\n', join) + 1;
+  const std::string filter =
+      "    Filter(stagedir.stagedir_parentCODE = 'LINE')";
+  EXPECT_EQ(plan.compare(outer, filter.size(), filter), 0) << plan;
+  EXPECT_NE(plan.find("      SeqScan(stagedir AS stagedir)", outer),
+            std::string::npos)
+      << plan;
+  // EXPLAIN shows what the planner believed: rows, and the join's cost
+  // against the cheapest algorithm it rejected.
+  EXPECT_NE(plan.find("  cost≈", join), std::string::npos) << plan;
+  EXPECT_NE(plan.find("(hash≈", join), std::string::npos) << plan;
+  EXPECT_NE(plan.find("SeqScan(stagedir AS stagedir)  rows≈150"),
+            std::string::npos)
+      << plan;
+  auto r = db_->Query(sql);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->rows.size(), expected);
+  // `*` still expands in written order.
+  auto star = db_->Query(
+      "SELECT * FROM line, stagedir WHERE stagedir_parentID = lineID");
+  ASSERT_TRUE(star.ok()) << star.status().ToString();
+  EXPECT_EQ(star->columns,
+            (std::vector<std::string>{"line.lineID", "line.line_value",
+                                      "stagedir.stagedir_parentID",
+                                      "stagedir.stagedir_parentCODE"}));
+  ASSERT_FALSE(star->rows.empty());
+  EXPECT_EQ(star->rows[0][0].AsInt(), star->rows[0][2].AsInt());
+}
+
+TEST_F(PlannerTest, LongFromListJoinsGreedily) {
+  // Past 12 FROM items the subset search gives way to a greedy order; the
+  // chain of equi-joins still joins without a cross product.
+  std::string from = "small s1";
+  std::string where = "";
+  for (int i = 2; i <= 14; ++i) {
+    const std::string alias = "s" + std::to_string(i);
+    from += ", small " + alias;
+    where += std::string(i == 2 ? "" : " AND ") + "s" + std::to_string(i - 1) +
+             ".id = " + alias + ".id";
+  }
+  const std::string sql =
+      "SELECT COUNT(*) AS n FROM " + from + " WHERE " + where;
+  std::string plan = Plan(sql);
+  EXPECT_EQ(plan.find("NestedLoopJoin"), std::string::npos) << plan;
+  auto r = db_->Query(sql);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->rows[0][0].AsInt(), 100);
 }
 
 TEST_F(PlannerTest, SortMergeWhenBuildSideExceedsSortHeap) {

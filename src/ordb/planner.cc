@@ -14,14 +14,15 @@ namespace {
 
 using sql::AstExpr;
 
-bool IsAggregateName(const std::string& name) {
-  std::string lower = ToLower(name);
+bool IsAggregate(const AstExpr& e) {
+  if (e.kind != AstExpr::Kind::kFunc) return false;
+  std::string lower = ToLower(e.name);
   return lower == "count" || lower == "sum" || lower == "min" ||
          lower == "max";
 }
 
 bool ContainsAggregate(const AstExpr& e) {
-  if (e.kind == AstExpr::Kind::kFunc && IsAggregateName(e.name)) return true;
+  if (IsAggregate(e)) return true;
   for (const auto& c : e.children) {
     if (ContainsAggregate(*c)) return true;
   }
@@ -37,55 +38,101 @@ bool NameMatches(std::string_view column, std::string_view name) {
          EqualsIgnoreCase(column.substr(column.size() - name.size()), name);
 }
 
-/// Binds AST expressions to executable expressions against the combined
-/// layout, optionally shifted for side-local binding.
+/// The column nodes of one statement, each resolved once against its FROM
+/// items as written (DESIGN.md section 19).
+class Columns {
+ public:
+  explicit Columns(const Scope& scope) : scope_(scope) {}
+
+  /// Resolves every column `e` names, in order, appending each to `out`
+  /// when given; fails at the first name that does not resolve.
+  Status Resolve(const AstExpr& e,
+                 std::vector<Scope::Resolution>* out = nullptr) {
+    if (e.kind == AstExpr::Kind::kColumn) {
+      XO_ASSIGN_OR_RETURN(Scope::Resolution res, scope_.Resolve(e.name));
+      resolved_.emplace_back(&e, res);
+      if (out != nullptr) out->push_back(res);
+    }
+    for (const auto& c : e.children) XO_RETURN_NOT_OK(Resolve(*c, out));
+    return Status::OK();
+  }
+
+  /// The resolution of column node `e`; null if it did not resolve.
+  const Scope::Resolution* Find(const AstExpr& e) const {
+    for (const auto& [node, res] : resolved_) {
+      if (node == &e) return &res;
+    }
+    return nullptr;
+  }
+
+ private:
+  const Scope& scope_;
+  std::vector<std::pair<const AstExpr*, Scope::Resolution>> resolved_;
+};
+
+/// The place of column `res` in the combined row layout.
+size_t LayoutIndex(const std::vector<FromItem>& items,
+                   const Scope::Resolution& res) {
+  return items[res.item].offset + res.column;
+}
+
+Status UnknownColumn(std::string_view name) {
+  return Status::NotFound("unknown column '" + std::string(name) + "'");
+}
+
+Status AmbiguousColumn(std::string_view name) {
+  return Status::InvalidArgument("ambiguous column '" + std::string(name) +
+                                 "'");
+}
+
+/// Binds AST expressions to executable expressions: a column at its place
+/// in the combined layout, or in its own item's layout when bound local.
 class Binder {
  public:
-  Binder(const Scope* scope, const FunctionRegistry* functions)
-      : scope_(scope), functions_(functions) {}
+  Binder(const std::vector<FromItem>* items, const Columns* columns,
+         const FunctionRegistry* functions)
+      : items_(items), columns_(columns), functions_(functions) {}
 
-  /// `offset_shift` is subtracted from every resolved global index (to bind
-  /// an expression against one side's local layout).
-  Result<ExprPtr> Bind(const AstExpr& e, size_t offset_shift = 0) const {
+  Result<ExprPtr> Bind(const AstExpr& e, bool local = false) const {
     switch (e.kind) {
       case AstExpr::Kind::kColumn: {
-        XO_ASSIGN_OR_RETURN(auto res, scope_->Resolve(e.name));
-        if (res.global_index < offset_shift) {
-          return Status::Internal("column bound below side offset");
+        const Scope::Resolution* res = columns_->Find(e);
+        if (res == nullptr) {
+          return Status::Internal("unresolved column '" + e.name + "'");
         }
-        return ExprPtr(new ColumnRefExpr(res.global_index - offset_shift,
-                                         std::string(res.qualified),
-                                         res.type));
+        const size_t index = local ? res->column : LayoutIndex(*items_, *res);
+        return ExprPtr(
+            new ColumnRefExpr(index, std::string(res->qualified), res->type));
       }
       case AstExpr::Kind::kLiteral:
         return ExprPtr(new LiteralExpr(e.literal));
       case AstExpr::Kind::kStar:
         return Status::InvalidArgument("'*' is only valid in COUNT(*)");
       case AstExpr::Kind::kCompare: {
-        XO_ASSIGN_OR_RETURN(auto l, Bind(*e.children[0], offset_shift));
-        XO_ASSIGN_OR_RETURN(auto r, Bind(*e.children[1], offset_shift));
+        XO_ASSIGN_OR_RETURN(auto l, Bind(*e.children[0], local));
+        XO_ASSIGN_OR_RETURN(auto r, Bind(*e.children[1], local));
         return ExprPtr(new CompareExpr(e.op, std::move(l), std::move(r)));
       }
       case AstExpr::Kind::kAnd:
       case AstExpr::Kind::kOr: {
-        XO_ASSIGN_OR_RETURN(auto l, Bind(*e.children[0], offset_shift));
-        XO_ASSIGN_OR_RETURN(auto r, Bind(*e.children[1], offset_shift));
+        XO_ASSIGN_OR_RETURN(auto l, Bind(*e.children[0], local));
+        XO_ASSIGN_OR_RETURN(auto r, Bind(*e.children[1], local));
         return ExprPtr(new LogicExpr(e.kind == AstExpr::Kind::kAnd
                                          ? LogicExpr::Kind::kAnd
                                          : LogicExpr::Kind::kOr,
                                      std::move(l), std::move(r)));
       }
       case AstExpr::Kind::kNot: {
-        XO_ASSIGN_OR_RETURN(auto c, Bind(*e.children[0], offset_shift));
+        XO_ASSIGN_OR_RETURN(auto c, Bind(*e.children[0], local));
         return ExprPtr(
             new LogicExpr(LogicExpr::Kind::kNot, std::move(c), nullptr));
       }
       case AstExpr::Kind::kLike: {
-        XO_ASSIGN_OR_RETURN(auto c, Bind(*e.children[0], offset_shift));
+        XO_ASSIGN_OR_RETURN(auto c, Bind(*e.children[0], local));
         return ExprPtr(new LikeExpr(std::move(c), e.pattern));
       }
       case AstExpr::Kind::kIsNull: {
-        XO_ASSIGN_OR_RETURN(auto c, Bind(*e.children[0], offset_shift));
+        XO_ASSIGN_OR_RETURN(auto c, Bind(*e.children[0], local));
         return ExprPtr(new IsNullExpr(std::move(c), e.negated));
       }
       case AstExpr::Kind::kFunc: {
@@ -95,7 +142,7 @@ class Binder {
         }
         std::vector<ExprPtr> args;
         for (const auto& a : e.children) {
-          XO_ASSIGN_OR_RETURN(auto bound, Bind(*a, offset_shift));
+          XO_ASSIGN_OR_RETURN(auto bound, Bind(*a, local));
           args.push_back(std::move(bound));
         }
         return ExprPtr(new FunctionExpr(fn, std::move(args)));
@@ -105,7 +152,8 @@ class Binder {
   }
 
  private:
-  const Scope* scope_;
+  const std::vector<FromItem>* items_;
+  const Columns* columns_;
   const FunctionRegistry* functions_;
 };
 
@@ -118,25 +166,12 @@ void AndInto(ExprPtr* residual, ExprPtr pred) {
                                           std::move(pred)));
 }
 
-/// Appends the resolution of every column `e` names, in order; fails at
-/// the first name that does not resolve.
-Status ResolveColumns(const AstExpr& e, const Scope& scope,
-                      std::vector<Scope::Resolution>* out) {
-  if (e.kind == AstExpr::Kind::kColumn) {
-    XO_ASSIGN_OR_RETURN(Scope::Resolution res, scope.Resolve(e.name));
-    out->push_back(res);
-  }
-  for (const auto& c : e.children) {
-    XO_RETURN_NOT_OK(ResolveColumns(*c, scope, out));
-  }
-  return Status::OK();
-}
-
-/// A WHERE conjunct with the FROM items and layout columns it references.
+/// A WHERE conjunct with the FROM items and columns it references.
 struct Conjunct {
   const AstExpr* ast;
-  uint64_t items = 0;  // bit i: references FROM item i
-  std::vector<size_t> columns;
+  uint64_t items = 0;  // bit i: references FROM item i as written
+  std::vector<Scope::Resolution> columns;  // in the order `ast` names them
+  double selectivity = 0;  // a base table filter's, once estimated
   bool consumed = false;
 };
 
@@ -151,10 +186,9 @@ void FlattenConjuncts(const AstExpr& e, std::vector<const AstExpr*>* out) {
   out->push_back(&e);
 }
 
-/// The WHERE conjuncts of `where` (may be null), classified by the FROM
-/// items of `scope` they reference.
+/// The WHERE conjuncts of `where` (may be null), their columns resolved.
 Result<std::vector<Conjunct>> ClassifyConjuncts(const AstExpr* where,
-                                                const Scope& scope) {
+                                                Columns* columns) {
   std::vector<Conjunct> conjuncts;
   if (where == nullptr) return conjuncts;
   std::vector<const AstExpr*> flat;
@@ -162,12 +196,8 @@ Result<std::vector<Conjunct>> ClassifyConjuncts(const AstExpr* where,
   for (const AstExpr* e : flat) {
     Conjunct c;
     c.ast = e;
-    std::vector<Scope::Resolution> cols;
-    XO_RETURN_NOT_OK(ResolveColumns(*e, scope, &cols));
-    for (const Scope::Resolution& res : cols) {
-      c.items |= Bit(res.item);
-      c.columns.push_back(res.global_index);
-    }
+    XO_RETURN_NOT_OK(columns->Resolve(*e, &c.columns));
+    for (const Scope::Resolution& res : c.columns) c.items |= Bit(res.item);
     conjuncts.push_back(std::move(c));
   }
   return conjuncts;
@@ -197,7 +227,7 @@ bool MatchColumnEqLiteral(const AstExpr& e, const AstExpr** col,
 
 /// Crude selectivity model for base-table cardinality estimation.
 double EstimateSelectivity(const AstExpr& e, const TableInfo& table,
-                           const Scope& scope) {
+                           const Columns& columns) {
   switch (e.kind) {
     case AstExpr::Kind::kCompare: {
       if (e.op != CompareOp::kEq) return 0.3;
@@ -206,10 +236,10 @@ double EstimateSelectivity(const AstExpr& e, const TableInfo& table,
       const Value* literal;
       if (MatchColumnEqLiteral(e, &col, &literal) && table.stats.collected) {
         // A pushed-down filter names only `table`'s own columns.
-        auto res = scope.Resolve(col->name);
-        if (res.ok() && table.stats.columns[res->column].ndv > 0) {
-          return table.stats.columns[res->column].EqFraction(
-              literal->Hash(), table.stats.row_count);
+        const ColumnStats& stats =
+            table.stats.columns[columns.Find(*col)->column];
+        if (stats.ndv > 0) {
+          return stats.EqFraction(literal->Hash(), table.stats.row_count);
         }
       }
       return 0.05;
@@ -217,12 +247,12 @@ double EstimateSelectivity(const AstExpr& e, const TableInfo& table,
     case AstExpr::Kind::kLike:
       return 0.25;
     case AstExpr::Kind::kAnd:
-      return EstimateSelectivity(*e.children[0], table, scope) *
-             EstimateSelectivity(*e.children[1], table, scope);
+      return EstimateSelectivity(*e.children[0], table, columns) *
+             EstimateSelectivity(*e.children[1], table, columns);
     case AstExpr::Kind::kOr:
       return std::min(1.0,
-                      EstimateSelectivity(*e.children[0], table, scope) +
-                          EstimateSelectivity(*e.children[1], table, scope));
+                      EstimateSelectivity(*e.children[0], table, columns) +
+                          EstimateSelectivity(*e.children[1], table, columns));
     default:
       return 0.5;
   }
@@ -253,39 +283,7 @@ struct IndexChoice {
   Conjunct* filter = nullptr;
   const IndexInfo* index = nullptr;
   const Value* key = nullptr;
-  double selectivity = 0;
 };
-
-IndexChoice ChooseIndexScan(const std::vector<FromItem>& items, size_t i,
-                            std::vector<Conjunct>& conjuncts,
-                            const Scope& scope) {
-  IndexChoice choice;
-  const TableInfo* table = items[i].table;
-  for (Conjunct* c : BaseFilters(conjuncts, i)) {
-    const AstExpr* col;
-    const Value* literal;
-    if (!MatchColumnEqLiteral(*c->ast, &col, &literal)) continue;
-    // The filter's one column, at its place in the combined layout.
-    const IndexInfo* idx = table->FindIndex(c->columns[0] - items[i].offset);
-    if (idx == nullptr) continue;
-    double selectivity = EstimateSelectivity(*c->ast, *table, scope);
-    if (choice.index == nullptr || selectivity < choice.selectivity) {
-      choice = {c, idx, literal, selectivity};
-    }
-  }
-  return choice;
-}
-
-/// Estimated rows of FROM item `i` after its pushed-down filters.
-double EstimateItemRows(const std::vector<FromItem>& items, size_t i,
-                        std::vector<Conjunct>& conjuncts, const Scope& scope) {
-  if (items[i].table == nullptr) return 4.0;  // a handful of rows per call
-  double rows = static_cast<double>(items[i].table->heap->record_count());
-  for (Conjunct* c : BaseFilters(conjuncts, i)) {
-    rows *= EstimateSelectivity(*c->ast, *items[i].table, scope);
-  }
-  return std::max(rows, 1.0);
-}
 
 double BytesPerRow(const FromItem& item) {
   if (item.table == nullptr || item.table->heap->record_count() == 0) {
@@ -370,21 +368,24 @@ struct SubPlan {
 /// the cheapest plan of the subset without its last item.
 class JoinSearch {
  public:
+  /// `needs[i]`: the items whose columns lateral `i`'s arguments name.
   JoinSearch(const std::vector<FromItem>& items,
-             const std::vector<const sql::TableRef*>& refs,
+             std::vector<Conjunct>* conjuncts, std::vector<uint64_t> needs,
              const PlannerOptions& options)
-      : items_(items), refs_(refs), options_(options), scope_(&items) {}
+      : items_(items),
+        conjuncts_(*conjuncts),
+        options_(options),
+        needs_(std::move(needs)) {}
 
-  /// The chosen order, one step per FROM item. Fails on a name that does
-  /// not resolve and on a table-function argument naming a FROM item
-  /// written at or after the function.
-  Result<std::vector<SubPlan>> Run(const AstExpr* where);
+  /// The chosen order, one step per FROM item. Sets the selectivity of
+  /// every base table filter.
+  std::vector<SubPlan> Run(const Columns& columns);
 
-  /// The WHERE conjuncts, classified against the items as written.
-  std::vector<Conjunct>& conjuncts() { return conjuncts_; }
+  /// The index scan of table item `i`.
+  const IndexChoice& index(size_t i) const { return index_[i]; }
 
  private:
-  Status Prepare(const AstExpr* where);
+  void Prepare(const Columns& columns);
   /// `from` (the plan of `mask`, null when empty) extended by item `i`.
   SubPlan Extend(const SubPlan* from, uint64_t mask, size_t i) const;
   /// True when `i` may follow `mask`: `mask` holds every item `i` must
@@ -405,9 +406,8 @@ class JoinSearch {
   }
 
   const std::vector<FromItem>& items_;
-  const std::vector<const sql::TableRef*>& refs_;
+  std::vector<Conjunct>& conjuncts_;
   const PlannerOptions& options_;
-  Scope scope_;
   /// A conjunct naming several items, as the search sees it.
   struct Edge {
     uint64_t items;
@@ -418,47 +418,50 @@ class JoinSearch {
     size_t item[2];
     double fanout[2];
   };
-  std::vector<Conjunct> conjuncts_;
   std::vector<Edge> edges_;
   std::vector<double> rows_;         // per item, after its filters
   std::vector<double> scan_cost_;    // per item
+  std::vector<IndexChoice> index_;   // per table item
   std::vector<uint64_t> needs_;      // per item: items it must follow
 };
 
-Status JoinSearch::Prepare(const AstExpr* where) {
+void JoinSearch::Prepare(const Columns& columns) {
   const size_t n = items_.size();
-  XO_ASSIGN_OR_RETURN(conjuncts_, ClassifyConjuncts(where, scope_));
   rows_.resize(n);
   scan_cost_.resize(n);
-  needs_.assign(n, 0);
+  index_.resize(n);
   uint64_t laterals = 0;
   for (size_t i = 0; i < n; ++i) {
-    rows_[i] = EstimateItemRows(items_, i, conjuncts_, scope_);
-    if (items_[i].function != nullptr) {
+    const TableInfo* table = items_[i].table;
+    if (table == nullptr) {
+      rows_[i] = 4.0;  // a handful of rows per call
       // A lateral follows the items its arguments name, and the laterals
       // written before it: with no estimate of a table function's rows,
       // the written order is the only evidence for which to call first.
-      for (const auto& a : refs_[i]->function_args) {
-        std::vector<Scope::Resolution> cols;
-        XO_RETURN_NOT_OK(ResolveColumns(*a, scope_, &cols));
-        for (const Scope::Resolution& res : cols) {
-          if (res.item >= i) {
-            return Status::InvalidArgument(
-                "table function argument references a later FROM item");
-          }
-          needs_[i] |= Bit(res.item);
-        }
-      }
       needs_[i] |= laterals;
       laterals |= Bit(i);
       continue;
     }
-    const double table_rows =
-        static_cast<double>(items_[i].table->heap->record_count());
-    IndexChoice index = ChooseIndexScan(items_, i, conjuncts_, scope_);
+    const double table_rows = static_cast<double>(table->heap->record_count());
+    double rows = table_rows;
+    IndexChoice& index = index_[i];
+    for (Conjunct* c : BaseFilters(conjuncts_, i)) {
+      c->selectivity = EstimateSelectivity(*c->ast, *table, columns);
+      rows *= c->selectivity;
+      const AstExpr* col;
+      const Value* literal;
+      if (!MatchColumnEqLiteral(*c->ast, &col, &literal)) continue;
+      const IndexInfo* idx = table->FindIndex(c->columns[0].column);
+      if (idx != nullptr && (index.index == nullptr ||
+                             c->selectivity < index.filter->selectivity)) {
+        index = {c, idx, literal};
+      }
+    }
+    rows_[i] = std::max(rows, 1.0);
     scan_cost_[i] = index.index == nullptr
                         ? table_rows
-                        : kIndexProbeCost + table_rows * index.selectivity *
+                        : kIndexProbeCost + table_rows *
+                                                index.filter->selectivity *
                                                 kHeapFetchCost;
   }
   for (const Conjunct& c : conjuncts_) {
@@ -468,20 +471,14 @@ Status JoinSearch::Prepare(const AstExpr* where) {
       edge.key = true;
       double ndv = 1;
       for (size_t side = 0; side < 2; ++side) {
-        // The side's layout column (ResolveColumns' order) and its item.
-        const size_t column = c.columns[side];
-        size_t item = 0;
-        while (column >= items_[item].offset + items_[item].columns.size()) {
-          ++item;
-        }
-        const size_t own = column - items_[item].offset;
-        edge.item[side] = item;
-        ndv = std::max(ndv, Ndv(item, own));
-        const TableInfo* t = items_[item].table;
-        if (t != nullptr && t->FindIndex(own) != nullptr) {
+        const Scope::Resolution& key = c.columns[side];
+        edge.item[side] = key.item;
+        ndv = std::max(ndv, Ndv(key.item, key.column));
+        const TableInfo* t = items_[key.item].table;
+        if (t != nullptr && t->FindIndex(key.column) != nullptr) {
           edge.fanout[side] =
               std::max(1.0, static_cast<double>(t->heap->record_count()) /
-                                Ndv(item, own));
+                                Ndv(key.item, key.column));
         }
       }
       // |R >< S| = |R| |S| / max(ndv(R.a), ndv(S.b)).
@@ -489,7 +486,6 @@ Status JoinSearch::Prepare(const AstExpr* where) {
     }
     edges_.push_back(edge);
   }
-  return Status::OK();
 }
 
 double JoinSearch::Ndv(size_t item, size_t column) const {
@@ -602,10 +598,9 @@ SubPlan JoinSearch::Extend(const SubPlan* from, uint64_t mask,
   return out;
 }
 
-Result<std::vector<SubPlan>> JoinSearch::Run(const AstExpr* where) {
+std::vector<SubPlan> JoinSearch::Run(const Columns& columns) {
   const size_t n = items_.size();
-  if (n > 64) return Status::InvalidArgument("more than 64 FROM items");
-  XO_RETURN_NOT_OK(Prepare(where));
+  Prepare(columns);
   // The items that may extend `mask`, as a bit set: those a conjunct or an
   // argument ties to it, else (a cross product) every item that may follow.
   auto next_items = [&](uint64_t mask) {
@@ -660,17 +655,11 @@ Result<Scope::Resolution> Scope::Resolve(std::string_view name) const {
     const FromItem& item = (*items_)[i];
     for (size_t c = 0; c < item.columns.size(); ++c) {
       if (!NameMatches(item.columns[c].name, name)) continue;
-      if (found.has_value()) {
-        return Status::InvalidArgument("ambiguous column '" +
-                                       std::string(name) + "'");
-      }
-      found = Resolution{i, c, item.offset + c, item.columns[c].type,
-                         item.columns[c].name};
+      if (found.has_value()) return AmbiguousColumn(name);
+      found = Resolution{i, c, item.columns[c].type, item.columns[c].name};
     }
   }
-  if (!found.has_value()) {
-    return Status::NotFound("unknown column '" + std::string(name) + "'");
-  }
+  if (!found.has_value()) return UnknownColumn(name);
   return *found;
 }
 
@@ -678,7 +667,6 @@ Result<std::vector<FromItem>> Planner::BindFrom(
     const sql::SelectStmt& stmt) const {
   std::vector<FromItem> items;
   items.reserve(stmt.from.size());
-  size_t offset = 0;
   for (const sql::TableRef& ref : stmt.from) {
     FromItem item;
     item.alias = ref.alias;
@@ -696,8 +684,6 @@ Result<std::vector<FromItem>> Planner::BindFrom(
       }
       item.columns = QualifiedColumns(item.table->schema.columns, ref.alias);
     }
-    item.offset = offset;
-    offset += item.columns.size();
     items.push_back(std::move(item));
   }
   return items;
@@ -708,90 +694,101 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt,
   if (stmt.from.empty()) {
     return Status::InvalidArgument("FROM clause is required");
   }
+  XO_ASSIGN_OR_RETURN(std::vector<FromItem> items, BindFrom(stmt));
+  const size_t n = items.size();
+  if (n > 64) return Status::InvalidArgument("more than 64 FROM items");
+
+  // ---- Every column reference, resolved once. -----------------------------
+  // Against the items as written, whose numbering the whole plan keeps. A
+  // bad name is reported from the first clause that names it, in this
+  // order: WHERE, table-function arguments, GROUP BY, the select list.
+  const Scope scope(&items);
+  Columns columns(scope);
+  XO_ASSIGN_OR_RETURN(std::vector<Conjunct> conjuncts,
+                      ClassifyConjuncts(stmt.where.get(), &columns));
+  std::vector<std::vector<Scope::Resolution>> arg_columns(n);
+  std::vector<uint64_t> needs(n, 0);
+  for (size_t i = 0; i < n; ++i) {
+    for (const auto& a : stmt.from[i].function_args) {
+      XO_RETURN_NOT_OK(columns.Resolve(*a, &arg_columns[i]));
+    }
+    for (const Scope::Resolution& res : arg_columns[i]) {
+      if (res.item >= i) {
+        return Status::InvalidArgument(
+            "table function argument references a later FROM item");
+      }
+      needs[i] |= Bit(res.item);
+    }
+  }
+  bool has_aggregate = !stmt.group_by.empty();
+  for (const sql::SelectItem& sel : stmt.items) {
+    if (ContainsAggregate(*sel.expr)) has_aggregate = true;
+  }
+  std::vector<Scope::Resolution> top_columns;  // read above every join
+  for (const auto& g : stmt.group_by) {
+    XO_RETURN_NOT_OK(columns.Resolve(*g, &top_columns));
+  }
+  for (const sql::SelectItem& sel : stmt.items) {
+    if (has_aggregate && !IsAggregate(*sel.expr)) {
+      XO_DISCARD_STATUS(columns.Resolve(*sel.expr, &top_columns),
+                        "an aggregate query's plain select item is only "
+                        "matched against the GROUP BY keys, and one that "
+                        "does not resolve fails that match below");
+    } else {
+      XO_RETURN_NOT_OK(columns.Resolve(*sel.expr, &top_columns));
+    }
+  }
 
   // ---- Join order by cost. ------------------------------------------------
-  // The search sees the items as written; the plan is then built over them
-  // in the chosen order, the combined row layout included.
-  XO_ASSIGN_OR_RETURN(std::vector<FromItem> written, BindFrom(stmt));
-  std::vector<const sql::TableRef*> refs;
-  for (const sql::TableRef& ref : stmt.from) refs.push_back(&ref);
-  JoinSearch search(written, refs, options_);
-  XO_ASSIGN_OR_RETURN(std::vector<SubPlan> steps,
-                      search.Run(stmt.where.get()));
+  JoinSearch search(items, &conjuncts, std::move(needs), options_);
+  const std::vector<SubPlan> steps = search.Run(columns);
   if (cost != nullptr) *cost = steps.back().cost;
-  std::vector<FromItem> items;
-  std::vector<size_t> position(written.size());  // by written position
+  // The combined row layout follows the chosen order.
+  std::vector<size_t> position(n);  // by FROM item
   size_t width = 0;
-  for (size_t p = 0; p < steps.size(); ++p) {
-    const size_t w = steps[p].last;
-    position[w] = p;
-    refs[p] = &stmt.from[w];
-    items.push_back(std::move(written[w]));
-    items.back().offset = width;
-    width += items.back().columns.size();
+  for (size_t p = 0; p < n; ++p) {
+    FromItem& item = items[steps[p].last];
+    position[steps[p].last] = p;
+    item.offset = width;
+    width += item.columns.size();
   }
-  Scope scope(&items);
-  Binder binder(&scope, functions_);
-
-  // ---- WHERE conjuncts, moved to the chosen order. ------------------------
-  // A layout column keeps its place within its item.
-  std::vector<size_t> new_column;  // by written layout column
-  for (size_t w = 0; w < written.size(); ++w) {
-    const FromItem& item = items[position[w]];
-    for (size_t c = 0; c < item.columns.size(); ++c) {
-      new_column.push_back(item.offset + c);
-    }
-  }
-  std::vector<Conjunct> conjuncts = std::move(search.conjuncts());
-  for (Conjunct& c : conjuncts) {
-    const uint64_t written_items = c.items;
-    c.items = 0;
-    for (size_t w = 0; w < written.size(); ++w) {
-      if (written_items & Bit(w)) c.items |= Bit(position[w]);
-    }
-    for (size_t& column : c.columns) column = new_column[column];
-  }
+  Binder binder(&items, &columns, functions_);
 
   // ---- Column liveness. ---------------------------------------------------
   // Records, per column of the combined layout, the latest plan stage that
-  // reads it. Stage 2i is the lateral at position i evaluating its
-  // arguments; stage 2i+1 is everything applied once position i is joined
-  // (join keys, residuals, filters: a conjunct runs at its last position);
-  // the select list and GROUP BY read at the top. Scans and the index
-  // join's inner side materialize the columns read at any stage; a lateral
-  // at position i copies only the columns read after stage 2i. Row layouts
-  // keep their width, so no expression is rebound. An expression naming an
-  // unknown column is skipped here; Bind reports it below.
+  // reads it. Stage 2p is the lateral at position p evaluating its
+  // arguments; stage 2p+1 is everything applied once position p is joined
+  // (join keys, residuals, filters: a conjunct runs at the last position
+  // among its items); the select list and GROUP BY read at the top. Scans
+  // and the index join's inner side materialize the columns read at any
+  // stage; a lateral at position p copies only the columns read after
+  // stage 2p. Row layouts keep their width, so no expression is rebound.
   std::vector<int> last_read(width, -1);
-  auto mark_column = [&](size_t column, int stage) {
-    last_read[column] = std::max(last_read[column], stage);
+  auto mark_read = [&](const Scope::Resolution& res, int stage) {
+    int& last = last_read[LayoutIndex(items, res)];
+    last = std::max(last, stage);
   };
-  auto mark_read = [&](const AstExpr& e, int stage) {
-    std::vector<Scope::Resolution> cols;
-    if (!ResolveColumns(e, scope, &cols).ok()) return;
-    for (const Scope::Resolution& res : cols) {
-      mark_column(res.global_index, stage);
-    }
-  };
-  const int top_stage = static_cast<int>(2 * items.size());
+  const int top_stage = static_cast<int>(2 * n);
   for (const Conjunct& c : conjuncts) {
-    for (size_t column : c.columns) {
-      mark_column(column, 2 * static_cast<int>(std::bit_width(c.items)) - 1);
+    size_t last = 0;
+    for (const Scope::Resolution& res : c.columns) {
+      last = std::max(last, position[res.item]);
+    }
+    for (const Scope::Resolution& res : c.columns) {
+      mark_read(res, static_cast<int>(2 * last + 1));
     }
   }
-  for (size_t i = 0; i < items.size(); ++i) {
-    for (const auto& a : refs[i]->function_args) {
-      mark_read(*a, static_cast<int>(2 * i));
+  for (size_t i = 0; i < n; ++i) {
+    for (const Scope::Resolution& res : arg_columns[i]) {
+      mark_read(res, static_cast<int>(2 * position[i]));
     }
   }
+  for (const Scope::Resolution& res : top_columns) mark_read(res, top_stage);
   for (const sql::SelectItem& sel : stmt.items) {
     if (sel.expr->kind == AstExpr::Kind::kStar) {
       std::fill(last_read.begin(), last_read.end(), top_stage);
-    } else {
-      mark_read(*sel.expr, top_stage);
     }
   }
-  for (const auto& g : stmt.group_by) mark_read(*g, top_stage);
   // Columns [begin, end) of the layout read after `stage`.
   auto live_after = [&](size_t begin, size_t end, int stage) {
     ColumnMask live(end - begin);
@@ -804,30 +801,26 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt,
   };
 
   // ---- Build each base access path with pushed-down filters. -------------
+  // The index scan and the estimates are the ones the search chose.
   auto build_base = [&](size_t i) -> Result<OperatorPtr> {
     const FromItem& item = items[i];
-    std::vector<Conjunct*> filters = BaseFilters(conjuncts, i);
-    IndexChoice index = ChooseIndexScan(items, i, conjuncts, scope);
-    const double table_rows =
-        static_cast<double>(item.table->heap->record_count());
+    const IndexChoice& index = search.index(i);
     OperatorPtr op;
-    double rows = table_rows;
+    double rows = static_cast<double>(item.table->heap->record_count());
     if (index.index != nullptr) {
       op = std::make_unique<IndexScanOp>(item.table, index.index, *index.key,
                                          item.alias, scan_live(i));
       index.filter->consumed = true;
-      rows *= index.selectivity;
+      rows *= index.filter->selectivity;
     } else {
       op = std::make_unique<SeqScanOp>(item.table, item.alias, scan_live(i));
     }
     op->set_estimate(Rows(rows));
-    // Remaining pushed filters. They are bound against the item's local
-    // layout (shift by the item's offset).
-    for (Conjunct* c : filters) {
-      if (c->consumed) continue;
-      XO_ASSIGN_OR_RETURN(auto pred, binder.Bind(*c->ast, item.offset));
+    // Remaining pushed filters, bound against the item's own layout.
+    for (Conjunct* c : BaseFilters(conjuncts, i)) {
+      XO_ASSIGN_OR_RETURN(auto pred, binder.Bind(*c->ast, /*local=*/true));
       op = std::make_unique<FilterOp>(std::move(op), std::move(pred));
-      rows *= EstimateSelectivity(*c->ast, *item.table, scope);
+      rows *= c->selectivity;
       op->set_estimate(Rows(rows));
       c->consumed = true;
     }
@@ -841,21 +834,22 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt,
     return (c.items & ~(joined | Bit(i))) == 0;
   };
   OperatorPtr plan;
-  for (size_t i = 0; i < items.size(); ++i) {
+  for (size_t p = 0; p < n; ++p) {
+    const SubPlan& step = steps[p];
+    const size_t i = step.last;
     const FromItem& item = items[i];
-    const SubPlan& step = steps[i];
     if (item.function != nullptr) {
       // Lateral table function: arguments bound against the accumulated
       // layout (the search placed every item they name before it).
       std::vector<ExprPtr> args;
-      for (const auto& a : refs[i]->function_args) {
+      for (const auto& a : stmt.from[i].function_args) {
         XO_ASSIGN_OR_RETURN(auto bound, binder.Bind(*a));
         args.push_back(std::move(bound));
       }
       plan = std::make_unique<LateralTableFuncOp>(
           std::move(plan), item.function, std::move(args), item.alias,
           live_after(0, item.offset + item.columns.size(),
-                     static_cast<int>(2 * i)));
+                     static_cast<int>(2 * p)));
       plan->set_estimate(Rows(step.join_rows));
       // Fall through to apply any now-complete conjuncts below.
     } else if (plan == nullptr) {
@@ -865,6 +859,7 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt,
       struct JoinKey {
         const AstExpr* acc_side;
         const AstExpr* item_side;
+        size_t item_column;  // the column `item_side` names, within item i
         Conjunct* conjunct;
       };
       std::vector<JoinKey> keys;
@@ -873,12 +868,11 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt,
         if (std::popcount(c.items) != 2) continue;
         if (!(c.items & joined)) continue;
         if (!MatchEquiJoin(*c.ast)) continue;
-        XO_ASSIGN_OR_RETURN(auto res0,
-                            scope.Resolve(c.ast->children[0]->name));
-        const AstExpr* acc_side = c.ast->children[0].get();
-        const AstExpr* item_side = c.ast->children[1].get();
-        if (res0.item == i) std::swap(acc_side, item_side);
-        keys.push_back({acc_side, item_side, &c});
+        // columns[k] is the column children[k] names.
+        const size_t side = c.columns[0].item == i ? 0 : 1;
+        keys.push_back({c.ast->children[1 - side].get(),
+                        c.ast->children[side].get(), c.columns[side].column,
+                        &c});
       }
       if (step.algo == JoinAlgo::kNestedLoop) {
         XO_ASSIGN_OR_RETURN(OperatorPtr right, build_base(i));
@@ -897,14 +891,10 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt,
       } else if (step.algo == JoinAlgo::kIndexNL) {
         // The probe is the first key whose column on i's side is indexed,
         // as the search costed it.
-        auto indexed = [&](const JoinKey& k) -> const IndexInfo* {
-          auto res = scope.Resolve(k.item_side->name);
-          return res.ok() && res->item == i
-                     ? items[i].table->FindIndex(res->column)
-                     : nullptr;
-        };
         auto probe = std::find_if(keys.begin(), keys.end(), [&](
-            const JoinKey& k) { return indexed(k) != nullptr; });
+            const JoinKey& k) {
+          return item.table->FindIndex(k.item_column) != nullptr;
+        });
         if (probe == keys.end()) {
           return Status::Internal("index join without an indexed key");
         }
@@ -925,17 +915,17 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt,
           c->consumed = true;
         }
         plan = std::make_unique<IndexNestedLoopJoinOp>(
-            std::move(plan), items[i].table, indexed(*probe),
-            std::move(outer_key), item.alias, std::move(residual),
-            scan_live(i));
+            std::move(plan), item.table,
+            item.table->FindIndex(probe->item_column), std::move(outer_key),
+            item.alias, std::move(residual), scan_live(i));
       } else {
         XO_ASSIGN_OR_RETURN(OperatorPtr right, build_base(i));
         std::vector<ExprPtr> left_keys;
         std::vector<ExprPtr> right_keys;
         for (JoinKey& k : keys) {
           XO_ASSIGN_OR_RETURN(auto l, binder.Bind(*k.acc_side));
-          XO_ASSIGN_OR_RETURN(auto r, binder.Bind(*k.item_side,
-                                                  items[i].offset));
+          XO_ASSIGN_OR_RETURN(auto r,
+                              binder.Bind(*k.item_side, /*local=*/true));
           left_keys.push_back(std::move(l));
           right_keys.push_back(std::move(r));
           k.conjunct->consumed = true;
@@ -972,18 +962,29 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt,
   }
   const double joined_rows = steps.back().rows;
 
-  // ---- Aggregation. -------------------------------------------------------
-  bool has_aggregate = !stmt.group_by.empty();
-  for (const sql::SelectItem& item : stmt.items) {
-    if (ContainsAggregate(*item.expr)) has_aggregate = true;
-  }
-
   auto item_name = [](const sql::SelectItem& item) {
     return item.alias.empty() ? item.expr->ToString() : item.alias;
   };
 
+  // The projection in select order, and what each output column holds for
+  // ORDER BY: a FROM column as its place in the combined layout, any other
+  // value as a place past the layout.
+  std::vector<ExprPtr> proj;
+  std::vector<std::string> names;
+  std::vector<size_t> holds;
+  auto output = [&](ExprPtr expr, std::string name, size_t held) {
+    proj.push_back(std::move(expr));
+    names.push_back(std::move(name));
+    holds.push_back(held);
+  };
+  auto held = [&](const AstExpr& e) {
+    const Scope::Resolution* res = columns.Find(e);
+    return res != nullptr ? LayoutIndex(items, *res) : width + holds.size();
+  };
+
   double output_rows = joined_rows;
   if (has_aggregate) {
+    // ---- Aggregation. -----------------------------------------------------
     std::vector<ExprPtr> group_keys;
     std::vector<std::string> group_names;
     for (const auto& g : stmt.group_by) {
@@ -991,18 +992,12 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt,
       group_names.push_back(g->ToString());
       group_keys.push_back(std::move(bound));
     }
+    // The aggregate's rows are the group keys, then the aggregates.
+    const size_t n_groups = group_keys.size();
     std::vector<AggregateSpec> aggs;
-    // Map each select item onto the aggregate output.
-    struct OutputRef {
-      bool is_group_key;
-      size_t index;  // group key idx or aggregate idx
-      std::string name;
-      TypeId type;
-    };
-    std::vector<OutputRef> outputs;
     for (const sql::SelectItem& sel : stmt.items) {
       const AstExpr& e = *sel.expr;
-      if (e.kind == AstExpr::Kind::kFunc && IsAggregateName(e.name)) {
+      if (IsAggregate(e)) {
         AggregateSpec spec;
         std::string lower = ToLower(e.name);
         if (lower == "count") {
@@ -1030,70 +1025,62 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt,
                     spec.arg != nullptr
                 ? spec.arg->type()
                 : TypeId::kInteger;
-        outputs.push_back({false, aggs.size(), spec.name, out_type});
+        output(ExprPtr(new ColumnRefExpr(n_groups + aggs.size(), spec.name,
+                                         out_type)),
+               spec.name, held(e));
         aggs.push_back(std::move(spec));
         continue;
       }
-      // Non-aggregate select item must match a GROUP BY expression.
-      std::string text = e.ToString();
-      bool matched = false;
-      for (size_t g = 0; g < group_names.size(); ++g) {
-        if (EqualsIgnoreCase(group_names[g], text)) {
-          outputs.push_back(
-              {true, g, item_name(sel), group_keys[g]->type()});
-          matched = true;
-          break;
+      // A plain select item must be a GROUP BY key: a column the key
+      // resolves to, any other expression the key's text.
+      const std::string text = e.ToString();
+      const Scope::Resolution* column = columns.Find(e);
+      auto is_key = [&](size_t g) {
+        if (e.kind != AstExpr::Kind::kColumn) {
+          return EqualsIgnoreCase(group_names[g], text);
         }
-      }
-      if (!matched) {
+        const Scope::Resolution* key = columns.Find(*stmt.group_by[g]);
+        return column != nullptr && key != nullptr &&
+               key->item == column->item && key->column == column->column;
+      };
+      size_t g = 0;
+      while (g < n_groups && !is_key(g)) ++g;
+      if (g == n_groups) {
         return Status::InvalidArgument(
             "select item '" + text +
             "' must be an aggregate or appear in GROUP BY");
       }
+      output(ExprPtr(new ColumnRefExpr(g, item_name(sel),
+                                       group_keys[g]->type())),
+             item_name(sel), held(e));
     }
-    size_t n_groups = group_keys.size();
     plan = std::make_unique<AggregateOp>(std::move(plan),
                                          std::move(group_keys), group_names,
                                          std::move(aggs));
     // At most one group per input row; one row without GROUP BY.
     output_rows = n_groups == 0 ? 1 : joined_rows;
     plan->set_estimate(Rows(output_rows));
-    // Final projection into select order.
-    std::vector<ExprPtr> proj;
-    std::vector<std::string> names;
-    for (const OutputRef& o : outputs) {
-      size_t idx = o.is_group_key ? o.index : n_groups + o.index;
-      proj.push_back(ExprPtr(new ColumnRefExpr(idx, o.name, o.type)));
-      names.push_back(o.name);
-    }
-    plan = std::make_unique<ProjectOp>(std::move(plan), std::move(proj),
-                                       std::move(names));
-    plan->set_estimate(Rows(output_rows));
   } else {
-    // ---- Plain projection. -----------------------------------------------
-    std::vector<ExprPtr> proj;
-    std::vector<std::string> names;
     for (const sql::SelectItem& sel : stmt.items) {
       if (sel.expr->kind == AstExpr::Kind::kStar) {
         // In written order, whatever order the items were joined in.
-        for (size_t p : position) {
-          const FromItem& item = items[p];
+        for (const FromItem& item : items) {
           for (size_t c = 0; c < item.columns.size(); ++c) {
-            proj.push_back(ExprPtr(new ColumnRefExpr(
-                item.offset + c, item.columns[c].name, item.columns[c].type)));
-            names.push_back(item.columns[c].name);
+            output(ExprPtr(new ColumnRefExpr(item.offset + c,
+                                             item.columns[c].name,
+                                             item.columns[c].type)),
+                   item.columns[c].name, item.offset + c);
           }
         }
         continue;
       }
       XO_ASSIGN_OR_RETURN(auto bound, binder.Bind(*sel.expr));
-      names.push_back(item_name(sel));
-      proj.push_back(std::move(bound));
+      output(std::move(bound), item_name(sel), held(*sel.expr));
     }
-    plan = std::make_unique<ProjectOp>(std::move(plan), std::move(proj),
-                                       std::move(names));
-    plan->set_estimate(Rows(output_rows));
   }
+  plan = std::make_unique<ProjectOp>(std::move(plan), std::move(proj),
+                                     std::move(names));
+  plan->set_estimate(Rows(output_rows));
 
   if (stmt.distinct) {
     plan = std::make_unique<DistinctOp>(std::move(plan));
@@ -1101,27 +1088,27 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt,
   }
 
   // ---- ORDER BY over the projected output. --------------------------------
+  // A name matches output columns as it matches FROM columns, and fails the
+  // same way when it matches none or several that hold different values
+  // (`salary` and `emp.salary` hold one).
   if (!stmt.order_by.empty()) {
+    const std::vector<ColumnMeta>& output = plan->columns();
     std::vector<ExprPtr> keys;
     std::vector<bool> asc;
     for (const sql::OrderItem& o : stmt.order_by) {
-      std::string text = o.expr->ToString();
-      int found = -1;
-      const auto& cols = plan->columns();
-      for (size_t c = 0; c < cols.size(); ++c) {
-        if (NameMatches(cols[c].name, text)) {
-          found = static_cast<int>(c);
-          break;
+      const std::string text = o.expr->ToString();
+      std::optional<size_t> found;
+      for (size_t c = 0; c < output.size(); ++c) {
+        if (!NameMatches(output[c].name, text)) continue;
+        if (!found.has_value()) {
+          found = c;
+        } else if (holds[c] != holds[*found]) {
+          return AmbiguousColumn(text);
         }
       }
-      if (found < 0) {
-        return Status::InvalidArgument(
-            "ORDER BY expression '" + text +
-            "' must reference a select-list column");
-      }
-      keys.push_back(ExprPtr(new ColumnRefExpr(
-          static_cast<size_t>(found), plan->columns()[found].name,
-          plan->columns()[found].type)));
+      if (!found.has_value()) return UnknownColumn(text);
+      keys.push_back(ExprPtr(new ColumnRefExpr(*found, output[*found].name,
+                                               output[*found].type)));
       asc.push_back(o.ascending);
     }
     plan = std::make_unique<SortOp>(std::move(plan), std::move(keys),
@@ -1137,8 +1124,10 @@ Result<ExprPtr> Planner::BindPredicate(const AstExpr& predicate,
       {.table = &table,
        .alias = table.name,
        .columns = QualifiedColumns(table.schema.columns, table.name)}};
-  Scope scope(&items);
-  return Binder(&scope, functions_).Bind(predicate);
+  const Scope scope(&items);
+  Columns columns(scope);
+  XO_RETURN_NOT_OK(columns.Resolve(predicate));
+  return Binder(&items, &columns, functions_).Bind(predicate);
 }
 
 }  // namespace xorator::ordb

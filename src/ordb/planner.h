@@ -26,7 +26,7 @@ struct PlannerOptions {
   bool enable_index_join = true;
 };
 
-/// One FROM entry with its place in the combined row layout of a SELECT.
+/// One FROM entry of a SELECT.
 struct FromItem {
   const TableInfo* table = nullptr;  // null for table functions
   const TableFunction* function = nullptr;
@@ -34,19 +34,20 @@ struct FromItem {
   /// "alias.col", in the order of the table's schema or the function's
   /// output, so a column's index here is its index there.
   std::vector<ColumnMeta> columns;
-  size_t offset = 0;  // position of columns[0] in the combined layout
+  /// Position of columns[0] in the combined row layout, which follows the
+  /// chosen join order; PlanSelect sets it once the order is chosen.
+  size_t offset = 0;
 };
 
 /// Resolves column names, `col` or `alias.col` and case-insensitive,
-/// against the combined layout of a SELECT's FROM items.
+/// against a SELECT's FROM items as written.
 class Scope {
  public:
   explicit Scope(const std::vector<FromItem>* items) : items_(items) {}
 
   struct Resolution {
-    size_t item;          // index of the FROM item
-    size_t column;        // index of the column within that item
-    size_t global_index;  // position in the combined layout
+    size_t item;    // index of the FROM item
+    size_t column;  // index of the column within that item
     TypeId type;
     std::string_view qualified;  // "alias.col", as ColumnRefExpr prints it
   };
@@ -75,8 +76,8 @@ class Planner {
   [[nodiscard]] Result<OperatorPtr> PlanSelect(const sql::SelectStmt& stmt,
                                                double* cost = nullptr);
 
-  /// The FROM items of `stmt` and their combined layout, for a Scope.
-  /// Fails on an unknown table or table function.
+  /// The FROM items of `stmt`, for a Scope. Fails on an unknown table or
+  /// table function.
   [[nodiscard]] Result<std::vector<FromItem>> BindFrom(
       const sql::SelectStmt& stmt) const;
 

@@ -314,6 +314,80 @@ TEST_F(EngineTest, ErrorsSurfaceCleanly) {
       << "ambiguous column";
 }
 
+TEST_F(EngineTest, NameErrorsReportedClauseByClause) {
+  ASSERT_TRUE(db_->Execute("CREATE TABLE frag (id INTEGER, x XADT)").ok());
+  // Two columns that differ only in case: the one way a one-table scope,
+  // DELETE's, can hold an ambiguous name.
+  ASSERT_TRUE(db_->Execute("CREATE TABLE twin (a INTEGER, A INTEGER)").ok());
+  struct Case {
+    const char* clause;
+    const char* sql;
+    StatusCode code;
+    const char* message;
+  };
+  const Case kCases[] = {
+      {"select list", "SELECT nosuch FROM emp", StatusCode::kNotFound,
+       "unknown column 'nosuch'"},
+      {"select list", "SELECT id FROM emp, dept WHERE dept = dept.id",
+       StatusCode::kInvalidArgument, "ambiguous column 'id'"},
+      {"WHERE filter", "SELECT name FROM emp WHERE nosuch = 1",
+       StatusCode::kNotFound, "unknown column 'nosuch'"},
+      {"WHERE filter", "SELECT name FROM emp, dept WHERE id = 1",
+       StatusCode::kInvalidArgument, "ambiguous column 'id'"},
+      {"WHERE join key",
+       "SELECT name FROM emp, dept WHERE emp.dept = dept.nosuch",
+       StatusCode::kNotFound, "unknown column 'dept.nosuch'"},
+      {"WHERE join key", "SELECT name FROM emp, dept WHERE dept = id",
+       StatusCode::kInvalidArgument, "ambiguous column 'id'"},
+      {"GROUP BY", "SELECT COUNT(*) FROM emp GROUP BY nosuch",
+       StatusCode::kNotFound, "unknown column 'nosuch'"},
+      {"GROUP BY",
+       "SELECT COUNT(*) FROM emp, dept WHERE dept = dept.id GROUP BY id",
+       StatusCode::kInvalidArgument, "ambiguous column 'id'"},
+      {"aggregate argument", "SELECT MAX(nosuch) FROM emp",
+       StatusCode::kNotFound, "unknown column 'nosuch'"},
+      {"aggregate argument",
+       "SELECT MAX(id) FROM emp, dept WHERE dept = dept.id",
+       StatusCode::kInvalidArgument, "ambiguous column 'id'"},
+      {"plain item of an aggregate",
+       "SELECT nosuch, COUNT(*) FROM emp GROUP BY dept",
+       StatusCode::kInvalidArgument,
+       "select item 'nosuch' must be an aggregate or appear in GROUP BY"},
+      {"plain item of an aggregate",
+       "SELECT id, COUNT(*) FROM emp, dept WHERE dept = dept.id "
+       "GROUP BY emp.id",
+       StatusCode::kInvalidArgument,
+       "select item 'id' must be an aggregate or appear in GROUP BY"},
+      {"table-function argument",
+       "SELECT u.out FROM frag, table(unnest(nosuch, 'a')) u",
+       StatusCode::kNotFound, "unknown column 'nosuch'"},
+      {"table-function argument",
+       "SELECT u.out FROM frag, emp, table(unnest(id, 'a')) u",
+       StatusCode::kInvalidArgument, "ambiguous column 'id'"},
+      {"table-function argument",
+       "SELECT u.out FROM table(unnest(frag.x, 'a')) u, frag",
+       StatusCode::kInvalidArgument,
+       "table function argument references a later FROM item"},
+      {"ORDER BY", "SELECT name FROM emp ORDER BY nosuch",
+       StatusCode::kNotFound, "unknown column 'nosuch'"},
+      {"ORDER BY",
+       "SELECT emp.id, dept.id FROM emp, dept WHERE dept = dept.id "
+       "ORDER BY id",
+       StatusCode::kInvalidArgument, "ambiguous column 'id'"},
+      {"DELETE WHERE", "DELETE FROM emp WHERE nosuch = 1",
+       StatusCode::kNotFound, "unknown column 'nosuch'"},
+      {"DELETE WHERE", "DELETE FROM twin WHERE a = 1",
+       StatusCode::kInvalidArgument, "ambiguous column 'a'"},
+  };
+  for (const Case& c : kCases) {
+    SCOPED_TRACE(std::string(c.clause) + ": " + c.sql);
+    auto r = db_->Query(c.sql);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), c.code) << r.status().ToString();
+    EXPECT_EQ(r.status().message(), c.message);
+  }
+}
+
 TEST_F(EngineTest, AdviseIndexesCreatesJoinIndexes) {
   ASSERT_TRUE(db_
                   ->AdviseIndexes({"SELECT name FROM emp, dept "

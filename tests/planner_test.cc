@@ -172,11 +172,17 @@ TEST_F(PlannerTest, LongFromListJoinsGreedily) {
   // chain of equi-joins still joins without a cross product.
   std::string from = "small s1";
   std::string where = "";
+  std::string prev = "s1";
   for (int i = 2; i <= 14; ++i) {
-    const std::string alias = "s" + std::to_string(i);
-    from += ", small " + alias;
-    where += std::string(i == 2 ? "" : " AND ") + "s" + std::to_string(i - 1) +
-             ".id = " + alias + ".id";
+    std::string alias = "s";
+    alias.append(std::to_string(i));
+    from.append(", small ").append(alias);
+    where.append(i == 2 ? "" : " AND ")
+        .append(prev)
+        .append(".id = ")
+        .append(alias)
+        .append(".id");
+    prev = alias;
   }
   const std::string sql =
       "SELECT COUNT(*) AS n FROM " + from + " WHERE " + where;
@@ -265,6 +271,46 @@ TEST_F(PlannerTest, StatsImproveSelectivityEstimates) {
 
 TEST_F(PlannerTest, OrderByMissingColumnRejected) {
   EXPECT_FALSE(db_->Query("SELECT v FROM big ORDER BY nosuch").ok());
+}
+
+TEST_F(PlannerTest, GroupByMatchesSelectColumnByResolvedColumn) {
+  // `fk` and `big.fk` name one column, so either spelling is the key; the
+  // output column keeps the select item's spelling.
+  struct Case {
+    const char* sql;
+    const char* column;
+  };
+  for (const Case& c :
+       {Case{"SELECT fk, COUNT(*) AS n FROM big GROUP BY big.fk", "fk"},
+        Case{"SELECT big.fk, COUNT(*) AS n FROM big GROUP BY fk", "big.fk"}}) {
+    SCOPED_TRACE(c.sql);
+    auto r = db_->Query(c.sql);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->columns, (std::vector<std::string>{c.column, "n"}));
+    EXPECT_EQ(r->rows.size(), 100u);
+    for (const Tuple& row : r->rows) EXPECT_EQ(row[1].AsInt(), 20);
+  }
+}
+
+TEST_F(PlannerTest, OrderByAmbiguousNameRejected) {
+  // `id` names both output columns; sorting by the first would hide it.
+  auto r = db_->Query(
+      "SELECT a.id, b.id FROM small a, small b WHERE a.id = b.id "
+      "ORDER BY id DESC");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(r.status().message(), "ambiguous column 'id'");
+  // A qualified name names one of them.
+  auto qualified = db_->Query(
+      "SELECT a.id, b.id FROM small a, small b WHERE a.id = b.id "
+      "AND a.id < 3 ORDER BY b.id DESC");
+  ASSERT_TRUE(qualified.ok()) << qualified.status().ToString();
+  ASSERT_EQ(qualified->rows.size(), 3u);
+  EXPECT_EQ(qualified->rows.front()[1].AsInt(), 2);
+  // Two output columns holding one column are one match.
+  auto same = db_->Query("SELECT id, small.id FROM small ORDER BY id DESC");
+  ASSERT_TRUE(same.ok()) << same.status().ToString();
+  EXPECT_EQ(same->rows.front()[0].AsInt(), 99);
 }
 
 TEST_F(PlannerTest, GroupByNonColumnAggregatesRejected) {

@@ -675,16 +675,16 @@ void BM_XmlParse(benchmark::State& state) {
 }
 BENCHMARK(BM_XmlParse);
 
-// The planner alone: the 24 paper statements (Fig. 11 and Fig. 13, both
-// dialects), parsed once, planned on small advised databases of their
-// mapping (2 plays, 40 proceedings documents). No parse, no execution, no
-// EXPLAIN rendering. Items are statements planned.
-void BM_PlanPaperQueries(benchmark::State& state) {
-  struct Planned {
-    benchutil::ExperimentDb db;
-    std::vector<sql::Statement> statements;
-  };
-  std::vector<Planned> dbs;
+// A small database of one mapping (2 plays, 40 proceedings documents) and
+// the paper statements in its dialect (Fig. 11 or Fig. 13).
+struct PaperDb {
+  benchutil::ExperimentDb db;
+  std::vector<std::string> queries;
+};
+
+// The four paper databases, each with its ID indexes and statistics, and
+// with the advisor's indexes for its statements when `advised`.
+Result<std::vector<PaperDb>> BuildPaperDbs(bool advised) {
   datagen::ShakespeareOptions plays;
   plays.plays = 2;
   datagen::SigmodOptions proceedings;
@@ -696,6 +696,7 @@ void BM_PlanPaperQueries(benchmark::State& state) {
     const std::vector<std::unique_ptr<xml::Node>>* corpus;
     const std::vector<benchutil::PaperQuery>* queries;
   };
+  std::vector<PaperDb> dbs;
   for (const Set& set :
        {Set{datagen::kShakespeareDtd, &shakespeare,
             &benchutil::ShakespeareQueries()},
@@ -705,35 +706,48 @@ void BM_PlanPaperQueries(benchmark::State& state) {
     for (benchutil::Mapping mapping :
          {benchutil::Mapping::kHybrid, benchutil::Mapping::kXorator}) {
       const bool hybrid = mapping == benchutil::Mapping::kHybrid;
+      std::vector<std::string> queries;
+      for (const benchutil::PaperQuery& q : *set.queries) {
+        queries.push_back(hybrid ? q.hybrid_sql : q.xorator_sql);
+      }
       benchutil::ExperimentOptions options;
       options.mapping = mapping;
-      for (const benchutil::PaperQuery& q : *set.queries) {
-        options.advisor_queries.push_back(hybrid ? q.hybrid_sql
-                                                 : q.xorator_sql);
-      }
-      auto db = benchutil::BuildExperimentDb(set.dtd, docs, options);
-      if (!db.ok()) {
-        state.SkipWithError(db.status().ToString().c_str());
+      if (advised) options.advisor_queries = queries;
+      XO_ASSIGN_OR_RETURN(benchutil::ExperimentDb db,
+                          benchutil::BuildExperimentDb(set.dtd, docs, options));
+      dbs.push_back({std::move(db), std::move(queries)});
+    }
+  }
+  return dbs;
+}
+
+// The planner alone: the 24 paper statements, parsed once, planned on the
+// advised paper databases. No parse, no execution, no EXPLAIN rendering.
+// Items are statements planned.
+void BM_PlanPaperQueries(benchmark::State& state) {
+  auto dbs = BuildPaperDbs(/*advised=*/true);
+  if (!dbs.ok()) {
+    state.SkipWithError(dbs.status().ToString().c_str());
+    return;
+  }
+  std::vector<std::vector<sql::Statement>> statements;
+  for (const PaperDb& p : *dbs) {
+    statements.emplace_back();
+    for (const std::string& sql : p.queries) {
+      auto stmt = sql::ParseSql(sql);
+      if (!stmt.ok()) {
+        state.SkipWithError(stmt.status().ToString().c_str());
         return;
       }
-      Planned planned{std::move(*db), {}};
-      for (const std::string& sql : options.advisor_queries) {
-        auto stmt = sql::ParseSql(sql);
-        if (!stmt.ok()) {
-          state.SkipWithError(stmt.status().ToString().c_str());
-          return;
-        }
-        planned.statements.push_back(std::move(*stmt));
-      }
-      dbs.push_back(std::move(planned));
+      statements.back().push_back(std::move(*stmt));
     }
   }
   int64_t planned = 0;
   for (auto _ : state) {
-    for (Planned& p : dbs) {
-      Database* db = p.db.db.get();
+    for (size_t i = 0; i < dbs->size(); ++i) {
+      Database* db = (*dbs)[i].db.db.get();
       Planner planner(db->catalog(), db->functions(), db->options().planner);
-      for (const sql::Statement& s : p.statements) {
+      for (const sql::Statement& s : statements[i]) {
         auto plan = planner.PlanSelect(s.select);
         if (!plan.ok()) {
           state.SkipWithError(plan.status().ToString().c_str());
@@ -747,6 +761,36 @@ void BM_PlanPaperQueries(benchmark::State& state) {
   state.SetItemsProcessed(planned);
 }
 BENCHMARK(BM_PlanPaperQueries)->Unit(benchmark::kMicrosecond);
+
+// The index advisor over the same 24 statements: one iteration advises the
+// four paper databases, built unadvised outside the timed region (each
+// advice builds indexes, so every iteration needs fresh databases). The
+// time is the what-if planning plus the backfill of the chosen indexes.
+// Items are statements advised.
+void BM_AdvisePaperQueries(benchmark::State& state) {
+  std::vector<PaperDb> dbs;
+  int64_t advised = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto built = BuildPaperDbs(/*advised=*/false);
+    if (built.ok()) dbs = std::move(*built);
+    state.ResumeTiming();
+    if (!built.ok()) {
+      state.SkipWithError(built.status().ToString().c_str());
+      return;
+    }
+    for (PaperDb& p : dbs) {
+      const Status s = p.db.db->AdviseIndexes(p.queries);
+      if (!s.ok()) {
+        state.SkipWithError(s.ToString().c_str());
+        return;
+      }
+      advised += static_cast<int64_t>(p.queries.size());
+    }
+  }
+  state.SetItemsProcessed(advised);
+}
+BENCHMARK(BM_AdvisePaperQueries)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace xorator::ordb

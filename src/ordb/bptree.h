@@ -26,11 +26,13 @@ inline uint64_t IntIndexKey(int64_t v) {
   return static_cast<uint64_t>(v) ^ (1ULL << 63);
 }
 
-/// Index key of the non-NULL value `v` in an index on a `key_type` column:
-/// IntIndexKey for INTEGER, a 64-bit hash of the text for string columns.
-inline uint64_t IndexKey(TypeId key_type, const Value& v) {
+/// Index key of the non-NULL value `v`, a Value or a ValueView read in
+/// place, in an index on a `key_type` column: IntIndexKey for INTEGER, a
+/// 64-bit hash of the text for string columns.
+template <typename V>
+uint64_t IndexKey(TypeId key_type, const V& v) {
   return key_type == TypeId::kInteger ? IntIndexKey(v.AsInt())
-                                      : Hash64(v.AsString());
+                                      : Hash64(v.bytes());
 }
 
 /// A paged B+-tree mapping fixed-size 64-bit keys to record ids.

@@ -539,6 +539,13 @@ Status Database::CreateTable(const std::string& name, TableSchema schema) {
 
 Status Database::CreateTableLocked(const std::string& name,
                                    TableSchema schema) {
+  // Names resolve case-insensitively: a repeat would be ambiguous anywhere.
+  std::set<std::string> names;
+  for (const ColumnDef& c : schema.columns) {
+    if (!names.insert(ToLower(c.name)).second) {
+      return Status::InvalidArgument("duplicate column '" + c.name + "'");
+    }
+  }
   return catalog_.CreateTable(name, std::move(schema), pool_.get()).status();
 }
 
@@ -555,8 +562,10 @@ Status Database::CreateIndexLocked(const std::string& table,
   XO_ASSIGN_OR_RETURN(IndexInfo * index,
                       catalog_.CreateIndex(index_name, table, column,
                                            pool_.get()));
-  // Backfill from existing rows.
+  // Backfill from existing rows, in (key, rid) order: every insert then
+  // lands past the last entry, which leaves full leaves behind.
   TableInfo* t = catalog_.FindTable(table);
+  std::vector<std::pair<uint64_t, uint64_t>> entries;
   HeapFile::Scanner scanner = t->heap->Scan();
   Rid rid;
   std::string record;
@@ -568,10 +577,11 @@ Status Database::CreateIndexLocked(const std::string& table,
     XO_ASSIGN_OR_RETURN(RowView row, RowView::Parse(t->schema, record));
     const ValueView v = row.column(static_cast<size_t>(index->column_index));
     if (v.is_null()) continue;
-    uint64_t key = index->key_type == TypeId::kInteger
-                       ? IntIndexKey(v.AsInt())
-                       : Hash64(v.bytes());
-    XO_RETURN_NOT_OK(index->tree->Insert(key, rid.Encode()));
+    entries.emplace_back(IndexKey(index->key_type, v), rid.Encode());
+  }
+  std::sort(entries.begin(), entries.end());
+  for (const auto& [key, encoded] : entries) {
+    XO_RETURN_NOT_OK(index->tree->Insert(key, encoded));
   }
   return Status::OK();
 }
@@ -661,42 +671,15 @@ Status Database::RunStats() {
 
 namespace {
 
-/// A column compared for equality, with the literal it is compared
-/// against (nullptr when the other side is not a literal, e.g. a join).
-struct Equality {
-  std::string_view column;
-  const Value* literal = nullptr;
-};
-
-void CollectEqualities(const sql::AstExpr& e, std::vector<Equality>* out) {
-  using sql::AstExpr;
-  if (e.kind == AstExpr::Kind::kCompare && e.op == CompareOp::kEq) {
-    for (size_t i = 0; i < 2; ++i) {
-      const AstExpr& side = *e.children[i];
-      const AstExpr& other = *e.children[1 - i];
-      if (side.kind != AstExpr::Kind::kColumn) continue;
-      out->push_back({side.name, other.kind == AstExpr::Kind::kLiteral
-                                     ? &other.literal
-                                     : nullptr});
+/// Appends the name of every column compared for equality in `e`.
+void CollectEqualityColumns(const sql::AstExpr& e,
+                            std::vector<std::string_view>* out) {
+  if (e.kind == sql::AstExpr::Kind::kCompare && e.op == CompareOp::kEq) {
+    for (const auto& side : e.children) {
+      if (side->kind == sql::AstExpr::Kind::kColumn) out->push_back(side->name);
     }
   }
-  for (const auto& c : e.children) CollectEqualities(*c, out);
-}
-
-/// A what-if index is built only when it cuts some advised statement's
-/// estimated cost at least this much. The estimates miss by up to 2×
-/// (Hybrid QS6: 4.4× estimated, 2.2× measured), so a smaller estimated
-/// gain may not pay for the index (DESIGN.md section 18).
-constexpr double kWhatIfMinGain = 3.0;
-
-/// True when `plan` reads `index` through an IndexScan.
-bool PlanScansIndex(const Operator& plan, const IndexInfo* index) {
-  const auto* scan = dynamic_cast<const IndexScanOp*>(&plan);
-  if (scan != nullptr && scan->index() == index) return true;
-  for (const Operator* child : plan.Children()) {
-    if (PlanScansIndex(*child, index)) return true;
-  }
-  return false;
+  for (const auto& c : e.children) CollectEqualityColumns(*c, out);
 }
 
 }  // namespace
@@ -757,82 +740,92 @@ Result<QueryResult> Database::RunDelete(const sql::DeleteStmt& stmt) {
 Status Database::AdviseIndexes(const std::vector<std::string>& queries) {
   XO_RETURN_NOT_OK(health_.CheckWritable());
   xo::WriterLock lock(&mu_);
-  using Column = std::pair<std::string, std::string>;  // (table, column)
   Planner planner(&catalog_, &functions_, options_.planner);
-  std::vector<sql::Statement> selects;
-  std::set<Column> wanted;
-  std::set<Column> rare_literal_only;
+  // A statement, the tables it names, and its cost with the indexes built
+  // so far.
+  struct Advised {
+    sql::Statement stmt;
+    std::set<std::string> tables;
+    double cost = 0;
+  };
+  std::vector<Advised> advised;
+  // Per unindexed (table, column), a treeless index that stands in for it
+  // while statements are costed, as DB2's Index Wizard plans against
+  // virtual indexes.
+  std::map<std::pair<std::string, std::string>, IndexInfo> stubs;
   for (const std::string& q : queries) {
     auto parsed = sql::ParseSql(q);
-    if (!parsed.ok()) continue;
-    if (parsed->kind != sql::Statement::Kind::kSelect) continue;
-    const sql::SelectStmt& stmt = parsed->select;
-    if (stmt.where == nullptr) continue;
-    // Names resolve exactly as the planner resolves them.
-    auto items = planner.BindFrom(stmt);
+    if (!parsed.ok() || parsed->kind != sql::Statement::Kind::kSelect ||
+        parsed->select.where == nullptr) {
+      continue;
+    }
+    // Names resolve exactly as the planner resolves them, and a statement
+    // the planner rejects advises nothing.
+    auto items = planner.BindFrom(parsed->select);
     if (!items.ok()) continue;
+    auto cost = planner.EstimateCost(parsed->select);
+    if (!cost.ok() || !planner.PlanSelect(parsed->select).ok()) continue;
     const Scope scope(&*items);
-    std::vector<Equality> equalities;
-    CollectEqualities(*stmt.where, &equalities);
-    for (const Equality& eq : equalities) {
-      auto res = scope.Resolve(eq.column);
-      if (!res.ok()) continue;
-      const TableInfo* t = (*items)[res->item].table;
-      if (t == nullptr) continue;  // a table function's output
+    std::vector<std::string_view> names;
+    CollectEqualityColumns(*parsed->select.where, &names);
+    for (std::string_view name : names) {
+      auto res = scope.Resolve(name);
+      // A null table is a table function's output.
+      const TableInfo* t = res.ok() ? (*items)[res->item].table : nullptr;
+      if (t == nullptr || t->FindIndex(res->column) != nullptr ||
+          t->schema.columns[res->column].type == TypeId::kXadt) {
+        continue;
+      }
       const ColumnDef& def = t->schema.columns[res->column];
-      if (def.type == TypeId::kXadt) continue;
-      // Like DB2's Index Wizard, skip columns where an equality match is
-      // unselective: a join column with more than ~50 rows per distinct
-      // value, a literal matching more than 2% of the rows.
-      // Small tables and tables without statistics pass both rules.
-      const ColumnStats& cs = t->stats.columns[res->column];
-      const uint64_t rows = t->stats.row_count;
-      const bool exempt = !t->stats.collected || rows <= 100;
-      const bool ndv_selective =
-          exempt || cs.ndv >= static_cast<double>(rows) * 0.02;
-      if (eq.literal == nullptr) {
-        if (ndv_selective) wanted.emplace(t->name, def.name);
-      } else if (exempt || cs.EqFraction(eq.literal->Hash(), rows) <= 0.02) {
-        (ndv_selective ? wanted : rare_literal_only).emplace(t->name, def.name);
-      }
+      stubs.try_emplace({t->name, def.name},
+                        IndexInfo{"what-if", t->name, def.name,
+                                  static_cast<int>(res->column), def.type,
+                                  /*tree=*/nullptr});
     }
-    selects.push_back(std::move(*parsed));
+    Advised a{std::move(*parsed), {}, *cost};
+    for (const FromItem& item : *items) {
+      if (item.table != nullptr) a.tables.insert(item.table->name);
+    }
+    advised.push_back(std::move(a));
   }
-  for (const auto& [table, col] : wanted) {
-    const TableInfo* t = catalog_.FindTable(table);
-    if (t != nullptr && t->FindIndex(col) == nullptr) {
-      XO_RETURN_NOT_OK(CreateIndexLocked(table, col));
+  // Each statement's cost with `stub` standing in for its index; the
+  // statements that do not name its table keep theirs.
+  auto what_if = [&](IndexInfo& stub) {
+    TableInfo* t = catalog_.FindTable(stub.table);
+    t->indexes.push_back(&stub);
+    std::vector<double> costs;
+    for (const Advised& a : advised) {
+      auto cost = a.tables.contains(stub.table)
+                      ? planner.EstimateCost(a.stmt.select)
+                      : Result<double>(a.cost);
+      costs.push_back(cost.ok() ? *cost : a.cost);
     }
+    t->indexes.pop_back();
+    return costs;
+  };
+  // The largest cost / cost with the index, over the statements.
+  auto gain = [&](const std::vector<double>& with) {
+    double best = 1;
+    for (size_t i = 0; i < advised.size(); ++i) {
+      best = std::max(best, advised[i].cost / with[i]);
+    }
+    return best;
+  };
+  // The candidates that lower some cost on their own, by falling gain;
+  // equal gains keep their (table, column) order.
+  std::multimap<double, IndexInfo*, std::greater<>> order;
+  for (auto& entry : stubs) {
+    const double g = gain(what_if(entry.second));
+    if (g > 1) order.emplace(g, &entry.second);
   }
-  // A low-NDV column wanted only for a rare literal is built only when a
-  // plan would use it and gain from it (DB2's Index Wizard plans against
-  // virtual indexes the same way, and weighs an index's benefit against
-  // its disk space): a treeless stub stands in for the index while every
-  // advised statement is planned, never opened.
-  for (const auto& [table, col] : rare_literal_only) {
-    TableInfo* t = catalog_.FindTable(table);
-    if (t->FindIndex(col) != nullptr) continue;
-    IndexInfo stub;
-    stub.name = "what-if";
-    stub.table = table;
-    stub.column = col;
-    stub.column_index = t->schema.ColumnIndex(col);
-    stub.key_type = t->schema.columns[stub.column_index].type;
-    bool used = false;
-    for (const sql::Statement& s : selects) {
-      double cost_without = 0;
-      double cost_with = 0;
-      if (!planner.PlanSelect(s.select, &cost_without).ok()) continue;
-      t->indexes.push_back(&stub);
-      auto plan = planner.PlanSelect(s.select, &cost_with);
-      t->indexes.pop_back();
-      if (plan.ok() && PlanScansIndex(**plan, &stub) &&
-          cost_with * kWhatIfMinGain <= cost_without) {
-        used = true;
-        break;
-      }
-    }
-    if (used) XO_RETURN_NOT_OK(CreateIndexLocked(table, col));
+  // Judged again with the indexes built so far in place, a candidate that
+  // still lowers some statement's cost is built, and the costs it was
+  // judged by become the statements' costs.
+  for (const auto& [first_gain, stub] : order) {
+    std::vector<double> with = what_if(*stub);
+    if (gain(with) <= 1) continue;
+    XO_RETURN_NOT_OK(CreateIndexLocked(stub->table, stub->column));
+    for (size_t i = 0; i < advised.size(); ++i) advised[i].cost = with[i];
   }
   return Status::OK();
 }

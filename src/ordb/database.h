@@ -255,12 +255,10 @@ class Database {
   [[nodiscard]] Status RunStats() XO_EXCLUDES(mu_);
 
   /// Creates indexes useful for `queries` (the paper's "DB2 Index Wizard"):
-  /// columns compared for equality against another column when they have
-  /// at least one distinct value per ~50 rows, and against a literal when
-  /// it matches at most 2% of the rows (most-common-values statistics). A
-  /// low-NDV column wanted only for a rare literal is built only when
-  /// planning `queries` against a stand-in index shows an IndexScan on it.
-  /// `PRAGMA stats` shows the statistics behind each decision.
+  /// of the base-table columns compared for equality in them, those whose
+  /// index lowers some statement's estimated cost, judged by planning the
+  /// statements against a stand-in index, in falling order of gain and
+  /// with the indexes already chosen in place (DESIGN.md section 18).
   [[nodiscard]] Status AdviseIndexes(const std::vector<std::string>& queries)
       XO_EXCLUDES(mu_);
 

@@ -302,8 +302,9 @@ double BytesPerRow(const FromItem& item) {
 
 /// One B+-tree descent (an index scan's or an index join's probe).
 constexpr double kIndexProbeCost = 1.5;
-/// One record fetched by rid through the buffer pool and decoded.
-constexpr double kHeapFetchCost = 1.0;
+/// One record fetched by rid through the buffer pool and decoded: a bit
+/// more than a scanned row, whose page is pinned once for all its rows.
+constexpr double kHeapFetchCost = 1.05;
 /// One row copied into an operator's memory (a hash-join build row, a
 /// sort-merge input row).
 constexpr double kMaterializeCost = 0.6;
@@ -689,8 +690,13 @@ Result<std::vector<FromItem>> Planner::BindFrom(
   return items;
 }
 
-Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt,
-                                        double* cost) {
+Result<double> Planner::EstimateCost(const sql::SelectStmt& stmt) {
+  double cost = 0;
+  XO_RETURN_NOT_OK(Plan(stmt, &cost).status());
+  return cost;
+}
+
+Result<OperatorPtr> Planner::Plan(const sql::SelectStmt& stmt, double* cost) {
   if (stmt.from.empty()) {
     return Status::InvalidArgument("FROM clause is required");
   }
@@ -742,7 +748,10 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt,
   // ---- Join order by cost. ------------------------------------------------
   JoinSearch search(items, &conjuncts, std::move(needs), options_);
   const std::vector<SubPlan> steps = search.Run(columns);
-  if (cost != nullptr) *cost = steps.back().cost;
+  if (cost != nullptr) {
+    *cost = steps.back().cost;
+    return OperatorPtr();
+  }
   // The combined row layout follows the chosen order.
   std::vector<size_t> position(n);  // by FROM item
   size_t width = 0;
@@ -1089,8 +1098,9 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt,
 
   // ---- ORDER BY over the projected output. --------------------------------
   // A name matches output columns as it matches FROM columns, and fails the
-  // same way when it matches none or several that hold different values
-  // (`salary` and `emp.salary` hold one).
+  // same way when it matches several that hold different values (`salary`
+  // and `emp.salary` hold one). A name no output column bears matches the
+  // output column that holds the FROM column it resolves to.
   if (!stmt.order_by.empty()) {
     const std::vector<ColumnMeta>& output = plan->columns();
     std::vector<ExprPtr> keys;
@@ -1105,6 +1115,14 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt,
         } else if (holds[c] != holds[*found]) {
           return AmbiguousColumn(text);
         }
+      }
+      if (!found.has_value() && o.expr->kind == AstExpr::Kind::kColumn) {
+        auto res = scope.Resolve(o.expr->name);
+        const auto held =
+            res.ok() ? std::find(holds.begin(), holds.end(),
+                                 LayoutIndex(items, *res))
+                     : holds.end();
+        if (held != holds.end()) found = held - holds.begin();
       }
       if (!found.has_value()) return UnknownColumn(text);
       keys.push_back(ExprPtr(new ColumnRefExpr(*found, output[*found].name,

@@ -71,10 +71,15 @@ class Planner {
           const PlannerOptions& options)
       : catalog_(catalog), functions_(functions), options_(options) {}
 
-  /// Plans `stmt`. `cost`, when given, receives the estimated cost of the
-  /// chosen joins (DESIGN.md section 21), which the index advisor compares.
-  [[nodiscard]] Result<OperatorPtr> PlanSelect(const sql::SelectStmt& stmt,
-                                               double* cost = nullptr);
+  /// Plans `stmt`.
+  [[nodiscard]] Result<OperatorPtr> PlanSelect(const sql::SelectStmt& stmt) {
+    return Plan(stmt, nullptr);
+  }
+
+  /// The estimated cost of the joins PlanSelect chooses for `stmt`
+  /// (DESIGN.md section 21), which the index advisor compares. No operator
+  /// is built, so only errors met before the join search are reported.
+  [[nodiscard]] Result<double> EstimateCost(const sql::SelectStmt& stmt);
 
   /// The FROM items of `stmt`, for a Scope. Fails on an unknown table or
   /// table function.
@@ -88,6 +93,9 @@ class Planner {
                                               const TableInfo& table) const;
 
  private:
+  /// PlanSelect, or EstimateCost into `cost` when it is given.
+  Result<OperatorPtr> Plan(const sql::SelectStmt& stmt, double* cost);
+
   Catalog* catalog_;
   FunctionRegistry* functions_;
   PlannerOptions options_;

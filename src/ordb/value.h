@@ -120,6 +120,8 @@ class Value {
   /// VARCHAR text or raw XADT bytes. The reference borrows from this Value
   /// (statically checked under Clang, DESIGN.md section 14).
   const std::string& AsString() const XO_LIFETIME_BOUND { return str_; }
+  /// The same bytes as a view, as ValueView::bytes() reads them in place.
+  std::string_view bytes() const XO_LIFETIME_BOUND { return str_; }
   std::string&& TakeString() XO_LIFETIME_BOUND { return std::move(str_); }
 
   /// Three-way comparison; requires comparable types (numeric/numeric or

@@ -23,6 +23,7 @@
 #include "ordb/bptree.h"
 #include "ordb/buffer_pool.h"
 #include "ordb/database.h"
+#include "ordb/executor.h"
 #include "ordb/heap_file.h"
 #include "ordb/pager.h"
 #include "ordb/planner.h"
@@ -675,6 +676,122 @@ void BM_XmlParse(benchmark::State& state) {
 }
 BENCHMARK(BM_XmlParse);
 
+// Replays rows kept in memory: an operator input without storage.
+class ValuesOp : public Operator {
+ public:
+  ValuesOp(std::vector<ColumnMeta> columns, const std::vector<Tuple>* rows)
+      : rows_(rows) {
+    columns_ = std::move(columns);
+  }
+  Status Open(ExecContext* ctx) override {
+    ctx_ = ctx;
+    pos_ = 0;
+    return Status::OK();
+  }
+  Result<bool> Next(Tuple* out) override {
+    RETURN_IF_ERROR(ctx_->CheckPoint());
+    if (pos_ >= rows_->size()) return false;
+    *out = (*rows_)[pos_++];
+    return true;
+  }
+  std::string Label() const override { return "Values"; }
+
+ private:
+  const std::vector<Tuple>* rows_;
+  ExecContext* ctx_ = nullptr;
+  size_t pos_ = 0;
+};
+
+// Executor state alone (DESIGN.md §20): the operators that keep rows, over
+// in-memory inputs of 60,000 rows, unguarded as the workloads run them.
+//   op:0  hash join: 20,000 build rows (id, parent, 16-byte name), each
+//         probed by 3 of the 60,000 (parent, id) probe rows
+//   op:1  GROUP BY an author-like VARCHAR over 5,000 values, COUNT(*):
+//         QG4's shape
+//   op:2  sort on the same VARCHAR
+// Items are input rows.
+void BM_OperatorState(benchmark::State& state) {
+  constexpr int kBuild = 20000;
+  constexpr int kRows = 60000;
+  std::mt19937_64 rng(33);
+  std::vector<Tuple> build;
+  for (int i = 0; i < kBuild; ++i) {
+    build.push_back({Value::Int(i), Value::Int(i / 4),
+                     Value::Varchar("name-" + std::to_string(1000000 + i) +
+                                    "-xx")});
+  }
+  std::vector<Tuple> probe;
+  std::vector<Tuple> authors;
+  for (int i = 0; i < kRows; ++i) {
+    probe.push_back({Value::Int(static_cast<int64_t>(rng() % kBuild)),
+                     Value::Int(i)});
+    authors.push_back(
+        {Value::Varchar("author-" + std::to_string(10000 + rng() % 5000)),
+         Value::Int(i)});
+  }
+  auto values = [](const std::vector<Tuple>& rows, size_t width) {
+    std::vector<ColumnMeta> columns(width, {"c", TypeId::kInteger});
+    return std::make_unique<ValuesOp>(std::move(columns), &rows);
+  };
+  auto key = [](size_t column, TypeId type) {
+    std::vector<ExprPtr> keys;
+    keys.push_back(std::make_unique<ColumnRefExpr>(column, "c", type));
+    return keys;
+  };
+  OperatorPtr op;
+  size_t input_rows = kRows;
+  switch (state.range(0)) {
+    case 0:
+      op = std::make_unique<HashJoinOp>(
+          values(build, 3), values(probe, 2), key(0, TypeId::kInteger),
+          key(0, TypeId::kInteger));
+      input_rows = kBuild + kRows;
+      state.SetLabel("hash join");
+      break;
+    case 1: {
+      std::vector<AggregateSpec> aggs(1);
+      aggs[0].name = "n";
+      op = std::make_unique<AggregateOp>(
+          values(authors, 2), key(0, TypeId::kVarchar),
+          std::vector<std::string>{"author"}, std::move(aggs));
+      state.SetLabel("group by");
+      break;
+    }
+    default:
+      op = std::make_unique<SortOp>(values(authors, 2),
+                                    key(0, TypeId::kVarchar),
+                                    std::vector<bool>{true});
+      state.SetLabel("sort");
+      break;
+  }
+  ExecContext ctx;
+  Tuple row;
+  for (auto _ : state) {
+    Status status = op->Open(&ctx);
+    size_t out = 0;
+    while (status.ok()) {
+      Result<bool> more = op->Next(&row);
+      if (!more.ok()) status = more.status();
+      if (!more.ok() || !*more) break;
+      ++out;
+    }
+    op->Close();
+    if (!status.ok()) {
+      state.SkipWithError(status.ToString().c_str());
+      return;
+    }
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(input_rows));
+}
+BENCHMARK(BM_OperatorState)
+    ->ArgName("op")
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
+    ->Unit(benchmark::kMillisecond);
+
 // A small database of one mapping (2 plays, 40 proceedings documents) and
 // the paper statements in its dialect (Fig. 11 or Fig. 13).
 struct PaperDb {
@@ -721,14 +838,42 @@ Result<std::vector<PaperDb>> BuildPaperDbs(bool advised) {
   return dbs;
 }
 
+// The indexes the advisor builds on the paper databases beside the ID
+// indexes, in BuildPaperDbs order (Shakespeare Hybrid, XORator, SIGMOD
+// Hybrid, XORator), written out so that an advisor change cannot move
+// BM_PlanPaperQueries.
+const std::vector<std::pair<const char*, const char*>> kPlannedIndexes[] = {
+    {{"line", "line_parentID"},
+     {"speaker", "speaker_value"},
+     {"speech", "speech_parentCODE"},
+     {"stagedir", "stagedir_parentCODE"}},
+    {{"speech", "speech_parentCODE"},
+     {"speech", "speech_parentID"},
+     {"scene", "scene_parentID"},
+     {"act", "act_parentID"}},
+    {{"author", "author_parentID"},
+     {"authors", "authors_parentID"},
+     {"atuple", "atuple_parentID"}},
+    {},
+};
+
 // The planner alone: the 24 paper statements, parsed once, planned on the
-// advised paper databases. No parse, no execution, no EXPLAIN rendering.
-// Items are statements planned.
+// paper databases with the kPlannedIndexes. No parse, no execution, no
+// EXPLAIN rendering. Items are statements planned.
 void BM_PlanPaperQueries(benchmark::State& state) {
-  auto dbs = BuildPaperDbs(/*advised=*/true);
+  auto dbs = BuildPaperDbs(/*advised=*/false);
   if (!dbs.ok()) {
     state.SkipWithError(dbs.status().ToString().c_str());
     return;
+  }
+  for (size_t i = 0; i < dbs->size(); ++i) {
+    for (const auto& [table, column] : kPlannedIndexes[i]) {
+      const Status s = (*dbs)[i].db.db->CreateIndex(table, column);
+      if (!s.ok()) {
+        state.SkipWithError(s.ToString().c_str());
+        return;
+      }
+    }
   }
   std::vector<std::vector<sql::Statement>> statements;
   for (const PaperDb& p : *dbs) {

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <numeric>
 
-#include "common/span.h"
-#include "common/str_util.h"
-#include "common/varint.h"
+#include "common/safe_math.h"
 #include "ordb/row_codec.h"
 
 namespace xorator::ordb {
@@ -41,8 +41,7 @@ Result<bool> EvalJoinKeys(const std::vector<ExprPtr>& keys, const Tuple& row,
                       [](const Value& v) { return v.is_null(); });
 }
 
-int CompareValueLists(const std::vector<Value>& a,
-                      const std::vector<Value>& b) {
+int CompareKeys(std::span<const Value> a, std::span<const Value> b) {
   for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
     int c = a[i].Compare(b[i]);
     if (c != 0) return c;
@@ -50,17 +49,26 @@ int CompareValueLists(const std::vector<Value>& a,
   return 0;
 }
 
-/// The end of the run of rows sharing the key of `rows[begin]`.
-size_t RunEnd(const std::vector<KeyedRow>& rows, size_t begin) {
+uint64_t HashKey(std::span<const Value> key) {
+  uint64_t h = 0x9ae16a3b2f90404fULL;
+  for (const Value& v : key) {
+    h = xo::WrapMul(h ^ v.Hash(), 0x9e3779b97f4a7c15ULL);
+  }
+  return h;
+}
+
+/// The end of the run of rows sharing the key of row `begin`.
+size_t RunEnd(const RowStore& rows, size_t begin) {
   size_t end = begin + 1;
   while (end < rows.size() &&
-         CompareValueLists(rows[end].first, rows[begin].first) == 0) {
+         CompareKeys(rows.key(end), rows.key(begin)) == 0) {
     ++end;
   }
   return end;
 }
 
-void AppendRow(const Tuple& left, const Tuple& right, Tuple* out) {
+void AppendRow(std::span<const Value> left, std::span<const Value> right,
+               Tuple* out) {
   out->clear();
   out->reserve(left.size() + right.size());
   out->insert(out->end(), left.begin(), left.end());
@@ -78,19 +86,6 @@ bool ViewEqualsValue(const ValueView& view, const Value& key) {
     return view.bytes() == key.AsString();
   }
   return view.ToValue().Equals(key);
-}
-
-// Cheap size estimate used to charge materialized tuples against the
-// query's memory budget (ExecContext::guard). Counts the inline Value slots
-// plus out-of-line string payloads; deliberately ignores allocator slack.
-uint64_t ApproxTupleBytes(const Tuple& row) {
-  uint64_t bytes = sizeof(Tuple) + row.size() * sizeof(Value);
-  for (const Value& v : row) {
-    if (v.type() == TypeId::kVarchar || v.type() == TypeId::kXadt) {
-      bytes += v.AsString().size();
-    }
-  }
-  return bytes;
 }
 
 /// Opens `child`, hands each of its rows to `consume` (a `Status(Tuple&)`
@@ -112,14 +107,13 @@ Status Drain(Operator* child, ExecContext* ctx, Consume&& consume) {
 }
 
 /// The keyed sort of SortOp and SortMergeJoinOp: drains `input` into
-/// (key values, row) pairs charged to `arena` and stable-sorts them, key i
-/// ascending when `ascending[i]`. With `drop_null_keys` (a join's inputs),
-/// rows with a NULL key are dropped before they are stored (EvalJoinKeys).
+/// `rows`, each row keyed on `keys`, and sorts it, key i ascending when
+/// `ascending[i]`. With `drop_null_keys` (a join's inputs), rows with a
+/// NULL key are dropped before they are stored (EvalJoinKeys).
 Status SortInput(Operator* input, const std::vector<ExprPtr>& keys,
                  const std::vector<bool>& ascending, bool drop_null_keys,
-                 ExecContext* ctx, TrackedArena* arena,
-                 std::vector<KeyedRow>* rows) {
-  rows->clear();
+                 ExecContext* ctx, RowStore* rows) {
+  rows->Reset(ctx->guard, keys.size());
   std::vector<Value> k;
   RETURN_IF_ERROR(Drain(input, ctx, [&](Tuple& row) -> Status {
     if (drop_null_keys) {
@@ -128,57 +122,115 @@ Status SortInput(Operator* input, const std::vector<ExprPtr>& keys,
     } else {
       RETURN_IF_ERROR(EvalKeys(keys, row, ctx, &k));
     }
-    RETURN_IF_ERROR(arena->Charge(ApproxTupleBytes(row)));
-    rows->emplace_back(std::move(k), std::move(row));
-    return Status::OK();
+    return rows->Add(k, std::move(row));
   }));
-  std::stable_sort(rows->begin(), rows->end(),
-                   [&](const KeyedRow& a, const KeyedRow& b) {
-                     for (size_t i = 0; i < a.first.size(); ++i) {
-                       int c = a.first[i].Compare(b.first[i]);
-                       if (c != 0) return ascending[i] ? c < 0 : c > 0;
-                     }
-                     return false;
-                   });
+  rows->Sort(ascending);
   return Status::OK();
 }
 
-std::string RowFingerprint(const Tuple& row) {
-  std::string key;
-  for (const Value& v : row) {
-    key.push_back(static_cast<char>(v.type()));
-    switch (v.type()) {
-      case TypeId::kNull:
-        break;
-      case TypeId::kBoolean:
-      case TypeId::kInteger: {
-        uint64_t raw = ZigZagEncode(v.AsInt());
-        PutVarint(&key, raw);
-        break;
-      }
-      case TypeId::kDouble: {
-        xo::AppendFixed(&key, v.AsDouble());
-        break;
-      }
-      case TypeId::kVarchar:
-      case TypeId::kXadt:
-        PutVarint(&key, v.AsString().size());
-        key.append(v.AsString());
-        break;
-    }
+/// SUM's step: a DOUBLE sums as a double, an integer through CheckedAdd.
+Status AddToSum(const Value& v, Value* sum) {
+  if (v.type() == TypeId::kDouble || sum->type() == TypeId::kDouble) {
+    sum->SetDouble(sum->is_null() ? v.AsDouble()
+                                  : sum->AsDouble() + v.AsDouble());
+    return Status::OK();
   }
-  return key;
-}
-
-uint64_t HashValues(const std::vector<Value>& values) {
-  uint64_t h = 0x9ae16a3b2f90404fULL;
-  for (const Value& v : values) {
-    h ^= v.Hash() + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+  int64_t total = v.AsInt();
+  if (!sum->is_null()) {
+    Result<int64_t> added = xo::CheckedAdd(sum->AsInt(), total);
+    if (!added.ok()) return Status::OutOfRange("SUM overflows INTEGER");
+    total = *added;
   }
-  return h;
+  sum->SetInt(total);
+  return Status::OK();
 }
 
 }  // namespace
+
+// ----------------------------------------------------------------- row store
+
+void RowStore::Reset(QueryGuard* guard, size_t key_width) {
+  Clear();
+  arena_.Rebind(guard);
+  key_width_ = key_width;
+}
+
+void RowStore::Clear() {
+  keys_.clear();
+  rows_.clear();
+  index_.clear();
+  next_.clear();
+  arena_.Release();
+}
+
+Status RowStore::Add(std::span<Value> key, Tuple row) {
+  // The one size function: the key's and the row's Value slots plus their
+  // out-of-line string payloads, ignoring allocator slack.
+  uint64_t bytes = sizeof(Tuple) + (key.size() + row.size()) * sizeof(Value);
+  for (std::span<Value> values : {key, std::span<Value>(row)}) {
+    for (const Value& v : values) {
+      if (v.type() == TypeId::kVarchar || v.type() == TypeId::kXadt) {
+        bytes += v.AsString().size();
+      }
+    }
+  }
+  RETURN_IF_ERROR(arena_.Charge(bytes));
+  std::move(key.begin(), key.end(), std::back_inserter(keys_));
+  rows_.push_back(std::move(row));
+  return Status::OK();
+}
+
+Status RowStore::AddIndexed(std::span<Value> key, Tuple row) {
+  RETURN_IF_ERROR(Add(key, std::move(row)));
+  const size_t i = rows_.size() - 1;
+  next_.resize(i, kNone);
+  next_.push_back(kNone);
+  auto [chain, inserted] =
+      index_.try_emplace(HashKey(this->key(i)), Chain{i, i});
+  if (!inserted) {
+    next_[chain->second.last] = i;
+    chain->second.last = i;
+  }
+  return Status::OK();
+}
+
+size_t RowStore::Find(std::span<const Value> key) const {
+  auto chain = index_.find(HashKey(key));
+  if (chain == index_.end()) return kNone;
+  size_t i = chain->second.first;
+  while (i != kNone && CompareKeys(this->key(i), key) != 0) i = next_[i];
+  return i;
+}
+
+size_t RowStore::NextMatch(size_t i) const {
+  size_t j = next_[i];
+  while (j != kNone && CompareKeys(key(j), key(i)) != 0) j = next_[j];
+  return j;
+}
+
+void RowStore::Sort(const std::vector<bool>& ascending) {
+  std::vector<size_t> order(rows_.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    for (size_t i = 0; i < key_width_; ++i) {
+      int c = key(a)[i].Compare(key(b)[i]);
+      if (c != 0) return ascending[i] ? c < 0 : c > 0;
+    }
+    return false;
+  });
+  std::vector<Value> keys;
+  std::vector<Tuple> rows;
+  keys.reserve(keys_.size());
+  rows.reserve(rows_.size());
+  for (size_t i : order) {
+    const auto first = keys_.begin() + static_cast<ptrdiff_t>(i * key_width_);
+    std::move(first, first + static_cast<ptrdiff_t>(key_width_),
+              std::back_inserter(keys));
+    rows.push_back(std::move(rows_[i]));
+  }
+  keys_.swap(keys);
+  rows_.swap(rows);
+}
 
 std::vector<ColumnMeta> QualifiedColumns(const std::vector<ColumnDef>& columns,
                                          const std::string& alias) {
@@ -360,13 +412,10 @@ NestedLoopJoinOp::NestedLoopJoinOp(OperatorPtr left, OperatorPtr right,
 
 Status NestedLoopJoinOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
-  arena_.Rebind(ctx->guard);
+  right_rows_.Reset(ctx->guard, 0);
   XO_RETURN_NOT_OK(left_->Open(ctx));
-  right_rows_.clear();
   XO_RETURN_NOT_OK(Drain(right_.get(), ctx, [&](Tuple& row) -> Status {
-    RETURN_IF_ERROR(arena_.Charge(ApproxTupleBytes(row)));
-    right_rows_.push_back(std::move(row));
-    return Status::OK();
+    return right_rows_.Add({}, std::move(row));
   }));
   left_valid_ = false;
   right_pos_ = 0;
@@ -383,8 +432,7 @@ Result<bool> NestedLoopJoinOp::Next(Tuple* out) {
       right_pos_ = 0;
     }
     while (right_pos_ < right_rows_.size()) {
-      const Tuple& r = right_rows_[right_pos_++];
-      AppendRow(left_row_, r, out);
+      AppendRow(left_row_, right_rows_.row(right_pos_++), out);
       XO_ASSIGN_OR_RETURN(bool pass,
                           EvalPredicate(predicate_.get(), *out, ctx_));
       if (pass) return true;
@@ -395,8 +443,7 @@ Result<bool> NestedLoopJoinOp::Next(Tuple* out) {
 
 void NestedLoopJoinOp::Close() {
   left_->Close();
-  right_rows_.clear();
-  arena_.Release();
+  right_rows_.Clear();
 }
 
 std::string NestedLoopJoinOp::Label() const {
@@ -433,52 +480,37 @@ HashJoinOp::HashJoinOp(OperatorPtr left, OperatorPtr right,
 
 Status HashJoinOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
-  arena_.Rebind(ctx->guard);
-  table_.clear();
+  build_.Reset(ctx->guard, left_keys_.size());
+  std::vector<Value> keys;
   XO_RETURN_NOT_OK(Drain(left_.get(), ctx, [&](Tuple& row) -> Status {
-    XO_ASSIGN_OR_RETURN(bool joins,
-                        EvalJoinKeys(left_keys_, row, ctx, &build_keys_));
+    XO_ASSIGN_OR_RETURN(bool joins, EvalJoinKeys(left_keys_, row, ctx, &keys));
     if (!joins) return Status::OK();
-    RETURN_IF_ERROR(arena_.Charge(ApproxTupleBytes(row)));
-    table_[HashValues(build_keys_)].push_back(std::move(row));
-    return Status::OK();
+    return build_.AddIndexed(keys, std::move(row));
   }));
   XO_RETURN_NOT_OK(right_->Open(ctx));
-  matches_ = nullptr;
-  match_pos_ = 0;
+  match_ = RowStore::kNone;
   return Status::OK();
 }
 
 Result<bool> HashJoinOp::Next(Tuple* out) {
   while (true) {
     RETURN_IF_ERROR(ctx_->CheckPoint());
-    if (matches_ != nullptr) {
-      while (match_pos_ < matches_->size()) {
-        const Tuple& l = (*matches_)[match_pos_++];
-        // Recheck key equality (hash collisions).
-        RETURN_IF_ERROR(EvalKeys(left_keys_, l, ctx_, &build_keys_));
-        if (CompareValueLists(build_keys_, probe_keys_) != 0) continue;
-        AppendRow(l, probe_row_, out);
-        return true;
-      }
-      matches_ = nullptr;
+    if (match_ != RowStore::kNone) {
+      AppendRow(build_.row(match_), probe_row_, out);
+      match_ = build_.NextMatch(match_);
+      return true;
     }
     XO_ASSIGN_OR_RETURN(bool ok, right_->Next(&probe_row_));
     if (!ok) return false;
     XO_ASSIGN_OR_RETURN(bool joins, EvalJoinKeys(right_keys_, probe_row_, ctx_,
                                                  &probe_keys_));
-    if (!joins) continue;
-    auto it = table_.find(HashValues(probe_keys_));
-    if (it == table_.end()) continue;
-    matches_ = &it->second;
-    match_pos_ = 0;
+    if (joins) match_ = build_.Find(probe_keys_);
   }
 }
 
 void HashJoinOp::Close() {
   right_->Close();
-  table_.clear();
-  arena_.Release();
+  build_.Clear();
 }
 
 SortMergeJoinOp::SortMergeJoinOp(OperatorPtr left, OperatorPtr right,
@@ -489,14 +521,11 @@ SortMergeJoinOp::SortMergeJoinOp(OperatorPtr left, OperatorPtr right,
 
 Status SortMergeJoinOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
-  arena_.Rebind(ctx->guard);
   const std::vector<bool> ascending(left_keys_.size(), true);
   XO_RETURN_NOT_OK(SortInput(left_.get(), left_keys_, ascending,
-                             /*drop_null_keys=*/true, ctx, &arena_,
-                             &left_rows_));
+                             /*drop_null_keys=*/true, ctx, &left_rows_));
   XO_RETURN_NOT_OK(SortInput(right_.get(), right_keys_, ascending,
-                             /*drop_null_keys=*/true, ctx, &arena_,
-                             &right_rows_));
+                             /*drop_null_keys=*/true, ctx, &right_rows_));
   li_ = ri_ = run_l_end_ = run_r_end_ = cur_l_ = cur_r_ = 0;
   return Status::OK();
 }
@@ -506,8 +535,7 @@ Result<bool> SortMergeJoinOp::Next(Tuple* out) {
     RETURN_IF_ERROR(ctx_->CheckPoint());
     if (cur_l_ < run_l_end_) {
       if (cur_r_ < run_r_end_) {
-        AppendRow(left_rows_[cur_l_].second, right_rows_[cur_r_++].second,
-                  out);
+        AppendRow(left_rows_.row(cur_l_), right_rows_.row(cur_r_++), out);
         return true;
       }
       ++cur_l_;
@@ -518,7 +546,7 @@ Result<bool> SortMergeJoinOp::Next(Tuple* out) {
     li_ = run_l_end_;
     ri_ = run_r_end_;
     while (li_ < left_rows_.size() && ri_ < right_rows_.size()) {
-      int c = CompareValueLists(left_rows_[li_].first, right_rows_[ri_].first);
+      int c = CompareKeys(left_rows_.key(li_), right_rows_.key(ri_));
       if (c == 0) break;
       if (c < 0) {
         ++li_;
@@ -535,9 +563,8 @@ Result<bool> SortMergeJoinOp::Next(Tuple* out) {
 }
 
 void SortMergeJoinOp::Close() {
-  left_rows_.clear();
-  right_rows_.clear();
-  arena_.Release();
+  left_rows_.Clear();
+  right_rows_.Clear();
 }
 
 IndexNestedLoopJoinOp::IndexNestedLoopJoinOp(
@@ -588,7 +615,7 @@ std::string IndexNestedLoopJoinOp::Label() const {
          inner_.index()->column + " = " + left_key_->ToString() + ")";
 }
 
-// ---------------------------------------------------------- sort / distinct
+// ---------------------------------------------------------------------- sort
 
 SortOp::SortOp(OperatorPtr child, std::vector<ExprPtr> keys,
                std::vector<bool> ascending)
@@ -600,9 +627,8 @@ SortOp::SortOp(OperatorPtr child, std::vector<ExprPtr> keys,
 
 Status SortOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
-  arena_.Rebind(ctx->guard);
   XO_RETURN_NOT_OK(SortInput(child_.get(), keys_, ascending_,
-                             /*drop_null_keys=*/false, ctx, &arena_, &rows_));
+                             /*drop_null_keys=*/false, ctx, &rows_));
   pos_ = 0;
   return Status::OK();
 }
@@ -610,14 +636,11 @@ Status SortOp::Open(ExecContext* ctx) {
 Result<bool> SortOp::Next(Tuple* out) {
   RETURN_IF_ERROR(ctx_->CheckPoint());
   if (pos_ >= rows_.size()) return false;
-  *out = rows_[pos_++].second;
+  *out = rows_.row(pos_++);
   return true;
 }
 
-void SortOp::Close() {
-  rows_.clear();
-  arena_.Release();
-}
+void SortOp::Close() { rows_.Clear(); }
 
 std::string SortOp::Label() const {
   std::string out = "Sort(";
@@ -629,39 +652,14 @@ std::string SortOp::Label() const {
   return out + ")";
 }
 
-DistinctOp::DistinctOp(OperatorPtr child) : UnaryOp(std::move(child)) {
-  columns_ = child_->columns();
-}
-
-Status DistinctOp::Open(ExecContext* ctx) {
-  arena_.Rebind(ctx->guard);
-  seen_.clear();
-  return UnaryOp::Open(ctx);
-}
-
-Result<bool> DistinctOp::Next(Tuple* out) {
-  while (true) {
-    RETURN_IF_ERROR(ctx_->CheckPoint());
-    XO_ASSIGN_OR_RETURN(bool ok, child_->Next(out));
-    if (!ok) return false;
-    std::string fp = RowFingerprint(*out);
-    if (!seen_.contains(fp)) {
-      RETURN_IF_ERROR(arena_.Charge(fp.size() + sizeof(std::string)));
-      seen_.insert(std::move(fp));
-      return true;
-    }
-  }
-}
-
-void DistinctOp::Close() {
-  child_->Close();
-  seen_.clear();
-  arena_.Release();
-}
-
-std::string DistinctOp::Label() const { return "Distinct"; }
-
 // ----------------------------------------------------------------- aggregate
+
+TypeId AggregateSpec::type() const {
+  if (arg == nullptr) return TypeId::kInteger;
+  const bool keeps = kind == AggKind::kMin || kind == AggKind::kMax ||
+                     (kind == AggKind::kSum && arg->type() == TypeId::kDouble);
+  return keeps ? arg->type() : TypeId::kInteger;
+}
 
 AggregateOp::AggregateOp(OperatorPtr child, std::vector<ExprPtr> group_keys,
                          std::vector<std::string> group_names,
@@ -672,74 +670,53 @@ AggregateOp::AggregateOp(OperatorPtr child, std::vector<ExprPtr> group_keys,
   for (size_t i = 0; i < group_keys_.size(); ++i) {
     columns_.push_back({group_names[i], group_keys_[i]->type()});
   }
-  for (const AggregateSpec& a : aggs_) {
-    TypeId t = TypeId::kInteger;
-    if ((a.kind == AggKind::kMin || a.kind == AggKind::kMax) &&
-        a.arg != nullptr) {
-      t = a.arg->type();
-    }
-    columns_.push_back({a.name, t});
-  }
+  for (const AggregateSpec& a : aggs_) columns_.push_back({a.name, a.type()});
 }
 
 Status AggregateOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
-  arena_.Rebind(ctx->guard);
-  struct GroupState {
-    Tuple keys;
-    std::vector<Value> accumulators;  // NULL until a value arrives
-    std::vector<int64_t> counts;
-  };
-  auto new_group = [&](Tuple keys) {
-    return GroupState{std::move(keys), std::vector<Value>(aggs_.size()),
-                      std::vector<int64_t>(aggs_.size(), 0)};
-  };
-  std::unordered_map<std::string, size_t> group_of;  // fingerprint -> index
-  std::vector<GroupState> groups;                    // first-seen order
+  const size_t n = group_keys_.size();
+  groups_.Reset(ctx->guard, n);
   std::vector<Value> keys;
+  auto add_group = [&]() -> Status {
+    Tuple group;
+    group.reserve(aggs_.size());
+    for (const AggregateSpec& a : aggs_) {
+      const bool count =
+          a.kind == AggKind::kCountStar || a.kind == AggKind::kCount;
+      group.push_back(count ? Value::Int(0) : Value::Null());
+    }
+    return groups_.AddIndexed(keys, std::move(group));
+  };
   XO_RETURN_NOT_OK(Drain(child_.get(), ctx, [&](const Tuple& row) -> Status {
     RETURN_IF_ERROR(EvalKeys(group_keys_, row, ctx, &keys));
-    std::string fp = RowFingerprint(keys);
-    auto [it, inserted] = group_of.emplace(fp, groups.size());
-    if (inserted) {
-      groups.push_back(new_group(keys));
-      RETURN_IF_ERROR(arena_.Charge(ApproxTupleBytes(keys) + fp.size() +
-                                    aggs_.size() *
-                                        (sizeof(Value) + sizeof(int64_t))));
+    size_t g = groups_.Find(keys);
+    if (g == RowStore::kNone) {
+      RETURN_IF_ERROR(add_group());
+      g = groups_.size() - 1;
     }
-    GroupState& g = groups[it->second];
+    Tuple& group = groups_.row(g);
     for (size_t i = 0; i < aggs_.size(); ++i) {
       const AggregateSpec& a = aggs_[i];
-      if (a.kind == AggKind::kCountStar) {
-        ++g.counts[i];
-        continue;
+      Value v;  // stays NULL for COUNT(*), which counts every row
+      if (a.arg != nullptr) {
+        XO_ASSIGN_OR_RETURN(v, a.arg->Eval(row, ctx));
+        if (v.is_null()) continue;
       }
-      auto v = a.arg->Eval(row, ctx);
-      XO_RETURN_NOT_OK(v.status());
-      if (v->is_null()) continue;
+      Value& acc = group[i];
       switch (a.kind) {
+        case AggKind::kCountStar:
         case AggKind::kCount:
-          ++g.counts[i];
+          acc.SetInt(acc.AsInt() + 1);
           break;
         case AggKind::kSum:
-          g.accumulators[i] =
-              Value::Int(g.accumulators[i].is_null()
-                             ? v->AsInt()
-                             : g.accumulators[i].AsInt() + v->AsInt());
+          RETURN_IF_ERROR(AddToSum(v, &acc));
           break;
         case AggKind::kMin:
-          if (g.accumulators[i].is_null() ||
-              v->Compare(g.accumulators[i]) < 0) {
-            g.accumulators[i] = *v;
-          }
+          if (acc.is_null() || v.Compare(acc) < 0) acc = std::move(v);
           break;
         case AggKind::kMax:
-          if (g.accumulators[i].is_null() ||
-              v->Compare(g.accumulators[i]) > 0) {
-            g.accumulators[i] = *v;
-          }
-          break;
-        case AggKind::kCountStar:
+          if (acc.is_null() || v.Compare(acc) > 0) acc = std::move(v);
           break;
       }
     }
@@ -747,32 +724,20 @@ Status AggregateOp::Open(ExecContext* ctx) {
   }));
   // A global aggregate (no GROUP BY) over zero rows still yields one row:
   // counts 0, the rest NULL.
-  if (groups.empty() && group_keys_.empty()) groups.push_back(new_group({}));
-  results_.clear();
-  for (GroupState& g : groups) {
-    Tuple out = std::move(g.keys);
-    for (size_t i = 0; i < aggs_.size(); ++i) {
-      const bool count = aggs_[i].kind == AggKind::kCountStar ||
-                         aggs_[i].kind == AggKind::kCount;
-      out.push_back(count ? Value::Int(g.counts[i]) : g.accumulators[i]);
-    }
-    results_.push_back(std::move(out));
-  }
+  if (groups_.size() == 0 && n == 0) XO_RETURN_NOT_OK(add_group());
   pos_ = 0;
   return Status::OK();
 }
 
 Result<bool> AggregateOp::Next(Tuple* out) {
   RETURN_IF_ERROR(ctx_->CheckPoint());
-  if (pos_ >= results_.size()) return false;
-  *out = results_[pos_++];
+  if (pos_ >= groups_.size()) return false;
+  AppendRow(groups_.key(pos_), groups_.row(pos_), out);
+  ++pos_;
   return true;
 }
 
-void AggregateOp::Close() {
-  results_.clear();
-  arena_.Release();
-}
+void AggregateOp::Close() { groups_.Clear(); }
 
 std::string AggregateOp::Label() const {
   std::string out = "Aggregate(groups=";
@@ -800,10 +765,9 @@ LateralTableFuncOp::LateralTableFuncOp(OperatorPtr child,
 
 Status LateralTableFuncOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
-  arena_.Rebind(ctx->guard);
+  fn_rows_.Reset(ctx->guard, 0);
   input_valid_ = false;
   emitted_single_ = false;
-  fn_rows_.clear();
   fn_pos_ = 0;
   if (child_ != nullptr) return child_->Open(ctx);
   return Status::OK();
@@ -824,20 +788,18 @@ Result<bool> LateralTableFuncOp::Next(Tuple* out) {
       input_valid_ = true;
       std::vector<Value> args;
       RETURN_IF_ERROR(EvalKeys(args_, input_row_, ctx_, &args));
-      // Each input row's function results replace the previous row's:
-      // re-account the batch rather than accumulating charges forever.
-      arena_.Release();
-      XO_ASSIGN_OR_RETURN(fn_rows_, InvokeTable(*fn_, args, output_live_,
-                                                &ctx_->udf_stats));
-      for (const Tuple& r : fn_rows_) {
-        RETURN_IF_ERROR(arena_.Charge(ApproxTupleBytes(r)));
-      }
+      // Each input row's function results replace the previous row's.
+      fn_rows_.Clear();
+      XO_ASSIGN_OR_RETURN(std::vector<Tuple> rows,
+                          InvokeTable(*fn_, args, output_live_,
+                                      &ctx_->udf_stats));
+      for (Tuple& r : rows) RETURN_IF_ERROR(fn_rows_.Add({}, std::move(r)));
       fn_pos_ = 0;
     }
     if (fn_pos_ < fn_rows_.size()) {
       // Only the input columns read above this operator are copied; each
       // function row is emitted once, so its values move.
-      Tuple& fn_row = fn_rows_[fn_pos_++];
+      Tuple& fn_row = fn_rows_.row(fn_pos_++);
       out->resize(columns_.size());
       for (size_t c = 0; c < input_width_; ++c) {
         if (input_live_[c]) {
@@ -857,8 +819,7 @@ Result<bool> LateralTableFuncOp::Next(Tuple* out) {
 
 void LateralTableFuncOp::Close() {
   if (child_ != nullptr) child_->Close();
-  fn_rows_.clear();
-  arena_.Release();
+  fn_rows_.Clear();
 }
 
 std::string LateralTableFuncOp::Label() const {

@@ -2,9 +2,9 @@
 #define XORATOR_ORDB_EXECUTOR_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/result.h"
@@ -25,10 +25,10 @@ struct ColumnMeta {
 /// Guard contract (DESIGN.md §12): every Next() implementation and every
 /// loop that materializes child rows inside Open() polls
 /// `ctx->CheckPoint()` once per row, so deadlines, cancellation and the
-/// memory budget are honored mid-operator; materialized state (hash
-/// tables, sort buffers, ...) is charged to the guard via a TrackedArena
-/// that Close() — and the destructor — releases. tools/lint enforces the
-/// CheckPoint-in-Next half of the contract.
+/// memory budget are honored mid-operator; every row an operator keeps
+/// after Open() or across Next() calls lives in a RowStore, which charges
+/// it to the guard and which Close() — and the destructor — releases.
+/// tools/lint enforces the CheckPoint-in-Next half of the contract.
 class Operator {
  public:
   virtual ~Operator() = default;
@@ -67,6 +67,61 @@ class Operator {
 };
 
 using OperatorPtr = std::unique_ptr<Operator>;
+
+/// The rows an operator keeps (DESIGN.md §20): the nested-loop join's inner
+/// side, the hash join's build side, the sorted inputs of SortOp and
+/// SortMergeJoinOp, the aggregate's groups and a lateral's function rows.
+/// Add() charges each row to the query's guard by one size function;
+/// Clear(), which the owner's Close() calls, and the destructor release it.
+///
+/// Each row is stored under `key_width` key values. Rows added by
+/// AddIndexed() are also filed in a hash index over their keys, which
+/// Find() and NextMatch() walk in insertion order, rechecking each key with
+/// Value::Compare. NULL keys are the caller's business: a join stores and
+/// probes none, GROUP BY keeps one NULL group.
+class RowStore {
+ public:
+  static constexpr size_t kNone = SIZE_MAX;
+
+  /// Clear(), then binds the store to `guard` (null: unguarded); rows
+  /// added after are stored under `key_width` key values.
+  void Reset(QueryGuard* guard, size_t key_width);
+  /// Drops every row and returns its charge to the guard.
+  void Clear();
+
+  /// Appends `row` under `key`, moving from both; kResourceExhausted when
+  /// the query is over budget.
+  [[nodiscard]] Status Add(std::span<Value> key, Tuple row);
+  /// Add(), and files the row in the hash index under its key.
+  [[nodiscard]] Status AddIndexed(std::span<Value> key, Tuple row);
+  /// The first indexed row whose key equals `key`, or kNone.
+  size_t Find(std::span<const Value> key) const;
+  /// The next indexed row after row `i` with row i's key, or kNone.
+  size_t NextMatch(size_t i) const;
+  /// Stable-sorts an unindexed store by key, key i ascending when
+  /// `ascending[i]`.
+  void Sort(const std::vector<bool>& ascending);
+
+  size_t size() const { return rows_.size(); }
+  Tuple& row(size_t i) XO_LIFETIME_BOUND { return rows_[i]; }
+  std::span<const Value> key(size_t i) const XO_LIFETIME_BOUND {
+    return std::span<const Value>(keys_).subspan(i * key_width_, key_width_);
+  }
+
+ private:
+  /// The indexed rows of one key hash: the first and the last.
+  struct Chain {
+    size_t first;
+    size_t last;
+  };
+
+  TrackedArena arena_;
+  size_t key_width_ = 0;
+  std::vector<Value> keys_;  // row i's key is [i * key_width_, +key_width_)
+  std::vector<Tuple> rows_;
+  std::unordered_map<uint64_t, Chain> index_;
+  std::vector<size_t> next_;  // per row: the next row of its chain, or kNone
+};
 
 /// `alias.name` for each of `columns`: how every FROM item, scan and table
 /// function names its output columns.
@@ -194,8 +249,7 @@ class NestedLoopJoinOp : public Operator {
   OperatorPtr right_;
   ExprPtr predicate_;  // may be null (cross product)
   ExecContext* ctx_ = nullptr;
-  TrackedArena arena_;  // accounts the materialized right side
-  std::vector<Tuple> right_rows_;
+  RowStore right_rows_;
   Tuple left_row_;
   bool left_valid_ = false;
   size_t right_pos_ = 0;
@@ -221,10 +275,10 @@ class EquiJoinOp : public Operator {
   std::vector<ExprPtr> left_keys_;
   std::vector<ExprPtr> right_keys_;
   ExecContext* ctx_ = nullptr;
-  TrackedArena arena_;  // accounts the materialized input(s)
 };
 
-/// Hash join; the left input is the build side.
+/// Hash join; the left input is the build side, stored keyed on
+/// `left_keys`.
 class HashJoinOp : public EquiJoinOp {
  public:
   HashJoinOp(OperatorPtr left, OperatorPtr right,
@@ -235,18 +289,11 @@ class HashJoinOp : public EquiJoinOp {
   void Close() override;
 
  private:
-  std::unordered_map<uint64_t, std::vector<Tuple>> table_;
+  RowStore build_;
   Tuple probe_row_;
-  /// The probe row's keys, evaluated once before the lookup, and a reused
-  /// buffer for a build row's keys (rechecked against hash collisions).
   std::vector<Value> probe_keys_;
-  std::vector<Value> build_keys_;
-  const std::vector<Tuple>* matches_ = nullptr;
-  size_t match_pos_ = 0;
+  size_t match_ = RowStore::kNone;  // the build row joining probe_row_ next
 };
-
-/// A materialized row with its sort-key values.
-using KeyedRow = std::pair<std::vector<Value>, Tuple>;
 
 /// Sort-merge join: both inputs are materialized and sorted on Open. The
 /// planner picks it when it is the cheapest candidate, which takes hash
@@ -264,8 +311,8 @@ class SortMergeJoinOp : public EquiJoinOp {
   void Close() override;
 
  private:
-  std::vector<KeyedRow> left_rows_;
-  std::vector<KeyedRow> right_rows_;
+  RowStore left_rows_;
+  RowStore right_rows_;
   // The current runs of equal keys are [li_, run_l_end_) and
   // [ri_, run_r_end_); (cur_l_, cur_r_) is the next pair they emit.
   size_t li_ = 0, ri_ = 0;
@@ -317,24 +364,8 @@ class SortOp : public UnaryOp {
  private:
   std::vector<ExprPtr> keys_;
   std::vector<bool> ascending_;
-  TrackedArena arena_;  // accounts the materialized sort input
-  std::vector<KeyedRow> rows_;
+  RowStore rows_;
   size_t pos_ = 0;
-};
-
-/// Hash-based DISTINCT over whole rows.
-class DistinctOp : public UnaryOp {
- public:
-  explicit DistinctOp(OperatorPtr child);
-
-  [[nodiscard]] Status Open(ExecContext* ctx) override;
-  [[nodiscard]] Result<bool> Next(Tuple* out) override;
-  void Close() override;
-  std::string Label() const override;
-
- private:
-  TrackedArena arena_;  // accounts the seen-row fingerprint set
-  std::unordered_set<std::string> seen_;
 };
 
 /// Supported aggregate functions.
@@ -345,9 +376,15 @@ struct AggregateSpec {
   AggKind kind = AggKind::kCountStar;
   ExprPtr arg;  // null for COUNT(*)
   std::string name;
+
+  /// MIN and MAX keep their argument's type and SUM over a DOUBLE sums as
+  /// a DOUBLE; the rest are INTEGER.
+  TypeId type() const;
 };
 
-/// Hash aggregation: GROUP BY keys + aggregates.
+/// Hash aggregation: GROUP BY keys + aggregates, in first-seen group order.
+/// DISTINCT is the same operator over every output column, without
+/// aggregates.
 class AggregateOp : public UnaryOp {
  public:
   AggregateOp(OperatorPtr child, std::vector<ExprPtr> group_keys,
@@ -362,8 +399,9 @@ class AggregateOp : public UnaryOp {
  private:
   std::vector<ExprPtr> group_keys_;
   std::vector<AggregateSpec> aggs_;
-  TrackedArena arena_;  // accounts the group hash table / result rows
-  std::vector<Tuple> results_;
+  /// Each group's row holds one value per aggregate: a count, or NULL
+  /// until the first non-NULL argument.
+  RowStore groups_;
   size_t pos_ = 0;
 };
 
@@ -396,11 +434,10 @@ class LateralTableFuncOp : public Operator {
   ColumnMask input_live_;
   ColumnMask output_live_;  // the function's own columns
   ExecContext* ctx_ = nullptr;
-  TrackedArena arena_;  // accounts the per-input-row function results
   Tuple input_row_;
   bool input_valid_ = false;
   bool emitted_single_ = false;
-  std::vector<Tuple> fn_rows_;
+  RowStore fn_rows_;  // the current input row's function results
   size_t fn_pos_ = 0;
 };
 

@@ -1027,15 +1027,15 @@ Result<OperatorPtr> Planner::Plan(const sql::SelectStmt& stmt, double* cost) {
                       : lower == "min" ? AggKind::kMin
                                        : AggKind::kMax;
           XO_ASSIGN_OR_RETURN(spec.arg, binder.Bind(*e.children[0]));
+          const TypeId arg_type = spec.arg->type();
+          if (spec.kind == AggKind::kSum &&
+              (arg_type == TypeId::kVarchar || arg_type == TypeId::kXadt)) {
+            return Status::InvalidArgument("SUM takes a numeric argument");
+          }
         }
         spec.name = item_name(sel);
-        TypeId out_type =
-            (spec.kind == AggKind::kMin || spec.kind == AggKind::kMax) &&
-                    spec.arg != nullptr
-                ? spec.arg->type()
-                : TypeId::kInteger;
         output(ExprPtr(new ColumnRefExpr(n_groups + aggs.size(), spec.name,
-                                         out_type)),
+                                         spec.type())),
                spec.name, held(e));
         aggs.push_back(std::move(spec));
         continue;
@@ -1092,7 +1092,17 @@ Result<OperatorPtr> Planner::Plan(const sql::SelectStmt& stmt, double* cost) {
   plan->set_estimate(Rows(output_rows));
 
   if (stmt.distinct) {
-    plan = std::make_unique<DistinctOp>(std::move(plan));
+    // DISTINCT groups on every output column, without aggregates.
+    std::vector<ExprPtr> keys;
+    std::vector<std::string> key_names;
+    for (const ColumnMeta& column : plan->columns()) {
+      keys.push_back(
+          ExprPtr(new ColumnRefExpr(keys.size(), column.name, column.type)));
+      key_names.push_back(column.name);
+    }
+    plan = std::make_unique<AggregateOp>(std::move(plan), std::move(keys),
+                                         std::move(key_names),
+                                         std::vector<AggregateSpec>{});
     plan->set_estimate(Rows(output_rows));
   }
 

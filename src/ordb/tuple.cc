@@ -63,12 +63,4 @@ Result<Tuple> DecodeTuple(const TableSchema& schema, std::string_view bytes) {
   return tuple;
 }
 
-size_t TupleFootprint(const Tuple& tuple) {
-  size_t bytes = sizeof(Tuple);
-  for (const Value& v : tuple) {
-    bytes += sizeof(Value) + v.AsString().capacity();
-  }
-  return bytes;
-}
-
 }  // namespace xorator::ordb

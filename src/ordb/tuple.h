@@ -45,9 +45,6 @@ void EncodeTuple(const TableSchema& schema, const Tuple& tuple,
 /// RowView::Parse (row_codec.h) directly instead.
 [[nodiscard]] Result<Tuple> DecodeTuple(const TableSchema& schema, std::string_view bytes);
 
-/// Approximate in-memory footprint, used for sort-heap accounting.
-size_t TupleFootprint(const Tuple& tuple);
-
 }  // namespace xorator::ordb
 
 #endif  // XORATOR_ORDB_TUPLE_H_

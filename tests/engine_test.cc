@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -231,6 +232,68 @@ TEST_F(EngineTest, GlobalAggregates) {
   EXPECT_EQ(r.rows[0][1].AsInt(), 800);
   EXPECT_EQ(r.rows[0][2].AsInt(), 50);
   EXPECT_EQ(r.rows[0][3].AsInt(), 300);
+}
+
+TEST_F(EngineTest, SumTypesItsResultAndFailsOnOverflow) {
+  ASSERT_TRUE(db_->Execute("CREATE TABLE t (g INTEGER, d DOUBLE, i INTEGER, "
+                           "s VARCHAR, x XADT)")
+                  .ok());
+  ASSERT_TRUE(
+      db_->BulkInsert(
+             "t", {{Value::Int(1), Value::Double(3.5),
+                    Value::Int(std::numeric_limits<int64_t>::max()),
+                    Value::Varchar("a"), Value::Null()},
+                   {Value::Int(1), Value::Double(4.25), Value::Int(1),
+                    Value::Varchar("b"), Value::Null()},
+                   {Value::Int(2), Value::Null(), Value::Int(-5),
+                    Value::Varchar("c"), Value::Null()},
+                   {Value::Int(2), Value::Double(0.25), Value::Int(7),
+                    Value::Null(), Value::Null()}})
+          .ok());
+  struct Case {
+    const char* sql;
+    StatusCode code;
+    Value want;  // when code is kOk
+  };
+  const Case kCases[] = {
+      {"SELECT SUM(d) AS v FROM t WHERE g = 1", StatusCode::kOk,
+       Value::Double(7.75)},
+      {"SELECT SUM(d) AS v FROM t WHERE g = 2", StatusCode::kOk,
+       Value::Double(0.25)},
+      {"SELECT SUM(d) AS v FROM t WHERE g = 3", StatusCode::kOk,
+       Value::Null()},
+      {"SELECT SUM(i) AS v FROM t WHERE g = 2", StatusCode::kOk,
+       Value::Int(2)},
+      {"SELECT SUM(i) AS v FROM t WHERE g = 1", StatusCode::kOutOfRange,
+       Value::Null()},
+      {"SELECT SUM(s) AS v FROM t", StatusCode::kInvalidArgument,
+       Value::Null()},
+      {"SELECT SUM(x) AS v FROM t WHERE g = 3", StatusCode::kInvalidArgument,
+       Value::Null()},
+  };
+  for (const Case& c : kCases) {
+    SCOPED_TRACE(c.sql);
+    auto r = db_->Query(c.sql);
+    EXPECT_EQ(r.status().code(), c.code) << r.status().ToString();
+    if (!r.ok() || c.code != StatusCode::kOk) continue;
+    ASSERT_EQ(r->rows.size(), 1u);
+    const Value& got = r->rows[0][0];
+    EXPECT_EQ(got.type(), c.want.type());
+    EXPECT_EQ(got.Compare(c.want), 0) << got.ToString();
+  }
+}
+
+TEST_F(EngineTest, DistinctEqualsGroupByEveryColumn) {
+  ASSERT_TRUE(db_->Execute("CREATE TABLE p (a INTEGER, b VARCHAR)").ok());
+  ASSERT_TRUE(db_->Execute("INSERT INTO p VALUES (1, 'x'), (NULL, 'y'), "
+                           "(1, 'x'), (2, NULL), (NULL, NULL), (NULL, 'y'), "
+                           "(1, 'y'), (2, NULL), (NULL, NULL)")
+                  .ok());
+  QueryResult distinct = Q("SELECT DISTINCT a, b FROM p");
+  QueryResult grouped = Q("SELECT a, b FROM p GROUP BY a, b");
+  EXPECT_EQ(distinct.rows.size(), 5u);
+  EXPECT_EQ(distinct.columns, grouped.columns);
+  EXPECT_EQ(distinct.ToString(), grouped.ToString());
 }
 
 TEST_F(EngineTest, AggregateOverEmptyInput) {

@@ -60,6 +60,17 @@ std::vector<Tuple> Drain(Operator* op, ExecContext* ctx) {
   return out;
 }
 
+/// Each row as text, so that two runs' rows compare with ==.
+std::vector<std::string> Render(const std::vector<Tuple>& rows) {
+  std::vector<std::string> out;
+  for (const Tuple& row : rows) {
+    std::string line;
+    for (const Value& v : row) line += v.ToString() + "|";
+    out.push_back(std::move(line));
+  }
+  return out;
+}
+
 ExprPtr Col(size_t i) {
   return std::make_unique<ColumnRefExpr>(i, "c" + std::to_string(i),
                                          TypeId::kInteger);
@@ -67,6 +78,49 @@ ExprPtr Col(size_t i) {
 
 ExprPtr IntLit(int64_t v) {
   return std::make_unique<LiteralExpr>(Value::Int(v));
+}
+
+/// The DISTINCT plan: an aggregate grouping on every column of `child`,
+/// without aggregates.
+OperatorPtr MakeDistinct(OperatorPtr child) {
+  std::vector<ExprPtr> keys;
+  std::vector<std::string> names;
+  for (size_t c = 0; c < child->columns().size(); ++c) {
+    keys.push_back(Col(c));
+    names.push_back(child->columns()[c].name);
+  }
+  return std::make_unique<AggregateOp>(std::move(child), std::move(keys),
+                                       std::move(names),
+                                       std::vector<AggregateSpec>{});
+}
+
+/// A table function `rows(n)` of two columns, (i, 40 x's) for i < n.
+TableFunction RowsFunction() {
+  TableFunction fn;
+  fn.name = "rows";
+  fn.output = {{"i", TypeId::kInteger}, {"s", TypeId::kVarchar}};
+  fn.arity = 1;
+  fn.is_udf = false;
+  fn.impl = [](const std::vector<Value>& args,
+               const ColumnMask&) -> Result<std::vector<Tuple>> {
+    std::vector<Tuple> rows;
+    for (int64_t i = 0; i < args[0].AsInt(); ++i) {
+      rows.push_back({Value::Int(i), Value::Varchar(std::string(40, 'x'))});
+    }
+    return rows;
+  };
+  return fn;
+}
+
+/// `fn(n)` applied once per row of `child` (once, when `child` is null).
+OperatorPtr MakeLateral(OperatorPtr child, const TableFunction* fn,
+                        int64_t n) {
+  std::vector<ExprPtr> args;
+  args.push_back(IntLit(n));
+  const size_t width =
+      (child != nullptr ? child->columns().size() : 0) + fn->output.size();
+  return std::make_unique<LateralTableFuncOp>(
+      std::move(child), fn, std::move(args), "u", ColumnMask(width, true));
 }
 
 TEST(FilterOpTest, KeepsMatchingRows) {
@@ -197,8 +251,8 @@ TEST(DistinctOpTest, RemovesDuplicateRows) {
   auto values = MakeValues(
       {{Value::Int(1)}, {Value::Int(1)}, {Value::Null()}, {Value::Null()}},
       1);
-  DistinctOp distinct(std::move(values));
-  EXPECT_EQ(Drain(&distinct, &ctx).size(), 2u);
+  OperatorPtr distinct = MakeDistinct(std::move(values));
+  EXPECT_EQ(Drain(distinct.get(), &ctx).size(), 2u);
 }
 
 TEST(AggregateOpTest, GroupsAndAggregates) {
@@ -255,6 +309,7 @@ TEST(OperatorBudgetTest, EveryMaterializingOperatorHonoursTheBudget) {
   }
   auto big_input = [&] { return MakeValues(big, 2); };
   auto one_row = [] { return MakeValues({{Value::Int(7), Value::Int(7)}}, 2); };
+  const TableFunction rows_fn = RowsFunction();
   auto key = [] {
     std::vector<ExprPtr> keys;
     keys.push_back(Col(0));
@@ -295,8 +350,8 @@ TEST(OperatorBudgetTest, EveryMaterializingOperatorHonoursTheBudget) {
                  big_input(), key(), std::vector<std::string>{"g"},
                  std::move(aggs));
            }},
-          {"Distinct",
-           [&] { return std::make_unique<DistinctOp>(big_input()); }},
+          {"Distinct", [&] { return MakeDistinct(big_input()); }},
+          {"Lateral", [&] { return MakeLateral(nullptr, &rows_fn, 200); }},
       };
   for (const auto& [name, make] : kCases) {
     SCOPED_TRACE(name);
@@ -322,12 +377,69 @@ TEST(OperatorBudgetTest, EveryMaterializingOperatorHonoursTheBudget) {
 }
 
 TEST(OperatorTest, RescanAfterCloseOpen) {
-  // Operators are restartable: Open after Close replays the stream.
-  ExecContext ctx;
-  auto values = MakeValues({{Value::Int(1)}, {Value::Int(2)}}, 1);
-  DistinctOp distinct(std::move(values));
-  EXPECT_EQ(Drain(&distinct, &ctx).size(), 2u);
-  EXPECT_EQ(Drain(&distinct, &ctx).size(), 2u);
+  // Every materializing operator is restartable: Open after Close replays
+  // the stream, and each Close returns every byte it charged.
+  auto input = [] {
+    return MakeValues({{Value::Int(2), Value::Int(20)},
+                       {Value::Int(1), Value::Int(10)},
+                       {Value::Int(2), Value::Int(21)},
+                       {Value::Null(), Value::Int(30)}},
+                      2);
+  };
+  auto key = [] {
+    std::vector<ExprPtr> keys;
+    keys.push_back(Col(0));
+    return keys;
+  };
+  const TableFunction rows_fn = RowsFunction();
+  const std::vector<std::pair<std::string, std::function<OperatorPtr()>>>
+      kCases = {
+          {"NestedLoopJoin",
+           [&] {
+             return std::make_unique<NestedLoopJoinOp>(input(), input(),
+                                                       nullptr);
+           }},
+          {"HashJoin",
+           [&] {
+             return std::make_unique<HashJoinOp>(input(), input(), key(),
+                                                 key());
+           }},
+          {"SortMergeJoin",
+           [&] {
+             return std::make_unique<SortMergeJoinOp>(input(), input(), key(),
+                                                      key());
+           }},
+          {"Sort",
+           [&] {
+             return std::make_unique<SortOp>(input(), key(),
+                                             std::vector<bool>{false});
+           }},
+          {"Aggregate",
+           [&] {
+             std::vector<AggregateSpec> aggs(2);
+             aggs[0].name = "n";
+             aggs[1].kind = AggKind::kSum;
+             aggs[1].arg = Col(1);
+             aggs[1].name = "s";
+             return std::make_unique<AggregateOp>(
+                 input(), key(), std::vector<std::string>{"g"},
+                 std::move(aggs));
+           }},
+          {"Lateral", [&] { return MakeLateral(input(), &rows_fn, 3); }},
+      };
+  for (const auto& [name, make] : kCases) {
+    SCOPED_TRACE(name);
+    QueryGuard guard(0, 1 << 20);
+    ExecContext ctx;
+    ctx.guard = &guard;
+    OperatorPtr op = make();
+    const std::vector<std::string> first = Render(Drain(op.get(), &ctx));
+    EXPECT_FALSE(first.empty());
+    EXPECT_GT(guard.Stats().peak_tracked_bytes, 0u);
+    EXPECT_EQ(guard.Stats().tracked_bytes, 0u);
+    EXPECT_EQ(Render(Drain(op.get(), &ctx)), first);
+    EXPECT_EQ(guard.Stats().tracked_bytes, 0u);
+  }
 }
 
 TEST(ExplainTest, TreeRendering) {

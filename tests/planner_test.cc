@@ -240,8 +240,9 @@ TEST_F(PlannerTest, AggregatePlacedAboveJoins) {
 }
 
 TEST_F(PlannerTest, DistinctAboveProjection) {
+  // DISTINCT is an aggregate grouping on every output column.
   std::string plan = Plan("SELECT DISTINCT v FROM big");
-  size_t distinct = plan.find("Distinct");
+  size_t distinct = plan.find("Aggregate(groups=1, aggs=0)");
   size_t project = plan.find("Project");
   ASSERT_NE(distinct, std::string::npos);
   ASSERT_NE(project, std::string::npos);

@@ -409,12 +409,12 @@ BENCHMARK(BM_ConcurrentReaders)
 
 // Cost of the query guardrails (DESIGN.md section 12): the same full-table
 // aggregate scan with and without a QueryGuard attached. The guarded run
-// pays one ctx->CheckPoint() per row — a relaxed atomic increment, with the
-// monotonic clock read only every 32nd poll — so the two curves must stay
-// within ~2% of each other. Measured interleaved on the same machine
-// (RelWithDebInfo, g++ 12, 20000-row scan, median of 3 runs):
-//   BM_GuardOverhead/guarded:0 4.97 ms   BM_GuardOverhead/guarded:1 5.03 ms
-// (≈1.2% apart, within the stated budget).
+// pays one CheckPoint() per row in the scan and one in the aggregate's
+// drain — a relaxed atomic increment, with the monotonic clock read only
+// every 32nd poll. The target is curves within 2% of each other; measured
+// with --benchmark_enable_random_interleaving, 10 repetitions, over 10 runs
+// (RelWithDebInfo, g++ 12, 4-CPU host, 20000-row scan), the median
+// guarded/unguarded ratio per run is 1.048, so the target is not met.
 void BM_GuardOverhead(benchmark::State& state) {
   // Shared across both arms and deliberately leaked, same reasoning as
   // BM_ConcurrentReaders above.
@@ -683,13 +683,12 @@ class ValuesOp : public Operator {
       : rows_(rows) {
     columns_ = std::move(columns);
   }
-  Status Open(ExecContext* ctx) override {
-    ctx_ = ctx;
+  Status DoOpen() override {
     pos_ = 0;
     return Status::OK();
   }
   Result<bool> Next(Tuple* out) override {
-    RETURN_IF_ERROR(ctx_->CheckPoint());
+    RETURN_IF_ERROR(CheckPoint());
     if (pos_ >= rows_->size()) return false;
     *out = (*rows_)[pos_++];
     return true;
@@ -698,7 +697,6 @@ class ValuesOp : public Operator {
 
  private:
   const std::vector<Tuple>* rows_;
-  ExecContext* ctx_ = nullptr;
   size_t pos_ = 0;
 };
 
@@ -764,10 +762,9 @@ void BM_OperatorState(benchmark::State& state) {
       state.SetLabel("sort");
       break;
   }
-  ExecContext ctx;
   Tuple row;
   for (auto _ : state) {
-    Status status = op->Open(&ctx);
+    Status status = op->Open();
     size_t out = 0;
     while (status.ok()) {
       Result<bool> more = op->Next(&row);

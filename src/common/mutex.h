@@ -355,9 +355,8 @@ class XO_SCOPED_CAPABILITY WriterLock {
 /// holds `mu` before and after — while the internal release/re-acquire is
 /// opted out of the analysis (the standard condition-variable blind spot).
 ///
-/// Spurious wakeups happen; always wait in a predicate loop. Signal/
-/// SignalAll need not hold the mutex, but the waited-on state must be
-/// written under it.
+/// Spurious wakeups happen; always wait in a predicate loop. Signal need
+/// not hold the mutex, but the waited-on state must be written under it.
 class CondVar {
  public:
   CondVar() = default;
@@ -381,9 +380,6 @@ class CondVar {
 
   /// Wakes one waiter.
   void Signal() { cv_.notify_one(); }
-
-  /// Wakes every waiter.
-  void SignalAll() { cv_.notify_all(); }
 
  private:
   /// BasicLockable adapter handing the wait's internal unlock/lock pair to

@@ -356,6 +356,24 @@ Result<std::vector<uint64_t>> BPlusTree::FindRange(uint64_t lo,
   return out;
 }
 
+Result<std::optional<uint64_t>> BPlusTree::LastKey() const {
+  PageId cur = root_;
+  while (true) {
+    XO_ASSIGN_OR_RETURN(PageRef node, pool_->Fetch(cur));
+    RETURN_IF_ERROR(ValidateBPlusTreeNode(NodeView(node.data())));
+    const uint16_t count = Count(node.data());
+    if (IsLeaf(node.data())) {
+      std::optional<uint64_t> last;
+      if (count > 0) last = LeafEntry(node.data(), count - 1).key;
+      RETURN_IF_ERROR(node.Release());
+      return last;
+    }
+    const PageId next = InternalChild(node.data(), count);
+    RETURN_IF_ERROR(node.Release());
+    cur = next;
+  }
+}
+
 Status BPlusTree::Delete(uint64_t key, uint64_t rid) {
   EntryKey target{key, rid};
   PageId cur = root_;

@@ -2,6 +2,7 @@
 #define XORATOR_ORDB_BPTREE_H_
 
 #include <cstdint>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -86,6 +87,11 @@ class BPlusTree {
 
   /// All rids with key in [lo, hi], in key order.
   [[nodiscard]] Result<std::vector<uint64_t>> FindRange(uint64_t lo, uint64_t hi) const;
+
+  /// The last key of the rightmost leaf: the largest key in the tree, or
+  /// nullopt when that leaf is empty, which deletes can leave behind while
+  /// other leaves still hold entries.
+  [[nodiscard]] Result<std::optional<uint64_t>> LastKey() const;
 
   /// Structural invariant check for tests: keys sorted within nodes, leaf
   /// chain ordered, parent separators bound children.

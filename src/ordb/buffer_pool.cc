@@ -7,7 +7,7 @@
 #include <thread>
 
 #include "ordb/health.h"
-#include "ordb/query_guard.h"
+#include "ordb/exec_context.h"
 
 namespace xorator::ordb {
 
@@ -385,7 +385,7 @@ Result<ScrubReport> BufferPool::ScrubSlice(uint64_t max_pages) {
   }
   // Guard pacing: a PRAGMA scrub issued with a deadline or cancel token
   // unwinds between pages like any other scan (DESIGN.md §12/§13).
-  QueryGuard* guard = CurrentGuard();
+  QueryGuard* guard = ExecContext::CurrentQueryGuard();
   for (uint64_t i = 0; i < max_pages; ++i) {
     if (guard != nullptr) RETURN_IF_ERROR(guard->CheckPoint());
     const PageId id = scrub_cursor_;

@@ -9,6 +9,7 @@
 #include "common/span.h"
 #include "common/str_util.h"
 #include "common/varint.h"
+#include "ordb/exec_context.h"
 #include "ordb/row_codec.h"
 
 namespace xorator::ordb {
@@ -337,13 +338,13 @@ Status Database::Cancel(uint64_t query_id) {
 }
 
 Result<QueryResult> Database::RunSelect(const sql::SelectStmt& stmt,
-                                        bool explain_only, QueryGuard* guard,
-                                        bool skip_quarantined) {
+                                        bool explain_only) {
+  ExecContext* const ctx = ExecContext::Current();
   Planner planner(&catalog_, &functions_, options_.planner);
   XO_ASSIGN_OR_RETURN(OperatorPtr plan, planner.PlanSelect(stmt));
   QueryResult result;
   if (explain_only) {
-    if (guard != nullptr) result.report.guard = guard->Stats();
+    if (ctx->guard != nullptr) result.report.guard = ctx->guard->Stats();
     std::string text = plan->Explain();
     const std::string report = result.report.ToString();
     if (!report.empty()) text += "\n" + report;
@@ -353,19 +354,10 @@ Result<QueryResult> Database::RunSelect(const sql::SelectStmt& stmt,
   }
   for (const ColumnMeta& c : plan->columns()) result.columns.push_back(c.name);
 
-  DegradedScan degraded;
-  ExecContext ctx;
-  ctx.guard = guard;
-  ctx.degraded = skip_quarantined ? &degraded : nullptr;
-  // The marshaled-UDF ABI carries no context, so UDF bodies and the XADT
-  // fragment scanner reach the guard thread-locally (DESIGN.md §12); the
-  // degraded scan travels the same way (DESIGN.md §13).
-  ScopedGuardBind bind(guard);
-  ScopedDegradedScanBind degraded_bind(ctx.degraded);
   // Close() must run on the error path too: a query stopped by its guard
   // (or by any mid-scan failure) has to release every pin and every
   // tracked-arena charge before the error reaches the caller.
-  Status exec = plan->Open(&ctx);
+  Status exec = plan->Open();
   if (exec.ok()) {
     Tuple row;
     while (true) {
@@ -385,11 +377,11 @@ Result<QueryResult> Database::RunSelect(const sql::SelectStmt& stmt,
   }
   plan->Close();
   XO_RETURN_NOT_OK(exec);
-  result.udf_stats = ctx.udf_stats;
-  if (guard != nullptr) result.report.guard = guard->Stats();
+  result.udf_stats = ctx->udf_stats;
+  if (ctx->guard != nullptr) result.report.guard = ctx->guard->Stats();
   result.report.health = health_.state();
   result.report.quarantined_pages = pool_->stats().quarantined_pages;
-  if (skip_quarantined) result.report.degraded = degraded;
+  if (ctx->degraded != nullptr) result.report.degraded = *ctx->degraded;
   return result;
 }
 
@@ -408,25 +400,32 @@ Result<QueryResult> Database::Query(const std::string& sql_text,
   // queued on the statement lock; registration also happens before the
   // lock, so a statement stuck behind a writer is already cancellable.
   QueryGuard guard(options.deadline_millis, options.max_memory_bytes);
-  QueryGuard* g = options.guarded() ? &guard : nullptr;
-  GuardRegistration registration(this, options.query_id, g);
+  DegradedScan degraded;
+  ExecContext ctx;
+  ctx.guard = options.guarded() ? &guard : nullptr;
+  GuardRegistration registration(this, options.query_id, ctx.guard);
+  // The statement's one binding (DESIGN.md §12): operators, UDFs, XADT
+  // scans, heap scans, bulk inserts, DELETE and scrub slices all read the
+  // guard and counters from here.
+  ScopedExecContext bind(ctx);
   switch (stmt.kind) {
     case sql::Statement::Kind::kSelect:
     case sql::Statement::Kind::kExplain: {
       XO_RETURN_NOT_OK(health_.CheckUsable());
+      // Only a SELECT may skip damage (DESIGN.md §13); every other
+      // statement scans strictly.
+      if (options.skip_quarantined) ctx.degraded = &degraded;
       xo::ReaderLock lock(&mu_);
       return RunSelect(stmt.select,
-                       stmt.kind == sql::Statement::Kind::kExplain, g,
-                       options.skip_quarantined);
+                       stmt.kind == sql::Statement::Kind::kExplain);
     }
     case sql::Statement::Kind::kPragma: {
       // Pragmas are maintenance reads: they run on any usable engine —
       // that is their point — and only touch internally-synchronized
-      // state, so the shared side of the lock suffices. The guard binds
-      // thread-locally so a scrub slice is deadline/cancel-paced.
+      // state, so the shared side of the lock suffices. A scrub slice is
+      // paced by the bound guard.
       XO_RETURN_NOT_OK(health_.CheckUsable());
       xo::ReaderLock lock(&mu_);
-      ScopedGuardBind bind(g);
       return RunPragma(stmt.pragma);
     }
     default: {
@@ -434,9 +433,6 @@ Result<QueryResult> Database::Query(const std::string& sql_text,
       // mutations before queueing on the statement lock.
       XO_RETURN_NOT_OK(health_.CheckWritable());
       xo::WriterLock lock(&mu_);
-      // Write statements poll the thread-local binding (BulkInsertLocked,
-      // RunDelete) rather than an ExecContext.
-      ScopedGuardBind bind(g);
       return ExecuteStmtLocked(stmt);
     }
   }
@@ -525,6 +521,8 @@ Result<std::string> Database::Explain(const std::string& sql_text) {
       stmt.kind != sql::Statement::Kind::kExplain) {
     return Status::InvalidArgument("EXPLAIN requires a SELECT");
   }
+  ExecContext ctx;  // unguarded: an EXPLAIN runs nothing
+  ScopedExecContext bind(ctx);
   xo::ReaderLock lock(&mu_);
   XO_ASSIGN_OR_RETURN(QueryResult r,
                       RunSelect(stmt.select, /*explain_only=*/true));
@@ -601,7 +599,7 @@ Status Database::BulkInsertLocked(const std::string& table,
   // its index entries, so aborting here leaves the table consistent: the
   // rows already inserted stay, the rest never happen (the loader reports
   // the split; see shred::LoadReport).
-  QueryGuard* guard = CurrentGuard();
+  QueryGuard* guard = ExecContext::CurrentQueryGuard();
   std::string record;
   for (const Tuple& row : rows) {
     if (guard != nullptr) XO_RETURN_NOT_OK(guard->CheckPoint());
@@ -700,20 +698,19 @@ Result<QueryResult> Database::RunDelete(const sql::DeleteStmt& stmt) {
   // Guard polls and charges cover only the scan phase: once the apply loop
   // below starts mutating the heap, finishing is cheaper and cleaner than
   // stopping with half the matches deleted.
-  ExecContext ctx;
-  ctx.guard = CurrentGuard();
-  TrackedArena doomed_arena(ctx.guard);
+  ExecContext* const ctx = ExecContext::Current();
+  TrackedArena doomed_arena(ctx->guard);
   HeapFile::Scanner scanner = t->heap->Scan();
   Rid rid;
   std::string record;
   while (true) {
-    XO_RETURN_NOT_OK(ctx.CheckPoint());
+    XO_RETURN_NOT_OK(ctx->CheckPoint());
     XO_ASSIGN_OR_RETURN(bool ok, scanner.Next(&rid, &record));
     if (!ok) break;
     XO_ASSIGN_OR_RETURN(Tuple row, DecodeTuple(t->schema, record));
     bool match = true;
     if (where != nullptr) {
-      XO_ASSIGN_OR_RETURN(Value v, where->Eval(row, &ctx));
+      XO_ASSIGN_OR_RETURN(Value v, where->Eval(row));
       match = !v.is_null() && v.AsBool();
     }
     if (match) {
@@ -733,7 +730,7 @@ Result<QueryResult> Database::RunDelete(const sql::DeleteStmt& stmt) {
   QueryResult result;
   result.columns = {"deleted"};
   result.rows.push_back({Value::Int(static_cast<int64_t>(doomed.size()))});
-  result.udf_stats = ctx.udf_stats;
+  result.udf_stats = ctx->udf_stats;
   return result;
 }
 

@@ -295,17 +295,14 @@ class Database {
                                         const std::vector<Tuple>& rows)
       XO_REQUIRES(mu_);
 
-  /// `guard` may be null (unguarded). Guarded runs bind the guard to the
-  /// executing thread (ScopedGuardBind) so UDFs and XADT scans can poll it,
-  /// close the plan on the error path too (releasing every pin before the
-  /// error propagates), and record the guard's counters in the report.
-  /// `skip_quarantined` enables the degraded-scan mode (DESIGN.md §13).
+  /// Runs in the statement bound to the calling thread (Query() and
+  /// Explain() bind it): its guard and degraded-scan counters govern the
+  /// plan, and its counters land in the report. Closes the plan on the
+  /// error path too, releasing every pin before the error propagates.
   /// `explain_only` returns the EXPLAIN result instead: one "plan" row
   /// holding the rendered operator tree and the report's lines.
   [[nodiscard]] Result<QueryResult> RunSelect(const sql::SelectStmt& stmt,
-                                              bool explain_only,
-                                              QueryGuard* guard = nullptr,
-                                              bool skip_quarantined = false)
+                                              bool explain_only)
       XO_REQUIRES_SHARED(mu_);
   [[nodiscard]] Result<QueryResult> RunDelete(const sql::DeleteStmt& stmt)
       XO_REQUIRES(mu_);

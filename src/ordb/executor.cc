@@ -12,20 +12,19 @@ namespace xorator::ordb {
 
 namespace {
 
-Result<bool> EvalPredicate(const Expr* pred, const Tuple& row,
-                           ExecContext* ctx) {
+Result<bool> EvalPredicate(const Expr* pred, const Tuple& row) {
   if (pred == nullptr) return true;
-  XO_ASSIGN_OR_RETURN(Value v, pred->Eval(row, ctx));
+  XO_ASSIGN_OR_RETURN(Value v, pred->Eval(row));
   return !v.is_null() && v.AsBool();
 }
 
 /// Evaluates `keys` over `row` into `*out`, reusing its capacity.
 Status EvalKeys(const std::vector<ExprPtr>& keys, const Tuple& row,
-                ExecContext* ctx, std::vector<Value>* out) {
+                std::vector<Value>* out) {
   out->clear();
   out->reserve(keys.size());
   for (const ExprPtr& k : keys) {
-    XO_ASSIGN_OR_RETURN(Value v, k->Eval(row, ctx));
+    XO_ASSIGN_OR_RETURN(Value v, k->Eval(row));
     out->push_back(std::move(v));
   }
   return Status::OK();
@@ -35,8 +34,8 @@ Status EvalKeys(const std::vector<ExprPtr>& keys, const Tuple& row,
 /// equals nothing (CompareExpr's rule, and IndexScanOp::Seek's), so a row
 /// with a NULL key is neither stored nor probed by any join.
 Result<bool> EvalJoinKeys(const std::vector<ExprPtr>& keys, const Tuple& row,
-                          ExecContext* ctx, std::vector<Value>* out) {
-  RETURN_IF_ERROR(EvalKeys(keys, row, ctx, out));
+                          std::vector<Value>* out) {
+  RETURN_IF_ERROR(EvalKeys(keys, row, out));
   return std::none_of(out->begin(), out->end(),
                       [](const Value& v) { return v.is_null(); });
 }
@@ -90,14 +89,15 @@ bool ViewEqualsValue(const ValueView& view, const Value& key) {
 
 /// Opens `child`, hands each of its rows to `consume` (a `Status(Tuple&)`
 /// callable that may move from the row) and closes the child: the one loop
-/// by which an operator materializes an input in Open(). Polls the guard
-/// once per row.
+/// by which an operator materializes an input in Open(). Polls the bound
+/// statement's guard once per row.
 template <typename Consume>
-Status Drain(Operator* child, ExecContext* ctx, Consume&& consume) {
-  XO_RETURN_NOT_OK(child->Open(ctx));
+Status Drain(Operator* child, Consume&& consume) {
+  QueryGuard* const guard = ExecContext::CurrentQueryGuard();
+  XO_RETURN_NOT_OK(child->Open());
   Tuple row;
   while (true) {
-    RETURN_IF_ERROR(ctx->CheckPoint());
+    RETURN_IF_ERROR(guard == nullptr ? Status::OK() : guard->CheckPoint());
     XO_ASSIGN_OR_RETURN(bool ok, child->Next(&row));
     if (!ok) break;
     XO_RETURN_NOT_OK(consume(row));
@@ -112,15 +112,15 @@ Status Drain(Operator* child, ExecContext* ctx, Consume&& consume) {
 /// NULL key are dropped before they are stored (EvalJoinKeys).
 Status SortInput(Operator* input, const std::vector<ExprPtr>& keys,
                  const std::vector<bool>& ascending, bool drop_null_keys,
-                 ExecContext* ctx, RowStore* rows) {
-  rows->Reset(ctx->guard, keys.size());
+                 RowStore* rows) {
+  rows->Reset(keys.size());
   std::vector<Value> k;
-  RETURN_IF_ERROR(Drain(input, ctx, [&](Tuple& row) -> Status {
+  RETURN_IF_ERROR(Drain(input, [&](Tuple& row) -> Status {
     if (drop_null_keys) {
-      XO_ASSIGN_OR_RETURN(bool joins, EvalJoinKeys(keys, row, ctx, &k));
+      XO_ASSIGN_OR_RETURN(bool joins, EvalJoinKeys(keys, row, &k));
       if (!joins) return Status::OK();
     } else {
-      RETURN_IF_ERROR(EvalKeys(keys, row, ctx, &k));
+      RETURN_IF_ERROR(EvalKeys(keys, row, &k));
     }
     return rows->Add(k, std::move(row));
   }));
@@ -149,9 +149,9 @@ Status AddToSum(const Value& v, Value* sum) {
 
 // ----------------------------------------------------------------- row store
 
-void RowStore::Reset(QueryGuard* guard, size_t key_width) {
+void RowStore::Reset(size_t key_width) {
   Clear();
-  arena_.Rebind(guard);
+  arena_.Rebind(ExecContext::CurrentQueryGuard());
   key_width_ = key_width;
 }
 
@@ -276,15 +276,13 @@ SeqScanOp::SeqScanOp(const TableInfo* table, const std::string& alias,
   columns_ = QualifiedColumns(table->schema.columns, alias);
 }
 
-Status SeqScanOp::Open(ExecContext* ctx) {
-  ctx_ = ctx;
-  scanner_ = std::make_unique<HeapFile::Scanner>(
-      table_->heap->Scan(ctx->degraded));
+Status SeqScanOp::DoOpen() {
+  scanner_ = std::make_unique<HeapFile::Scanner>(table_->heap->Scan());
   return Status::OK();
 }
 
 Result<bool> SeqScanOp::Next(Tuple* out) {
-  RETURN_IF_ERROR(ctx_->CheckPoint());
+  RETURN_IF_ERROR(CheckPoint());
   Rid rid;
   XO_ASSIGN_OR_RETURN(bool ok, scanner_->Next(&rid, &record_));
   if (!ok) return false;
@@ -310,10 +308,7 @@ IndexScanOp::IndexScanOp(const TableInfo* table, const IndexInfo* index,
   columns_ = QualifiedColumns(table->schema.columns, alias);
 }
 
-Status IndexScanOp::Open(ExecContext* ctx) {
-  ctx_ = ctx;
-  return Seek(key_);
-}
+Status IndexScanOp::DoOpen() { return Seek(key_); }
 
 Status IndexScanOp::Seek(Value key) {
   key_ = std::move(key);
@@ -327,7 +322,7 @@ Status IndexScanOp::Seek(Value key) {
 
 Result<bool> IndexScanOp::Next(Tuple* out) {
   while (pos_ < rids_.size()) {
-    RETURN_IF_ERROR(ctx_->CheckPoint());
+    RETURN_IF_ERROR(CheckPoint());
     Rid rid = Rid::Decode(rids_[pos_++]);
     XO_ASSIGN_OR_RETURN(record_, table_->heap->Get(rid));
     XO_ASSIGN_OR_RETURN(RowView row, RowView::Parse(table_->schema, record_));
@@ -357,10 +352,10 @@ FilterOp::FilterOp(OperatorPtr child, ExprPtr predicate)
 
 Result<bool> FilterOp::Next(Tuple* out) {
   while (true) {
-    RETURN_IF_ERROR(ctx_->CheckPoint());
+    RETURN_IF_ERROR(CheckPoint());
     XO_ASSIGN_OR_RETURN(bool ok, child_->Next(out));
     if (!ok) return false;
-    XO_ASSIGN_OR_RETURN(bool pass, EvalPredicate(predicate_.get(), *out, ctx_));
+    XO_ASSIGN_OR_RETURN(bool pass, EvalPredicate(predicate_.get(), *out));
     if (pass) return true;
   }
 }
@@ -378,13 +373,13 @@ ProjectOp::ProjectOp(OperatorPtr child, std::vector<ExprPtr> exprs,
 }
 
 Result<bool> ProjectOp::Next(Tuple* out) {
-  RETURN_IF_ERROR(ctx_->CheckPoint());
+  RETURN_IF_ERROR(CheckPoint());
   XO_ASSIGN_OR_RETURN(bool ok, child_->Next(&row_));
   if (!ok) return false;
   out->clear();
   out->reserve(exprs_.size());
   for (const ExprPtr& e : exprs_) {
-    XO_ASSIGN_OR_RETURN(Value v, e->Eval(row_, ctx_));
+    XO_ASSIGN_OR_RETURN(Value v, e->Eval(row_));
     out->push_back(std::move(v));
   }
   return true;
@@ -410,11 +405,10 @@ NestedLoopJoinOp::NestedLoopJoinOp(OperatorPtr left, OperatorPtr right,
   for (const ColumnMeta& c : right_->columns()) columns_.push_back(c);
 }
 
-Status NestedLoopJoinOp::Open(ExecContext* ctx) {
-  ctx_ = ctx;
-  right_rows_.Reset(ctx->guard, 0);
-  XO_RETURN_NOT_OK(left_->Open(ctx));
-  XO_RETURN_NOT_OK(Drain(right_.get(), ctx, [&](Tuple& row) -> Status {
+Status NestedLoopJoinOp::DoOpen() {
+  right_rows_.Reset(0);
+  XO_RETURN_NOT_OK(left_->Open());
+  XO_RETURN_NOT_OK(Drain(right_.get(), [&](Tuple& row) -> Status {
     return right_rows_.Add({}, std::move(row));
   }));
   left_valid_ = false;
@@ -424,7 +418,7 @@ Status NestedLoopJoinOp::Open(ExecContext* ctx) {
 
 Result<bool> NestedLoopJoinOp::Next(Tuple* out) {
   while (true) {
-    RETURN_IF_ERROR(ctx_->CheckPoint());
+    RETURN_IF_ERROR(CheckPoint());
     if (!left_valid_) {
       XO_ASSIGN_OR_RETURN(bool ok, left_->Next(&left_row_));
       if (!ok) return false;
@@ -434,7 +428,7 @@ Result<bool> NestedLoopJoinOp::Next(Tuple* out) {
     while (right_pos_ < right_rows_.size()) {
       AppendRow(left_row_, right_rows_.row(right_pos_++), out);
       XO_ASSIGN_OR_RETURN(bool pass,
-                          EvalPredicate(predicate_.get(), *out, ctx_));
+                          EvalPredicate(predicate_.get(), *out));
       if (pass) return true;
     }
     left_valid_ = false;
@@ -478,23 +472,22 @@ HashJoinOp::HashJoinOp(OperatorPtr left, OperatorPtr right,
     : EquiJoinOp("HashJoin", std::move(left), std::move(right),
                  std::move(left_keys), std::move(right_keys)) {}
 
-Status HashJoinOp::Open(ExecContext* ctx) {
-  ctx_ = ctx;
-  build_.Reset(ctx->guard, left_keys_.size());
+Status HashJoinOp::DoOpen() {
+  build_.Reset(left_keys_.size());
   std::vector<Value> keys;
-  XO_RETURN_NOT_OK(Drain(left_.get(), ctx, [&](Tuple& row) -> Status {
-    XO_ASSIGN_OR_RETURN(bool joins, EvalJoinKeys(left_keys_, row, ctx, &keys));
+  XO_RETURN_NOT_OK(Drain(left_.get(), [&](Tuple& row) -> Status {
+    XO_ASSIGN_OR_RETURN(bool joins, EvalJoinKeys(left_keys_, row, &keys));
     if (!joins) return Status::OK();
     return build_.AddIndexed(keys, std::move(row));
   }));
-  XO_RETURN_NOT_OK(right_->Open(ctx));
+  XO_RETURN_NOT_OK(right_->Open());
   match_ = RowStore::kNone;
   return Status::OK();
 }
 
 Result<bool> HashJoinOp::Next(Tuple* out) {
   while (true) {
-    RETURN_IF_ERROR(ctx_->CheckPoint());
+    RETURN_IF_ERROR(CheckPoint());
     if (match_ != RowStore::kNone) {
       AppendRow(build_.row(match_), probe_row_, out);
       match_ = build_.NextMatch(match_);
@@ -502,8 +495,8 @@ Result<bool> HashJoinOp::Next(Tuple* out) {
     }
     XO_ASSIGN_OR_RETURN(bool ok, right_->Next(&probe_row_));
     if (!ok) return false;
-    XO_ASSIGN_OR_RETURN(bool joins, EvalJoinKeys(right_keys_, probe_row_, ctx_,
-                                                 &probe_keys_));
+    XO_ASSIGN_OR_RETURN(bool joins,
+                        EvalJoinKeys(right_keys_, probe_row_, &probe_keys_));
     if (joins) match_ = build_.Find(probe_keys_);
   }
 }
@@ -519,20 +512,19 @@ SortMergeJoinOp::SortMergeJoinOp(OperatorPtr left, OperatorPtr right,
     : EquiJoinOp("SortMergeJoin", std::move(left), std::move(right),
                  std::move(left_keys), std::move(right_keys)) {}
 
-Status SortMergeJoinOp::Open(ExecContext* ctx) {
-  ctx_ = ctx;
+Status SortMergeJoinOp::DoOpen() {
   const std::vector<bool> ascending(left_keys_.size(), true);
   XO_RETURN_NOT_OK(SortInput(left_.get(), left_keys_, ascending,
-                             /*drop_null_keys=*/true, ctx, &left_rows_));
+                             /*drop_null_keys=*/true, &left_rows_));
   XO_RETURN_NOT_OK(SortInput(right_.get(), right_keys_, ascending,
-                             /*drop_null_keys=*/true, ctx, &right_rows_));
+                             /*drop_null_keys=*/true, &right_rows_));
   li_ = ri_ = run_l_end_ = run_r_end_ = cur_l_ = cur_r_ = 0;
   return Status::OK();
 }
 
 Result<bool> SortMergeJoinOp::Next(Tuple* out) {
   while (true) {
-    RETURN_IF_ERROR(ctx_->CheckPoint());
+    RETURN_IF_ERROR(CheckPoint());
     if (cur_l_ < run_l_end_) {
       if (cur_r_ < run_r_end_) {
         AppendRow(left_rows_.row(cur_l_), right_rows_.row(cur_r_++), out);
@@ -579,29 +571,28 @@ IndexNestedLoopJoinOp::IndexNestedLoopJoinOp(
   for (const ColumnMeta& c : inner_.columns()) columns_.push_back(c);
 }
 
-Status IndexNestedLoopJoinOp::Open(ExecContext* ctx) {
-  ctx_ = ctx;
-  XO_RETURN_NOT_OK(left_->Open(ctx));
-  XO_RETURN_NOT_OK(inner_.Open(ctx));
+Status IndexNestedLoopJoinOp::DoOpen() {
+  XO_RETURN_NOT_OK(left_->Open());
+  XO_RETURN_NOT_OK(inner_.Open());
   left_valid_ = false;
   return Status::OK();
 }
 
 Result<bool> IndexNestedLoopJoinOp::Next(Tuple* out) {
   while (true) {
-    RETURN_IF_ERROR(ctx_->CheckPoint());
+    RETURN_IF_ERROR(CheckPoint());
     if (!left_valid_) {
       XO_ASSIGN_OR_RETURN(bool ok, left_->Next(&left_row_));
       if (!ok) return false;
       left_valid_ = true;
-      XO_ASSIGN_OR_RETURN(Value key, left_key_->Eval(left_row_, ctx_));
+      XO_ASSIGN_OR_RETURN(Value key, left_key_->Eval(left_row_));
       XO_RETURN_NOT_OK(inner_.Seek(std::move(key)));
     }
     while (true) {
       XO_ASSIGN_OR_RETURN(bool found, inner_.Next(&inner_row_));
       if (!found) break;
       AppendRow(left_row_, inner_row_, out);
-      XO_ASSIGN_OR_RETURN(bool pass, EvalPredicate(residual_.get(), *out, ctx_));
+      XO_ASSIGN_OR_RETURN(bool pass, EvalPredicate(residual_.get(), *out));
       if (pass) return true;
     }
     left_valid_ = false;
@@ -625,16 +616,15 @@ SortOp::SortOp(OperatorPtr child, std::vector<ExprPtr> keys,
   columns_ = child_->columns();
 }
 
-Status SortOp::Open(ExecContext* ctx) {
-  ctx_ = ctx;
+Status SortOp::DoOpen() {
   XO_RETURN_NOT_OK(SortInput(child_.get(), keys_, ascending_,
-                             /*drop_null_keys=*/false, ctx, &rows_));
+                             /*drop_null_keys=*/false, &rows_));
   pos_ = 0;
   return Status::OK();
 }
 
 Result<bool> SortOp::Next(Tuple* out) {
-  RETURN_IF_ERROR(ctx_->CheckPoint());
+  RETURN_IF_ERROR(CheckPoint());
   if (pos_ >= rows_.size()) return false;
   *out = rows_.row(pos_++);
   return true;
@@ -673,10 +663,9 @@ AggregateOp::AggregateOp(OperatorPtr child, std::vector<ExprPtr> group_keys,
   for (const AggregateSpec& a : aggs_) columns_.push_back({a.name, a.type()});
 }
 
-Status AggregateOp::Open(ExecContext* ctx) {
-  ctx_ = ctx;
+Status AggregateOp::DoOpen() {
   const size_t n = group_keys_.size();
-  groups_.Reset(ctx->guard, n);
+  groups_.Reset(n);
   std::vector<Value> keys;
   auto add_group = [&]() -> Status {
     Tuple group;
@@ -688,8 +677,8 @@ Status AggregateOp::Open(ExecContext* ctx) {
     }
     return groups_.AddIndexed(keys, std::move(group));
   };
-  XO_RETURN_NOT_OK(Drain(child_.get(), ctx, [&](const Tuple& row) -> Status {
-    RETURN_IF_ERROR(EvalKeys(group_keys_, row, ctx, &keys));
+  XO_RETURN_NOT_OK(Drain(child_.get(), [&](const Tuple& row) -> Status {
+    RETURN_IF_ERROR(EvalKeys(group_keys_, row, &keys));
     size_t g = groups_.Find(keys);
     if (g == RowStore::kNone) {
       RETURN_IF_ERROR(add_group());
@@ -700,7 +689,7 @@ Status AggregateOp::Open(ExecContext* ctx) {
       const AggregateSpec& a = aggs_[i];
       Value v;  // stays NULL for COUNT(*), which counts every row
       if (a.arg != nullptr) {
-        XO_ASSIGN_OR_RETURN(v, a.arg->Eval(row, ctx));
+        XO_ASSIGN_OR_RETURN(v, a.arg->Eval(row));
         if (v.is_null()) continue;
       }
       Value& acc = group[i];
@@ -730,7 +719,7 @@ Status AggregateOp::Open(ExecContext* ctx) {
 }
 
 Result<bool> AggregateOp::Next(Tuple* out) {
-  RETURN_IF_ERROR(ctx_->CheckPoint());
+  RETURN_IF_ERROR(CheckPoint());
   if (pos_ >= groups_.size()) return false;
   AppendRow(groups_.key(pos_), groups_.row(pos_), out);
   ++pos_;
@@ -763,19 +752,18 @@ LateralTableFuncOp::LateralTableFuncOp(OperatorPtr child,
   output_live_.assign(live.begin() + input_width_, live.end());
 }
 
-Status LateralTableFuncOp::Open(ExecContext* ctx) {
-  ctx_ = ctx;
-  fn_rows_.Reset(ctx->guard, 0);
+Status LateralTableFuncOp::DoOpen() {
+  fn_rows_.Reset(0);
   input_valid_ = false;
   emitted_single_ = false;
   fn_pos_ = 0;
-  if (child_ != nullptr) return child_->Open(ctx);
+  if (child_ != nullptr) return child_->Open();
   return Status::OK();
 }
 
 Result<bool> LateralTableFuncOp::Next(Tuple* out) {
   while (true) {
-    RETURN_IF_ERROR(ctx_->CheckPoint());
+    RETURN_IF_ERROR(CheckPoint());
     if (!input_valid_) {
       if (child_ == nullptr) {
         if (emitted_single_) return false;
@@ -787,12 +775,11 @@ Result<bool> LateralTableFuncOp::Next(Tuple* out) {
       }
       input_valid_ = true;
       std::vector<Value> args;
-      RETURN_IF_ERROR(EvalKeys(args_, input_row_, ctx_, &args));
+      RETURN_IF_ERROR(EvalKeys(args_, input_row_, &args));
       // Each input row's function results replace the previous row's.
       fn_rows_.Clear();
       XO_ASSIGN_OR_RETURN(std::vector<Tuple> rows,
-                          InvokeTable(*fn_, args, output_live_,
-                                      &ctx_->udf_stats));
+                          InvokeTable(*fn_, args, output_live_));
       for (Tuple& r : rows) RETURN_IF_ERROR(fn_rows_.Add({}, std::move(r)));
       fn_pos_ = 0;
     }

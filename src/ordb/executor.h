@@ -20,20 +20,26 @@ struct ColumnMeta {
   TypeId type = TypeId::kVarchar;
 };
 
-/// Volcano-style physical operator. Usage: Open, Next until false, Close.
+/// Volcano-style physical operator. Usage: Open, Next until false, Close,
+/// all on the thread the statement is bound to (ExecContext::Current()).
 ///
 /// Guard contract (DESIGN.md §12): every Next() implementation and every
-/// loop that materializes child rows inside Open() polls
-/// `ctx->CheckPoint()` once per row, so deadlines, cancellation and the
-/// memory budget are honored mid-operator; every row an operator keeps
-/// after Open() or across Next() calls lives in a RowStore, which charges
-/// it to the guard and which Close() — and the destructor — releases.
-/// tools/lint enforces the CheckPoint-in-Next half of the contract.
+/// loop that materializes child rows inside Open() polls CheckPoint() once
+/// per row, so deadlines, cancellation and the memory budget are honored
+/// mid-operator; every row an operator keeps after Open() or across Next()
+/// calls lives in a RowStore, which charges it to the guard and which
+/// Close() — and the destructor — releases. tools/lint enforces the
+/// CheckPoint-in-Next half of the contract.
 class Operator {
  public:
   virtual ~Operator() = default;
 
-  [[nodiscard]] virtual Status Open(ExecContext* ctx) = 0;
+  /// Opens the operator in the statement bound to the calling thread: its
+  /// CheckPoint() polls that statement's guard until the next Open().
+  [[nodiscard]] Status Open() {
+    guard_ = ExecContext::CurrentQueryGuard();
+    return DoOpen();
+  }
   /// Produces the next row into `*out`; returns false at end of stream.
   [[nodiscard]] virtual Result<bool> Next(Tuple* out) = 0;
   virtual void Close() {}
@@ -60,9 +66,19 @@ class Operator {
   void set_estimate(const Estimate& estimate) { estimate_ = estimate; }
 
  protected:
+  /// The operator's own part of Open().
+  [[nodiscard]] virtual Status DoOpen() = 0;
+
+  /// Polls the guard of the statement the operator was opened in; OK when
+  /// it runs unguarded.
+  [[nodiscard]] Status CheckPoint() const {
+    return guard_ == nullptr ? Status::OK() : guard_->CheckPoint();
+  }
+
   std::vector<ColumnMeta> columns_;
 
  private:
+  QueryGuard* guard_ = nullptr;  // read from the binding by Open()
   Estimate estimate_;
 };
 
@@ -83,9 +99,10 @@ class RowStore {
  public:
   static constexpr size_t kNone = SIZE_MAX;
 
-  /// Clear(), then binds the store to `guard` (null: unguarded); rows
-  /// added after are stored under `key_width` key values.
-  void Reset(QueryGuard* guard, size_t key_width);
+  /// Clear(), then binds the store to the guard of the statement bound to
+  /// the calling thread; rows added after are stored under `key_width` key
+  /// values.
+  void Reset(size_t key_width);
   /// Drops every row and returns its charge to the guard.
   void Clear();
 
@@ -135,15 +152,14 @@ class SeqScanOp : public Operator {
   SeqScanOp(const TableInfo* table, const std::string& alias,
             ColumnMask live);
 
-  [[nodiscard]] Status Open(ExecContext* ctx) override;
   [[nodiscard]] Result<bool> Next(Tuple* out) override;
   std::string Label() const override;
 
  private:
+  [[nodiscard]] Status DoOpen() override;
   const TableInfo* table_;
   std::string alias_;
   ColumnMask live_;
-  ExecContext* ctx_ = nullptr;
   std::unique_ptr<HeapFile::Scanner> scanner_;
   /// Reused record buffer: RowView parses it in place every Next(), so its
   /// capacity (and the output tuple's string capacity) is recycled across
@@ -161,7 +177,6 @@ class IndexScanOp : public Operator {
   IndexScanOp(const TableInfo* table, const IndexInfo* index, Value key,
               const std::string& alias, ColumnMask live);
 
-  [[nodiscard]] Status Open(ExecContext* ctx) override;
   [[nodiscard]] Result<bool> Next(Tuple* out) override;
   std::string Label() const override;
   const TableInfo* table() const { return table_; }
@@ -171,12 +186,12 @@ class IndexScanOp : public Operator {
   [[nodiscard]] Status Seek(Value key);
 
  private:
+  [[nodiscard]] Status DoOpen() override;
   const TableInfo* table_;
   const IndexInfo* index_;
   Value key_;
   std::string alias_;
   ColumnMask live_;
-  ExecContext* ctx_ = nullptr;
   std::vector<uint64_t> rids_;
   /// Reused record buffer for in-place key rechecks (see SeqScanOp).
   std::string record_;
@@ -187,10 +202,6 @@ class IndexScanOp : public Operator {
 /// operator that drains its input in Open overrides both).
 class UnaryOp : public Operator {
  public:
-  [[nodiscard]] Status Open(ExecContext* ctx) override {
-    ctx_ = ctx;
-    return child_->Open(ctx);
-  }
   void Close() override { child_->Close(); }
   std::vector<const Operator*> Children() const override {
     return {child_.get()};
@@ -199,8 +210,9 @@ class UnaryOp : public Operator {
  protected:
   explicit UnaryOp(OperatorPtr child) : child_(std::move(child)) {}
 
+  [[nodiscard]] Status DoOpen() override { return child_->Open(); }
+
   OperatorPtr child_;
-  ExecContext* ctx_ = nullptr;
 };
 
 /// Drops rows whose predicate does not evaluate to TRUE.
@@ -236,7 +248,6 @@ class NestedLoopJoinOp : public Operator {
  public:
   NestedLoopJoinOp(OperatorPtr left, OperatorPtr right, ExprPtr predicate);
 
-  [[nodiscard]] Status Open(ExecContext* ctx) override;
   [[nodiscard]] Result<bool> Next(Tuple* out) override;
   void Close() override;
   std::string Label() const override;
@@ -245,10 +256,10 @@ class NestedLoopJoinOp : public Operator {
   }
 
  private:
+  [[nodiscard]] Status DoOpen() override;
   OperatorPtr left_;
   OperatorPtr right_;
   ExprPtr predicate_;  // may be null (cross product)
-  ExecContext* ctx_ = nullptr;
   RowStore right_rows_;
   Tuple left_row_;
   bool left_valid_ = false;
@@ -274,7 +285,6 @@ class EquiJoinOp : public Operator {
   OperatorPtr right_;
   std::vector<ExprPtr> left_keys_;
   std::vector<ExprPtr> right_keys_;
-  ExecContext* ctx_ = nullptr;
 };
 
 /// Hash join; the left input is the build side, stored keyed on
@@ -284,11 +294,11 @@ class HashJoinOp : public EquiJoinOp {
   HashJoinOp(OperatorPtr left, OperatorPtr right,
              std::vector<ExprPtr> left_keys, std::vector<ExprPtr> right_keys);
 
-  [[nodiscard]] Status Open(ExecContext* ctx) override;
   [[nodiscard]] Result<bool> Next(Tuple* out) override;
   void Close() override;
 
  private:
+  [[nodiscard]] Status DoOpen() override;
   RowStore build_;
   Tuple probe_row_;
   std::vector<Value> probe_keys_;
@@ -306,11 +316,11 @@ class SortMergeJoinOp : public EquiJoinOp {
                   std::vector<ExprPtr> left_keys,
                   std::vector<ExprPtr> right_keys);
 
-  [[nodiscard]] Status Open(ExecContext* ctx) override;
   [[nodiscard]] Result<bool> Next(Tuple* out) override;
   void Close() override;
 
  private:
+  [[nodiscard]] Status DoOpen() override;
   RowStore left_rows_;
   RowStore right_rows_;
   // The current runs of equal keys are [li_, run_l_end_) and
@@ -330,7 +340,6 @@ class IndexNestedLoopJoinOp : public Operator {
                         const std::string& inner_alias, ExprPtr residual,
                         ColumnMask inner_live);
 
-  [[nodiscard]] Status Open(ExecContext* ctx) override;
   [[nodiscard]] Result<bool> Next(Tuple* out) override;
   void Close() override;
   std::string Label() const override;
@@ -339,10 +348,10 @@ class IndexNestedLoopJoinOp : public Operator {
   }
 
  private:
+  [[nodiscard]] Status DoOpen() override;
   OperatorPtr left_;
   ExprPtr left_key_;
   ExprPtr residual_;
-  ExecContext* ctx_ = nullptr;
   Tuple left_row_;
   bool left_valid_ = false;
   IndexScanOp inner_;  // Seek()s each outer row's key
@@ -356,12 +365,12 @@ class SortOp : public UnaryOp {
   SortOp(OperatorPtr child, std::vector<ExprPtr> keys,
          std::vector<bool> ascending);
 
-  [[nodiscard]] Status Open(ExecContext* ctx) override;
   [[nodiscard]] Result<bool> Next(Tuple* out) override;
   void Close() override;
   std::string Label() const override;
 
  private:
+  [[nodiscard]] Status DoOpen() override;
   std::vector<ExprPtr> keys_;
   std::vector<bool> ascending_;
   RowStore rows_;
@@ -391,12 +400,12 @@ class AggregateOp : public UnaryOp {
               std::vector<std::string> group_names,
               std::vector<AggregateSpec> aggs);
 
-  [[nodiscard]] Status Open(ExecContext* ctx) override;
   [[nodiscard]] Result<bool> Next(Tuple* out) override;
   void Close() override;
   std::string Label() const override;
 
  private:
+  [[nodiscard]] Status DoOpen() override;
   std::vector<ExprPtr> group_keys_;
   std::vector<AggregateSpec> aggs_;
   /// Each group's row holds one value per aggregate: a count, or NULL
@@ -417,7 +426,6 @@ class LateralTableFuncOp : public Operator {
                      std::vector<ExprPtr> args, const std::string& alias,
                      ColumnMask live);
 
-  [[nodiscard]] Status Open(ExecContext* ctx) override;
   [[nodiscard]] Result<bool> Next(Tuple* out) override;
   void Close() override;
   std::string Label() const override;
@@ -427,13 +435,13 @@ class LateralTableFuncOp : public Operator {
   }
 
  private:
+  [[nodiscard]] Status DoOpen() override;
   OperatorPtr child_;  // may be null
   const TableFunction* fn_;
   std::vector<ExprPtr> args_;
   size_t input_width_ = 0;  // child columns, before the function's
   ColumnMask input_live_;
   ColumnMask output_live_;  // the function's own columns
-  ExecContext* ctx_ = nullptr;
   Tuple input_row_;
   bool input_valid_ = false;
   bool emitted_single_ = false;

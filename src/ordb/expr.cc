@@ -22,7 +22,7 @@ std::string_view CompareOpName(CompareOp op) {
   return "?";
 }
 
-Result<Value> ColumnRefExpr::Eval(const Tuple& row, ExecContext*) const {
+Result<Value> ColumnRefExpr::Eval(const Tuple& row) const {
   if (index_ >= row.size()) {
     return Status::Internal("column index " + std::to_string(index_) +
                             " out of range for row of " +
@@ -39,9 +39,9 @@ std::string LiteralExpr::ToString() const {
   return out;
 }
 
-Result<Value> CompareExpr::Eval(const Tuple& row, ExecContext* ctx) const {
-  XO_ASSIGN_OR_RETURN(Value a, lhs_->Eval(row, ctx));
-  XO_ASSIGN_OR_RETURN(Value b, rhs_->Eval(row, ctx));
+Result<Value> CompareExpr::Eval(const Tuple& row) const {
+  XO_ASSIGN_OR_RETURN(Value a, lhs_->Eval(row));
+  XO_ASSIGN_OR_RETURN(Value b, rhs_->Eval(row));
   if (a.is_null() || b.is_null()) return Value::Bool(false);
   int c = a.Compare(b);
   switch (op_) {
@@ -66,20 +66,20 @@ std::string CompareExpr::ToString() const {
          rhs_->ToString();
 }
 
-Result<Value> LogicExpr::Eval(const Tuple& row, ExecContext* ctx) const {
-  XO_ASSIGN_OR_RETURN(Value a, lhs_->Eval(row, ctx));
+Result<Value> LogicExpr::Eval(const Tuple& row) const {
+  XO_ASSIGN_OR_RETURN(Value a, lhs_->Eval(row));
   bool av = !a.is_null() && a.AsBool();
   switch (kind_) {
     case Kind::kNot:
       return Value::Bool(!av);
     case Kind::kAnd: {
       if (!av) return Value::Bool(false);
-      XO_ASSIGN_OR_RETURN(Value b, rhs_->Eval(row, ctx));
+      XO_ASSIGN_OR_RETURN(Value b, rhs_->Eval(row));
       return Value::Bool(!b.is_null() && b.AsBool());
     }
     case Kind::kOr: {
       if (av) return Value::Bool(true);
-      XO_ASSIGN_OR_RETURN(Value b, rhs_->Eval(row, ctx));
+      XO_ASSIGN_OR_RETURN(Value b, rhs_->Eval(row));
       return Value::Bool(!b.is_null() && b.AsBool());
     }
   }
@@ -107,8 +107,8 @@ std::string LogicExpr::ToString() const {
   return "?";
 }
 
-Result<Value> LikeExpr::Eval(const Tuple& row, ExecContext* ctx) const {
-  XO_ASSIGN_OR_RETURN(Value v, input_->Eval(row, ctx));
+Result<Value> LikeExpr::Eval(const Tuple& row) const {
+  XO_ASSIGN_OR_RETURN(Value v, input_->Eval(row));
   if (v.is_null()) return Value::Bool(false);
   return Value::Bool(LikeMatch(v.AsString(), pattern_));
 }
@@ -117,8 +117,8 @@ std::string LikeExpr::ToString() const {
   return input_->ToString() + " LIKE '" + pattern_ + "'";
 }
 
-Result<Value> IsNullExpr::Eval(const Tuple& row, ExecContext* ctx) const {
-  XO_ASSIGN_OR_RETURN(Value v, input_->Eval(row, ctx));
+Result<Value> IsNullExpr::Eval(const Tuple& row) const {
+  XO_ASSIGN_OR_RETURN(Value v, input_->Eval(row));
   return Value::Bool(negated_ ? !v.is_null() : v.is_null());
 }
 
@@ -126,14 +126,14 @@ std::string IsNullExpr::ToString() const {
   return input_->ToString() + (negated_ ? " IS NOT NULL" : " IS NULL");
 }
 
-Result<Value> FunctionExpr::Eval(const Tuple& row, ExecContext* ctx) const {
+Result<Value> FunctionExpr::Eval(const Tuple& row) const {
   std::vector<Value> args;
   args.reserve(args_.size());
   for (const ExprPtr& a : args_) {
-    XO_ASSIGN_OR_RETURN(Value v, a->Eval(row, ctx));
+    XO_ASSIGN_OR_RETURN(Value v, a->Eval(row));
     args.push_back(std::move(v));
   }
-  return InvokeScalar(*fn_, args, ctx != nullptr ? &ctx->udf_stats : nullptr);
+  return InvokeScalar(*fn_, args);
 }
 
 std::string FunctionExpr::ToString() const {

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "common/result.h"
-#include "ordb/exec_context.h"
+#include "ordb/functions.h"
 #include "ordb/tuple.h"
 
 namespace xorator::ordb {
@@ -19,12 +19,9 @@ std::string_view CompareOpName(CompareOp op);
 class Expr {
  public:
   virtual ~Expr() = default;
-  [[nodiscard]] virtual Result<Value> Eval(const Tuple& row, ExecContext* ctx) const = 0;
+  [[nodiscard]] virtual Result<Value> Eval(const Tuple& row) const = 0;
   virtual TypeId type() const = 0;
   virtual std::string ToString() const = 0;
-
-  /// Collects the row indices this expression reads (for planning).
-  virtual void CollectColumns(std::vector<size_t>* out) const = 0;
 };
 
 using ExprPtr = std::unique_ptr<Expr>;
@@ -38,12 +35,9 @@ class ColumnRefExpr : public Expr {
   size_t index() const { return index_; }
   const std::string& name() const { return name_; }
 
-  [[nodiscard]] Result<Value> Eval(const Tuple& row, ExecContext* ctx) const override;
+  [[nodiscard]] Result<Value> Eval(const Tuple& row) const override;
   TypeId type() const override { return type_; }
   std::string ToString() const override { return name_; }
-  void CollectColumns(std::vector<size_t>* out) const override {
-    out->push_back(index_);
-  }
 
  private:
   size_t index_;
@@ -58,12 +52,11 @@ class LiteralExpr : public Expr {
 
   const Value& value() const { return value_; }
 
-  [[nodiscard]] Result<Value> Eval(const Tuple&, ExecContext*) const override {
+  [[nodiscard]] Result<Value> Eval(const Tuple&) const override {
     return value_;
   }
   TypeId type() const override { return value_.type(); }
   std::string ToString() const override;
-  void CollectColumns(std::vector<size_t>*) const override {}
 
  private:
   Value value_;
@@ -79,13 +72,9 @@ class CompareExpr : public Expr {
   const Expr& lhs() const { return *lhs_; }
   const Expr& rhs() const { return *rhs_; }
 
-  [[nodiscard]] Result<Value> Eval(const Tuple& row, ExecContext* ctx) const override;
+  [[nodiscard]] Result<Value> Eval(const Tuple& row) const override;
   TypeId type() const override { return TypeId::kBoolean; }
   std::string ToString() const override;
-  void CollectColumns(std::vector<size_t>* out) const override {
-    lhs_->CollectColumns(out);
-    rhs_->CollectColumns(out);
-  }
 
  private:
   CompareOp op_;
@@ -101,13 +90,9 @@ class LogicExpr : public Expr {
   LogicExpr(Kind kind, ExprPtr lhs, ExprPtr rhs)
       : kind_(kind), lhs_(std::move(lhs)), rhs_(std::move(rhs)) {}
 
-  [[nodiscard]] Result<Value> Eval(const Tuple& row, ExecContext* ctx) const override;
+  [[nodiscard]] Result<Value> Eval(const Tuple& row) const override;
   TypeId type() const override { return TypeId::kBoolean; }
   std::string ToString() const override;
-  void CollectColumns(std::vector<size_t>* out) const override {
-    lhs_->CollectColumns(out);
-    if (rhs_ != nullptr) rhs_->CollectColumns(out);
-  }
 
  private:
   Kind kind_;
@@ -121,12 +106,9 @@ class LikeExpr : public Expr {
   LikeExpr(ExprPtr input, std::string pattern)
       : input_(std::move(input)), pattern_(std::move(pattern)) {}
 
-  [[nodiscard]] Result<Value> Eval(const Tuple& row, ExecContext* ctx) const override;
+  [[nodiscard]] Result<Value> Eval(const Tuple& row) const override;
   TypeId type() const override { return TypeId::kBoolean; }
   std::string ToString() const override;
-  void CollectColumns(std::vector<size_t>* out) const override {
-    input_->CollectColumns(out);
-  }
 
  private:
   ExprPtr input_;
@@ -139,12 +121,9 @@ class IsNullExpr : public Expr {
   IsNullExpr(ExprPtr input, bool negated)
       : input_(std::move(input)), negated_(negated) {}
 
-  [[nodiscard]] Result<Value> Eval(const Tuple& row, ExecContext* ctx) const override;
+  [[nodiscard]] Result<Value> Eval(const Tuple& row) const override;
   TypeId type() const override { return TypeId::kBoolean; }
   std::string ToString() const override;
-  void CollectColumns(std::vector<size_t>* out) const override {
-    input_->CollectColumns(out);
-  }
 
  private:
   ExprPtr input_;
@@ -160,12 +139,9 @@ class FunctionExpr : public Expr {
 
   const ScalarFunction& fn() const { return *fn_; }
 
-  [[nodiscard]] Result<Value> Eval(const Tuple& row, ExecContext* ctx) const override;
+  [[nodiscard]] Result<Value> Eval(const Tuple& row) const override;
   TypeId type() const override { return fn_->return_type; }
   std::string ToString() const override;
-  void CollectColumns(std::vector<size_t>* out) const override {
-    for (const ExprPtr& a : args_) a->CollectColumns(out);
-  }
 
  private:
   const ScalarFunction* fn_;

@@ -1,6 +1,7 @@
 #include "ordb/functions.h"
 
 #include "common/str_util.h"
+#include "ordb/exec_context.h"
 
 namespace xorator::ordb {
 
@@ -117,7 +118,7 @@ const TableFunction* FunctionRegistry::FindTable(std::string_view name) const {
 }
 
 Result<Value> InvokeScalar(const ScalarFunction& fn,
-                           const std::vector<Value>& args, UdfStats* stats) {
+                           const std::vector<Value>& args) {
   XO_RETURN_NOT_OK(CheckArity(fn.name, fn.arity, args.size()));
   if (!fn.is_udf) {
     return fn.impl(args);
@@ -148,6 +149,8 @@ Result<Value> InvokeScalar(const ScalarFunction& fn,
         frame.push_back(v);
     }
   }
+  ExecContext* ctx = ExecContext::Current();
+  UdfStats* stats = ctx != nullptr ? &ctx->udf_stats : nullptr;
   if (stats != nullptr) {
     ++stats->scalar_calls;
     stats->marshaled_bytes += bytes;
@@ -169,10 +172,10 @@ Result<Value> InvokeScalar(const ScalarFunction& fn,
 
 Result<std::vector<Tuple>> InvokeTable(const TableFunction& fn,
                                        const std::vector<Value>& args,
-                                       const ColumnMask& live,
-                                       UdfStats* stats) {
+                                       const ColumnMask& live) {
   XO_RETURN_NOT_OK(CheckArity(fn.name, fn.arity, args.size()));
-  if (stats != nullptr && fn.is_udf) ++stats->table_calls;
+  ExecContext* ctx = ExecContext::Current();
+  if (ctx != nullptr && fn.is_udf) ++ctx->udf_stats.table_calls;
   return fn.impl(args, live);
 }
 

@@ -67,15 +67,15 @@ class FunctionRegistry {
   std::map<std::string, TableFunction> table_;
 };
 
-/// Invokes `fn` through the appropriate dispatch path, updating `stats`
-/// (which may be null) for UDFs.
+/// Invokes `fn` through the appropriate dispatch path. A UDF call is
+/// counted in the udf_stats of the statement bound to the calling thread
+/// (ExecContext::Current()), if any.
 [[nodiscard]] Result<Value> InvokeScalar(const ScalarFunction& fn,
-                           const std::vector<Value>& args, UdfStats* stats);
+                                         const std::vector<Value>& args);
 
-[[nodiscard]] Result<std::vector<Tuple>> InvokeTable(const TableFunction& fn,
-                                       const std::vector<Value>& args,
-                                       const ColumnMask& live,
-                                       UdfStats* stats);
+[[nodiscard]] Result<std::vector<Tuple>> InvokeTable(
+    const TableFunction& fn, const std::vector<Value>& args,
+    const ColumnMask& live);
 
 }  // namespace xorator::ordb
 

@@ -105,17 +105,4 @@ Status EngineHealth::CheckUsable() const {
   return Status::Unavailable(std::move(msg));
 }
 
-namespace {
-thread_local DegradedScan* g_degraded_scan = nullptr;
-}  // namespace
-
-DegradedScan* CurrentDegradedScan() { return g_degraded_scan; }
-
-ScopedDegradedScanBind::ScopedDegradedScanBind(DegradedScan* scan)
-    : prev_(g_degraded_scan) {
-  g_degraded_scan = scan;
-}
-
-ScopedDegradedScanBind::~ScopedDegradedScanBind() { g_degraded_scan = prev_; }
-
 }  // namespace xorator::ordb

@@ -131,10 +131,9 @@ class EngineHealth {
 
 /// What one skip_quarantined statement skipped (DESIGN.md §13). A statement
 /// opts in by handing out a DegradedScan; a null one means strict, and
-/// corrupt data fails the statement. Heap scanners take it directly
-/// (ExecContext::degraded); the marshaled-UDF ABI carries no ExecContext,
-/// so the XADT table functions reach it through a thread-local binding,
-/// the way they reach the QueryGuard (CurrentGuard, DESIGN.md §12).
+/// corrupt data fails the statement. It rides the statement's
+/// ExecContext::degraded, which heap scanners and the XADT table functions
+/// alike read from the thread's binding (ExecContext::Current()).
 struct DegradedScan {
   /// Heap pages skipped because they were quarantined/corrupt.
   uint64_t skipped_pages = 0;
@@ -143,23 +142,6 @@ struct DegradedScan {
   uint64_t skipped_records = 0;
   /// XADT fragments skipped because they failed to parse.
   uint64_t skipped_fragments = 0;
-};
-
-/// The degraded scan bound to the calling thread, or null (strict).
-DegradedScan* CurrentDegradedScan();
-
-/// Binds `scan` as the calling thread's CurrentDegradedScan() for the scope
-/// of this object, restoring the previous binding on destruction.
-class ScopedDegradedScanBind {
- public:
-  /// Installs `scan` (may be null, which unbinds for the scope).
-  explicit ScopedDegradedScanBind(DegradedScan* scan);
-  ScopedDegradedScanBind(const ScopedDegradedScanBind&) = delete;
-  ScopedDegradedScanBind& operator=(const ScopedDegradedScanBind&) = delete;
-  ~ScopedDegradedScanBind();
-
- private:
-  DegradedScan* prev_;
 };
 
 }  // namespace xorator::ordb

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/span.h"
+#include "ordb/exec_context.h"
 #include "ordb/health.h"
 
 namespace xorator::ordb {
@@ -172,8 +173,11 @@ Status HeapFile::Delete(const Rid& rid) {
   return Status::OK();
 }
 
-HeapFile::Scanner::Scanner(const HeapFile* file, DegradedScan* degraded)
-    : file_(file), page_(file->first_page_), slot_(0), degraded_(degraded) {}
+HeapFile::Scanner::Scanner(const HeapFile* file)
+    : file_(file), page_(file->first_page_), slot_(0) {
+  ExecContext* ctx = ExecContext::Current();
+  degraded_ = ctx != nullptr ? ctx->degraded : nullptr;
+}
 
 namespace {
 /// Longest run of consecutive corrupt pages a degraded scan will follow.

@@ -56,15 +56,15 @@ class HeapFile {
 
   /// Sequential scanner over live records.
   ///
-  /// A non-null `degraded` selects the degraded-scan mode (DESIGN.md §13):
+  /// A scanner made while the thread's statement carries degraded-scan
+  /// counters (ExecContext::degraded, DESIGN.md §13) runs in degraded mode:
   /// instead of failing the scan, a kCorruption page fetch skips the whole
   /// page (salvaging its next-page link from the raw on-disk bytes) and a
   /// corrupt overflow chain skips just that record, and both are counted
-  /// into `*degraded`. Null (the default) is strict: a normal scan must
-  /// surface corruption.
+  /// there. Otherwise it is strict: a normal scan must surface corruption.
   class Scanner {
    public:
-    Scanner(const HeapFile* file, DegradedScan* degraded);
+    explicit Scanner(const HeapFile* file);
 
     /// Advances to the next record; false at end of file. `*record` is
     /// overwritten in place (its capacity is reused across calls — pass
@@ -86,9 +86,7 @@ class HeapFile {
     uint64_t skip_run_ = 0;
   };
 
-  Scanner Scan(DegradedScan* degraded = nullptr) const {
-    return Scanner(this, degraded);
-  }
+  Scanner Scan() const { return Scanner(this); }
 
  private:
   // Record headers distinguishing inline records from overflow stubs.

@@ -2,10 +2,6 @@
 
 namespace xorator::ordb {
 
-namespace {
-thread_local QueryGuard* g_current_guard = nullptr;
-}  // namespace
-
 QueryGuard::QueryGuard(uint64_t deadline_millis, uint64_t max_memory_bytes)
     : deadline_millis_(deadline_millis),
       max_memory_bytes_(max_memory_bytes),
@@ -109,13 +105,5 @@ void TrackedArena::Release() {
   }
   charged_ = 0;
 }
-
-QueryGuard* CurrentGuard() { return g_current_guard; }
-
-ScopedGuardBind::ScopedGuardBind(QueryGuard* guard) : prev_(g_current_guard) {
-  g_current_guard = guard;
-}
-
-ScopedGuardBind::~ScopedGuardBind() { g_current_guard = prev_; }
 
 }  // namespace xorator::ordb

@@ -88,9 +88,6 @@ class QueryGuard {
   /// (individual fields are read relaxed).
   GuardStats Stats() const;
 
-  /// Stats().ToString().
-  std::string StatsLine() const { return Stats().ToString(); }
-
   /// True for the three codes a guard stop produces (kCancelled,
   /// kDeadlineExceeded, kResourceExhausted); callers use this to tell a
   /// governed abort from a genuine data or storage error.
@@ -102,9 +99,9 @@ class QueryGuard {
 
  private:
   /// Clock reads are strided: CheckPoint() consults steady_clock only once
-  /// per this many calls. 32 keeps BM_GuardOverhead comfortably under the
-  /// 2% target while bounding deadline-detection latency to a handful of
-  /// microseconds of extra rows.
+  /// per this many calls, which bounds deadline-detection latency to a
+  /// handful of microseconds of extra rows. The poll still costs more than
+  /// BM_GuardOverhead's 2% target (DESIGN.md §12).
   static constexpr uint64_t kClockStride = 32;
 
   /// Latches `code` as the stop reason if none is set yet and returns the
@@ -168,30 +165,6 @@ class TrackedArena {
  private:
   QueryGuard* guard_;
   uint64_t charged_ = 0;
-};
-
-/// The guard bound to the calling thread by ScopedGuardBind, or null.
-///
-/// Exists for the XADT UDF boundary: scalar/table function implementations
-/// receive only `const std::vector<Value>&` (the marshaled-UDF ABI,
-/// functions.h), so the executor cannot pass a guard through the call.
-/// Database binds the statement's guard to the executing thread instead,
-/// and the xadt fragment loops poll it here (DESIGN.md §12).
-QueryGuard* CurrentGuard();
-
-/// Binds `guard` as the calling thread's CurrentGuard() for the scope of
-/// this object, restoring the previous binding on destruction (bindings
-/// nest).
-class ScopedGuardBind {
- public:
-  /// Installs `guard` (may be null, which unbinds for the scope).
-  explicit ScopedGuardBind(QueryGuard* guard);
-  ScopedGuardBind(const ScopedGuardBind&) = delete;
-  ScopedGuardBind& operator=(const ScopedGuardBind&) = delete;
-  ~ScopedGuardBind();
-
- private:
-  QueryGuard* prev_;
 };
 
 }  // namespace xorator::ordb

@@ -57,11 +57,15 @@ uint64_t HashValue(TypeId type, int64_t int_part, double double_part,
                          0x9e3779b97f4a7c15ULL);
     case TypeId::kDouble: {
       // Hash doubles through their integer value when exact so that
-      // 1 == 1.0 hashes consistently.
-      auto as_int = static_cast<int64_t>(double_part);
-      if (static_cast<double>(as_int) == double_part) {
-        return xo::WrapMul(static_cast<uint64_t>(as_int),
-                           0x9e3779b97f4a7c15ULL);
+      // 1 == 1.0 (and -0.0 == 0.0) hash consistently. The range check comes
+      // first: converting NaN, ±inf or a magnitude of 2^63 or more to an
+      // integer is undefined.
+      if (double_part >= -0x1p63 && double_part < 0x1p63) {
+        auto as_int = static_cast<int64_t>(double_part);
+        if (static_cast<double>(as_int) == double_part) {
+          return xo::WrapMul(static_cast<uint64_t>(as_int),
+                             0x9e3779b97f4a7c15ULL);
+        }
       }
       return xo::WrapMul(std::bit_cast<uint64_t>(double_part),
                          0x9e3779b97f4a7c15ULL);

@@ -122,7 +122,6 @@ class Value {
   const std::string& AsString() const XO_LIFETIME_BOUND { return str_; }
   /// The same bytes as a view, as ValueView::bytes() reads them in place.
   std::string_view bytes() const XO_LIFETIME_BOUND { return str_; }
-  std::string&& TakeString() XO_LIFETIME_BOUND { return std::move(str_); }
 
   /// Three-way comparison; requires comparable types (numeric/numeric or
   /// same type). Nulls compare less than everything (used only for sorting).

@@ -94,12 +94,6 @@ void Socket::Close() {
   }
 }
 
-void Socket::ShutdownBoth() {
-  if (fd_ >= 0) {
-    ::shutdown(fd_, SHUT_RDWR);
-  }
-}
-
 void Socket::ShutdownRead() {
   if (fd_ >= 0) {
     ::shutdown(fd_, SHUT_RD);

@@ -67,10 +67,6 @@ class Socket {
   /// Closes the descriptor now (idempotent).
   void Close();
 
-  /// shutdown(SHUT_RDWR): wakes any thread blocked in poll/recv on this
-  /// socket — including in another thread — without racing the close.
-  void ShutdownBoth();
-
   /// shutdown(SHUT_RD): wakes a blocked read with EOF while leaving the
   /// write half open, so a response already in flight still goes out (the
   /// server's drain path uses this to end idle connections without

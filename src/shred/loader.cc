@@ -1,6 +1,7 @@
 #include "shred/loader.h"
 
 #include "common/timer.h"
+#include "ordb/exec_context.h"
 #include "shred/shredder.h"
 #include "xadt/xadt.h"
 
@@ -10,6 +11,23 @@ namespace {
 
 // Documents trial-shredded both ways to choose the XADT representation.
 constexpr size_t kCompressionSampleDocs = 3;
+
+// The largest id in column `id` of `table`, 0 when it holds none: the last
+// key of the column's index, one root-to-leaf read, or else MAX over a scan.
+Result<int64_t> LargestId(ordb::Database* db, const std::string& table,
+                          const std::string& id) {
+  const ordb::TableInfo* info = db->catalog()->FindTable(table);
+  if (const ordb::IndexInfo* index =
+          info == nullptr ? nullptr : info->FindIndex(id)) {
+    XO_ASSIGN_OR_RETURN(std::optional<uint64_t> key, index->tree->LastKey());
+    // IntIndexKey flips the sign bit; flipping it back restores the id.
+    if (key.has_value()) return static_cast<int64_t>(*key ^ (1ULL << 63));
+  }
+  XO_ASSIGN_OR_RETURN(ordb::QueryResult max,
+                      db->Query("SELECT MAX(" + id + ") FROM " + table));
+  const ordb::Value& v = max.rows[0][0];
+  return v.is_null() ? 0 : v.AsInt();
+}
 
 }  // namespace
 
@@ -73,11 +91,23 @@ Result<LoadReport> Loader::Load(const std::vector<const xml::Node*>& documents,
   report.used_compression = compress;
 
   Timer timer;
-  // Bind the batch guard thread-locally so the per-row checkpoints inside
-  // Database::BulkInsert (and any XADT scans during shredding) poll it;
-  // the between-document poll below is the loader's own cadence.
-  ordb::ScopedGuardBind bind(options.guard);
+  // Bind the batch as the thread's statement, so the per-row checkpoints
+  // inside Database::BulkInsert (and any XADT scans during shredding) poll
+  // its guard; the between-document poll below is the loader's own cadence.
+  ordb::ExecContext ctx;
+  ctx.guard = options.guard;
+  ordb::ScopedExecContext bind(ctx);
   Shredder shredder(schema_, compress);
+  // Each table's ids continue past the largest it already holds, so rows
+  // appended by a later Load, before or after a reopen, never reuse an id
+  // that a *_parentID column may name (DESIGN.md §5).
+  for (const mapping::TableSpec& table : schema_->tables) {
+    const int id = table.RoleIndex(mapping::ColumnRole::kId);
+    if (id < 0) continue;
+    XO_ASSIGN_OR_RETURN(int64_t largest,
+                        LargestId(db_, table.name, table.columns[id].name));
+    shredder.SetNextId(table.name, largest + 1);
+  }
   for (size_t d = 0; d < documents.size(); ++d) {
     // Per-document fault isolation: one bad document (malformed structure,
     // or a storage error while inserting its rows) is recorded and skipped
@@ -85,8 +115,7 @@ Result<LoadReport> Loader::Load(const std::vector<const xml::Node*>& documents,
     // already inserted into earlier tables stay — the engine has no
     // transactions below Checkpoint() granularity.
     Timer doc_timer;
-    Status doc_status;
-    if (options.guard != nullptr) doc_status = options.guard->CheckPoint();
+    Status doc_status = ctx.CheckPoint();
     RowBatch batch;
     if (doc_status.ok()) doc_status = shredder.Shred(*documents[d], &batch);
     if (doc_status.ok()) {

@@ -24,8 +24,9 @@ struct LoadOptions {
   /// error and continuing with the rest (see LoadReport::errors).
   bool stop_on_error = false;
   /// Optional resource governor for the whole batch (DESIGN.md §12). The
-  /// loader polls it between documents and binds it thread-locally so the
-  /// per-row checkpoints inside Database::BulkInsert see it too. A guard
+  /// loader polls it between documents and binds it as the guard of the
+  /// thread's statement context (ordb::ExecContext), so the per-row
+  /// checkpoints inside Database::BulkInsert see it too. A guard
   /// stop is reported distinctly from per-document errors: it ends the
   /// batch and fills LoadReport::stopped_code, it is not a "skip".
   ordb::QueryGuard* guard = nullptr;

@@ -19,7 +19,8 @@ using RowBatch = std::map<std::string, std::vector<ordb::Tuple>>;
 /// (either mapping algorithm).
 ///
 /// Surrogate ids are dense per table and persist across documents, so one
-/// Shredder instance can load a whole corpus. Semantics:
+/// Shredder instance can load a whole corpus; SetNextId() resumes a table's
+/// sequence past the ids it already holds. Semantics:
 ///   * parentID: id of the enclosing relation tuple;
 ///   * parentCODE: element name of the enclosing relation's table;
 ///   * childOrder: 1-based position among same-tag siblings;
@@ -35,6 +36,8 @@ class Shredder {
 
   /// Next id that will be assigned for `table` (ids are 1-based).
   int64_t NextId(const std::string& table) const;
+  /// Makes `id` the next id assigned for `table`.
+  void SetNextId(const std::string& table, int64_t id) { next_id_[table] = id; }
 
  private:
   struct TablePlan {

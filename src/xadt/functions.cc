@@ -1,7 +1,7 @@
 #include "xadt/functions.h"
 
+#include "ordb/exec_context.h"
 #include "ordb/health.h"
-#include "ordb/query_guard.h"
 #include "xadt/xadt.h"
 
 namespace xorator::xadt {
@@ -15,12 +15,12 @@ using ordb::TypeId;
 using ordb::Value;
 
 // Entry-point cancellation poll. UDF implementations receive only their
-// marshaled arguments (no ExecContext — the UDF ABI, ordb/functions.h), so
-// they consult the statement guard the Database layer binds thread-locally
-// around execution (DESIGN.md §12); the fragment scanner then polls the
-// same guard once per event for the duration of the scan.
+// marshaled arguments (the UDF ABI, ordb/functions.h), so they poll the
+// guard of the statement bound to the thread (DESIGN.md §12); the fragment
+// scanner then polls the same guard once per event for the duration of
+// the scan.
 Status GuardEntry() {
-  ordb::QueryGuard* guard = ordb::CurrentGuard();
+  ordb::QueryGuard* guard = ordb::ExecContext::CurrentQueryGuard();
   return guard == nullptr ? Status::OK() : guard->CheckPoint();
 }
 
@@ -92,7 +92,8 @@ Result<Value> TextImpl(const std::vector<Value>& args) {
 /// degraded-scan contract (DESIGN.md §13): a damaged XADT value loses its
 /// own fragments, not the query.
 bool SkipFragmentFailure(const Status& s) {
-  ordb::DegradedScan* scan = ordb::CurrentDegradedScan();
+  ordb::ExecContext* ctx = ordb::ExecContext::Current();
+  ordb::DegradedScan* scan = ctx != nullptr ? ctx->degraded : nullptr;
   if (scan == nullptr) return false;
   if (s.code() != StatusCode::kCorruption &&
       s.code() != StatusCode::kParseError) {

@@ -9,7 +9,7 @@
 #include "common/lifetime.h"
 #include "common/result.h"
 #include "common/varint.h"
-#include "ordb/query_guard.h"
+#include "ordb/exec_context.h"
 #include "xml/lexer.h"
 
 namespace xorator::xadt {
@@ -169,10 +169,10 @@ class TagMatcher {
 template <typename V>
 Status FragmentScanner::Scan(V&& visitor) {
   // Per-token guard poll (DESIGN.md §12): every token decoded while a
-  // statement guard is bound thread-locally counts as a cancellation
-  // point, so long XADT scans inside ctx-less UDFs stay responsive to
-  // deadlines and Cancel().
-  ordb::QueryGuard* const guard = ordb::CurrentGuard();
+  // guarded statement is bound to the thread counts as a cancellation
+  // point, so long XADT scans inside UDFs stay responsive to deadlines and
+  // Cancel().
+  ordb::QueryGuard* const guard = ordb::ExecContext::CurrentQueryGuard();
   if (!compressed_) return ScanRaw(visitor, guard);
   const std::string_view bytes = bytes_;
   const size_t size = bytes.size();

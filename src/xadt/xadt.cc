@@ -6,21 +6,21 @@
 
 #include "common/str_util.h"
 #include "common/varint.h"
-#include "ordb/query_guard.h"
+#include "ordb/exec_context.h"
 #include "xml/serializer.h"
 
 namespace xorator::xadt {
 
 namespace {
 
-// Charges one XADT method call's result expansion against the statement's
-// thread-locally bound guard (ordb::CurrentGuard(), null in direct library
-// use). The charge is released when the call returns — the caller accounts
-// the value it receives — so this caps *peak* decoded-fragment expansion
-// during evaluation (DESIGN.md §12).
+// Charges one XADT method call's result expansion against the guard of the
+// statement bound to the thread (none in direct library use). The charge is
+// released when the call returns — the caller accounts the value it
+// receives — so this caps *peak* decoded-fragment expansion during
+// evaluation (DESIGN.md §12).
 class ExpansionBudget {
  public:
-  ExpansionBudget() : arena_(ordb::CurrentGuard()) {}
+  ExpansionBudget() : arena_(ordb::ExecContext::CurrentQueryGuard()) {}
   [[nodiscard]] Status Charge(size_t bytes) { return arena_.Charge(bytes); }
 
  private:

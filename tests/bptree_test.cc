@@ -145,6 +145,35 @@ TEST_F(BPlusTreeTest, DuplicateRunsAcrossFilledLeafBoundaries) {
   EXPECT_EQ(tree->entry_count(), kN - 4 + 2);
 }
 
+TEST_F(BPlusTreeTest, LastKeyReadsTheRightmostLeaf) {
+  auto tree = BPlusTree::Create(&pool_);
+  ASSERT_TRUE(tree.ok());
+  auto last = tree->LastKey();
+  ASSERT_TRUE(last.ok());
+  EXPECT_FALSE(last->has_value());
+  // Enough ascending keys for several leaves under an internal root.
+  constexpr uint64_t kKeys = 5000;
+  for (uint64_t k = 1; k <= kKeys; ++k) {
+    ASSERT_TRUE(tree->Insert(IntIndexKey(static_cast<int64_t>(k)), k).ok());
+  }
+  last = tree->LastKey();
+  ASSERT_TRUE(last.ok());
+  EXPECT_EQ(*last, std::optional<uint64_t>(IntIndexKey(kKeys)));
+  ASSERT_TRUE(tree->Delete(IntIndexKey(kKeys), kKeys).ok());
+  last = tree->LastKey();
+  ASSERT_TRUE(last.ok());
+  EXPECT_EQ(*last, std::optional<uint64_t>(IntIndexKey(kKeys - 1)));
+  // Deletes do not merge nodes: the emptied rightmost leaf stays, and
+  // LastKey reports it empty though other leaves hold entries.
+  for (uint64_t k = 1200; k < kKeys; ++k) {
+    ASSERT_TRUE(tree->Delete(IntIndexKey(static_cast<int64_t>(k)), k).ok());
+  }
+  last = tree->LastKey();
+  ASSERT_TRUE(last.ok());
+  EXPECT_FALSE(last->has_value());
+  EXPECT_EQ(tree->entry_count(), 1199u);
+}
+
 TEST_F(BPlusTreeTest, IntKeyOrderPreserving) {
   EXPECT_LT(IntIndexKey(-5), IntIndexKey(-1));
   EXPECT_LT(IntIndexKey(-1), IntIndexKey(0));

@@ -777,6 +777,25 @@ TEST(ValueTest, CompareAndHash) {
   EXPECT_EQ(Value::Varchar("x").Hash(), Value::Varchar("x").Hash());
 }
 
+// Doubles outside int64's range take the bit-pattern hash without first
+// converting to an integer, which would be undefined (the Sanitize build's
+// float-cast-overflow check traps it). Integral doubles in range hash like
+// the integer, -0.0 included.
+TEST(ValueTest, HashesEveryDouble) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double d : {1e300, -1e300, 0x1p63, -0x1p64, inf, -inf, nan}) {
+    EXPECT_EQ(Value::Double(d).Hash(), Value::Double(d).Hash()) << d;
+  }
+  EXPECT_NE(Value::Double(1e300).Hash(), Value::Double(-1e300).Hash());
+  EXPECT_NE(Value::Double(inf).Hash(), Value::Double(-inf).Hash());
+  EXPECT_EQ(Value::Double(-0x1p63).Hash(),
+            Value::Int(std::numeric_limits<int64_t>::min()).Hash());
+  EXPECT_EQ(Value::Double(3.0).Hash(), Value::Int(3).Hash());
+  EXPECT_EQ(Value::Double(-0.0).Hash(), Value::Double(0.0).Hash());
+  EXPECT_EQ(Value::Double(-0.0).Hash(), Value::Int(0).Hash());
+}
+
 TEST(TupleCodecTest, RoundTripAllTypes) {
   TableSchema schema;
   schema.columns = {{"i", TypeId::kInteger},

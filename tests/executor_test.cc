@@ -20,7 +20,7 @@ class ValuesOp : public Operator {
     columns_ = std::move(columns);
   }
 
-  Status Open(ExecContext*) override {
+  Status DoOpen() override {
     pos_ = 0;
     return Status::OK();
   }
@@ -46,8 +46,8 @@ OperatorPtr MakeValues(std::vector<Tuple> rows, size_t width) {
   return std::make_unique<ValuesOp>(std::move(cols), std::move(rows));
 }
 
-std::vector<Tuple> Drain(Operator* op, ExecContext* ctx) {
-  EXPECT_TRUE(op->Open(ctx).ok());
+std::vector<Tuple> Drain(Operator* op) {
+  EXPECT_TRUE(op->Open().ok());
   std::vector<Tuple> out;
   Tuple row;
   while (true) {
@@ -124,24 +124,22 @@ OperatorPtr MakeLateral(OperatorPtr child, const TableFunction* fn,
 }
 
 TEST(FilterOpTest, KeepsMatchingRows) {
-  ExecContext ctx;
   auto values = MakeValues({{Value::Int(1)}, {Value::Int(2)}, {Value::Int(3)}},
                            1);
   auto pred = std::make_unique<CompareExpr>(CompareOp::kGt, Col(0), IntLit(1));
   FilterOp filter(std::move(values), std::move(pred));
-  auto rows = Drain(&filter, &ctx);
+  auto rows = Drain(&filter);
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0][0].AsInt(), 2);
 }
 
 TEST(ProjectOpTest, EvaluatesExpressions) {
-  ExecContext ctx;
   auto values = MakeValues({{Value::Int(5), Value::Int(7)}}, 2);
   std::vector<ExprPtr> exprs;
   exprs.push_back(Col(1));
   exprs.push_back(Col(0));
   ProjectOp project(std::move(values), std::move(exprs), {"b", "a"});
-  auto rows = Drain(&project, &ctx);
+  auto rows = Drain(&project);
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0][0].AsInt(), 7);
   EXPECT_EQ(rows[0][1].AsInt(), 5);
@@ -149,7 +147,6 @@ TEST(ProjectOpTest, EvaluatesExpressions) {
 }
 
 TEST(HashJoinOpTest, JoinsOnKeysWithDuplicates) {
-  ExecContext ctx;
   auto left = MakeValues(
       {{Value::Int(1)}, {Value::Int(2)}, {Value::Int(2)}}, 1);
   auto right = MakeValues(
@@ -162,7 +159,7 @@ TEST(HashJoinOpTest, JoinsOnKeysWithDuplicates) {
   rk.push_back(Col(0));
   HashJoinOp join(std::move(left), std::move(right), std::move(lk),
                   std::move(rk));
-  auto rows = Drain(&join, &ctx);
+  auto rows = Drain(&join);
   // 2 left dups x 2 right dups on key 2 = 4 rows.
   EXPECT_EQ(rows.size(), 4u);
   for (const Tuple& row : rows) {
@@ -184,7 +181,6 @@ TEST(SortMergeJoinOpTest, MatchesHashJoinSemantics) {
     return std::make_pair(std::move(left), std::move(right));
   };
   auto run = [&](bool hash) {
-    ExecContext ctx;
     auto [left, right] = make_inputs();
     std::vector<ExprPtr> lk;
     lk.push_back(Col(0));
@@ -194,13 +190,13 @@ TEST(SortMergeJoinOpTest, MatchesHashJoinSemantics) {
     if (hash) {
       HashJoinOp join(std::move(left), std::move(right), std::move(lk),
                       std::move(rk));
-      for (const Tuple& row : Drain(&join, &ctx)) {
+      for (const Tuple& row : Drain(&join)) {
         out.emplace(row[0].AsInt(), row[2].AsInt());
       }
     } else {
       SortMergeJoinOp join(std::move(left), std::move(right), std::move(lk),
                            std::move(rk));
-      for (const Tuple& row : Drain(&join, &ctx)) {
+      for (const Tuple& row : Drain(&join)) {
         out.emplace(row[0].AsInt(), row[2].AsInt());
       }
     }
@@ -213,11 +209,10 @@ TEST(SortMergeJoinOpTest, MatchesHashJoinSemantics) {
 }
 
 TEST(NestedLoopJoinOpTest, CrossProductAndPredicate) {
-  ExecContext ctx;
   auto left = MakeValues({{Value::Int(1)}, {Value::Int(2)}}, 1);
   auto right = MakeValues({{Value::Int(10)}, {Value::Int(20)}}, 1);
   NestedLoopJoinOp cross(std::move(left), std::move(right), nullptr);
-  EXPECT_EQ(Drain(&cross, &ctx).size(), 4u);
+  EXPECT_EQ(Drain(&cross).size(), 4u);
 
   auto left2 = MakeValues({{Value::Int(1)}, {Value::Int(2)}}, 1);
   auto right2 = MakeValues({{Value::Int(1)}, {Value::Int(5)}}, 1);
@@ -226,11 +221,10 @@ TEST(NestedLoopJoinOpTest, CrossProductAndPredicate) {
       CompareOp::kLt, Col(0),
       std::make_unique<ColumnRefExpr>(1, "r.c0", TypeId::kInteger));
   NestedLoopJoinOp join(std::move(left2), std::move(right2), std::move(pred));
-  EXPECT_EQ(Drain(&join, &ctx).size(), 2u);  // (1,5) and (2,5)
+  EXPECT_EQ(Drain(&join).size(), 2u);  // (1,5) and (2,5)
 }
 
 TEST(SortOpTest, MultiKeyMixedDirections) {
-  ExecContext ctx;
   auto values = MakeValues({{Value::Int(1), Value::Int(9)},
                             {Value::Int(2), Value::Int(5)},
                             {Value::Int(1), Value::Int(3)}},
@@ -239,7 +233,7 @@ TEST(SortOpTest, MultiKeyMixedDirections) {
   keys.push_back(Col(0));
   keys.push_back(Col(1));
   SortOp sort(std::move(values), std::move(keys), {true, false});
-  auto rows = Drain(&sort, &ctx);
+  auto rows = Drain(&sort);
   ASSERT_EQ(rows.size(), 3u);
   EXPECT_EQ(rows[0][1].AsInt(), 9);  // (1,9) before (1,3) since c1 DESC
   EXPECT_EQ(rows[1][1].AsInt(), 3);
@@ -247,16 +241,14 @@ TEST(SortOpTest, MultiKeyMixedDirections) {
 }
 
 TEST(DistinctOpTest, RemovesDuplicateRows) {
-  ExecContext ctx;
   auto values = MakeValues(
       {{Value::Int(1)}, {Value::Int(1)}, {Value::Null()}, {Value::Null()}},
       1);
   OperatorPtr distinct = MakeDistinct(std::move(values));
-  EXPECT_EQ(Drain(distinct.get(), &ctx).size(), 2u);
+  EXPECT_EQ(Drain(distinct.get()).size(), 2u);
 }
 
 TEST(AggregateOpTest, GroupsAndAggregates) {
-  ExecContext ctx;
   auto values = MakeValues({{Value::Int(1), Value::Int(10)},
                             {Value::Int(1), Value::Int(20)},
                             {Value::Int(2), Value::Null()},
@@ -286,7 +278,7 @@ TEST(AggregateOpTest, GroupsAndAggregates) {
   aggs.push_back(std::move(min));
   AggregateOp agg(std::move(values), std::move(group), {"g"},
                   std::move(aggs));
-  auto rows = Drain(&agg, &ctx);
+  auto rows = Drain(&agg);
   ASSERT_EQ(rows.size(), 2u);
   // Group 1: n=2, c=2, s=30, lo=10.
   EXPECT_EQ(rows[0][0].AsInt(), 1);
@@ -358,8 +350,9 @@ TEST(OperatorBudgetTest, EveryMaterializingOperatorHonoursTheBudget) {
     QueryGuard guard(0, 4096);
     ExecContext ctx;
     ctx.guard = &guard;
+    ScopedExecContext bind(ctx);
     OperatorPtr op = make();
-    Status status = op->Open(&ctx);
+    Status status = op->Open();
     Tuple row;
     while (status.ok()) {
       auto ok = op->Next(&row);
@@ -432,12 +425,13 @@ TEST(OperatorTest, RescanAfterCloseOpen) {
     QueryGuard guard(0, 1 << 20);
     ExecContext ctx;
     ctx.guard = &guard;
+    ScopedExecContext bind(ctx);
     OperatorPtr op = make();
-    const std::vector<std::string> first = Render(Drain(op.get(), &ctx));
+    const std::vector<std::string> first = Render(Drain(op.get()));
     EXPECT_FALSE(first.empty());
     EXPECT_GT(guard.Stats().peak_tracked_bytes, 0u);
     EXPECT_EQ(guard.Stats().tracked_bytes, 0u);
-    EXPECT_EQ(Render(Drain(op.get(), &ctx)), first);
+    EXPECT_EQ(Render(Drain(op.get())), first);
     EXPECT_EQ(guard.Stats().tracked_bytes, 0u);
   }
 }

@@ -7,6 +7,7 @@
 #include "common/timer.h"
 #include "common/varint.h"
 #include "ordb/database.h"
+#include "ordb/exec_context.h"
 #include "ordb/query_guard.h"
 #include "xadt/functions.h"
 #include "xadt/xadt.h"
@@ -16,9 +17,10 @@ namespace xorator {
 namespace {
 
 using ordb::Database;
+using ordb::ExecContext;
 using ordb::QueryGuard;
 using ordb::QueryOptions;
-using ordb::ScopedGuardBind;
+using ordb::ScopedExecContext;
 using ordb::TrackedArena;
 using ordb::Tuple;
 using ordb::Value;
@@ -91,7 +93,7 @@ TEST(QueryGuardTest, FirstTripWins) {
 TEST(QueryGuardTest, StatsLineAndStopCodes) {
   QueryGuard guard(0, 0);
   ASSERT_TRUE(guard.CheckPoint().ok());
-  std::string line = guard.StatsLine();
+  std::string line = guard.Stats().ToString();
   EXPECT_NE(line.find("guard:"), std::string::npos) << line;
   EXPECT_NE(line.find("checkpoints="), std::string::npos) << line;
 
@@ -132,21 +134,36 @@ TEST(TrackedArenaTest, NullGuardIsANoop) {
   arena.Release();
 }
 
-TEST(ScopedGuardBindTest, NestsAndRestores) {
-  EXPECT_EQ(ordb::CurrentGuard(), nullptr);
-  QueryGuard outer(0, 0);
-  QueryGuard inner(0, 0);
+TEST(ScopedExecContextTest, NestsAndRestores) {
+  EXPECT_EQ(ExecContext::Current(), nullptr);
+  EXPECT_EQ(ExecContext::CurrentQueryGuard(), nullptr);
+  QueryGuard guard(0, 0);
+  ExecContext outer;
+  outer.guard = &guard;
+  ExecContext inner;
   {
-    ScopedGuardBind bind_outer(&outer);
-    EXPECT_EQ(ordb::CurrentGuard(), &outer);
+    ScopedExecContext bind_outer(outer);
+    EXPECT_EQ(ExecContext::Current(), &outer);
+    EXPECT_EQ(ExecContext::CurrentQueryGuard(), &guard);
     {
-      ScopedGuardBind bind_inner(&inner);
-      EXPECT_EQ(ordb::CurrentGuard(), &inner);
+      ScopedExecContext bind_inner(inner);
+      EXPECT_EQ(ExecContext::Current(), &inner);
+      EXPECT_EQ(ExecContext::CurrentQueryGuard(), nullptr);
     }
-    EXPECT_EQ(ordb::CurrentGuard(), &outer);
+    EXPECT_EQ(ExecContext::Current(), &outer);
   }
-  EXPECT_EQ(ordb::CurrentGuard(), nullptr);
+  EXPECT_EQ(ExecContext::Current(), nullptr);
 }
+
+/// Binds a statement context carrying `guard` to the thread for its scope,
+/// as Database does around a statement.
+struct GuardedStatement {
+  explicit GuardedStatement(QueryGuard* guard) : bind(ctx) {
+    ctx.guard = guard;
+  }
+  ExecContext ctx;
+  ScopedExecContext bind;
+};
 
 // ---------------------------------------------------------------------------
 // XADT decoding under a thread-bound guard: raw and compressed values share
@@ -175,7 +192,7 @@ TEST_P(XadtDecodeGuardTest, UnguardedDecodeSucceeds) {
 TEST_P(XadtDecodeGuardTest, BudgetStopsDecode) {
   std::string value = EncodedLines(GetParam());
   QueryGuard guard(0, 4096);
-  ScopedGuardBind bind(&guard);
+  GuardedStatement bind(&guard);
   auto decoded = xadt::Decode(value);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kResourceExhausted);
@@ -185,7 +202,7 @@ TEST_P(XadtDecodeGuardTest, CancelStopsDecode) {
   std::string value = EncodedLines(GetParam());
   QueryGuard guard(0, 0);
   guard.Cancel();
-  ScopedGuardBind bind(&guard);
+  GuardedStatement bind(&guard);
   auto decoded = xadt::Decode(value);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kCancelled);
@@ -202,13 +219,13 @@ TEST_P(XadtDecodeGuardTest, BudgetStopsUnnestWithFragLiveOrDead) {
                                    Value::Varchar("LINE")};
   for (const ordb::ColumnMask& live :
        {ordb::ColumnMask{true, true}, ordb::ColumnMask{true, false}}) {
-    auto unguarded = ordb::InvokeTable(*unnest, args, live, nullptr);
+    auto unguarded = ordb::InvokeTable(*unnest, args, live);
     ASSERT_TRUE(unguarded.ok()) << unguarded.status().ToString();
     ASSERT_EQ(unguarded->size(), 2000u);
     EXPECT_EQ((*unguarded)[0][1].is_null(), !live[1]);
     QueryGuard guard(0, 4096);
-    ScopedGuardBind bind(&guard);
-    auto rows = ordb::InvokeTable(*unnest, args, live, nullptr);
+    GuardedStatement bind(&guard);
+    auto rows = ordb::InvokeTable(*unnest, args, live);
     ASSERT_FALSE(rows.ok()) << "frag live: " << live[1];
     EXPECT_EQ(rows.status().code(), StatusCode::kResourceExhausted)
         << rows.status().ToString();
@@ -239,7 +256,7 @@ TEST(XadtDecodeGuardTest, BudgetBoundsAttributeExpansion) {
   }
   value.push_back('\x02');
   QueryGuard guard(0, 1 << 20);
-  ScopedGuardBind bind(&guard);
+  GuardedStatement bind(&guard);
   auto decoded = xadt::Decode(value);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kResourceExhausted);
@@ -405,6 +422,58 @@ TEST(GuardrailSqlTest, ZeroOptionsRunUnguarded) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->rows.size(), 5u);
   EXPECT_FALSE(r->report.guard.has_value());
+}
+
+// One binding per statement (DESIGN.md §12): a statement stopped inside an
+// XADT scan leaves nothing bound to the thread, so the next statement on it
+// runs unguarded and counts its own UDF calls from zero.
+TEST(GuardrailSqlTest, AStoppedStatementLeavesNoBindingBehind) {
+  auto db = OpenDb();
+  ASSERT_TRUE(db->Execute("CREATE TABLE x (a XADT)").ok());
+  ASSERT_TRUE(db->BulkInsert("x", {{Value::Xadt(EncodedLines(false))}}).ok());
+  const std::string sql = "SELECT u.out FROM x, table(unnest(a, 'LINE')) u";
+  QueryOptions tight;
+  tight.max_memory_bytes = 4096;
+  auto stopped = db->Query(sql, tight);
+  ASSERT_FALSE(stopped.ok());
+  EXPECT_EQ(stopped.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(ExecContext::Current(), nullptr);
+
+  auto free_run = db->Query(sql);
+  ASSERT_TRUE(free_run.ok()) << free_run.status().ToString();
+  EXPECT_EQ(free_run->rows.size(), 2000u);
+  EXPECT_EQ(free_run->udf_stats.table_calls, 1u);
+  EXPECT_EQ(free_run->udf_stats.scalar_calls, 0u);
+  EXPECT_FALSE(free_run->report.guard.has_value());
+  EXPECT_EQ(ExecContext::Current(), nullptr);
+}
+
+// The same stop at the UDF boundary: the stopped call returns every byte it
+// charged, and once the binding ends the guard is polled no more.
+TEST(ScopedExecContextTest, AStoppedUdfReleasesItsChargeAndItsBinding) {
+  auto registry = ordb::FunctionRegistry::WithBuiltins();
+  ASSERT_TRUE(xadt::RegisterXadtFunctions(&registry).ok());
+  const ordb::TableFunction* unnest = registry.FindTable("unnest");
+  ASSERT_NE(unnest, nullptr);
+  const std::vector<Value> args = {Value::Xadt(EncodedLines(true)),
+                                   Value::Varchar("LINE")};
+  const ordb::ColumnMask live = {true, true};
+  QueryGuard guard(0, 4096);
+  {
+    GuardedStatement bind(&guard);
+    auto rows = ordb::InvokeTable(*unnest, args, live);
+    ASSERT_FALSE(rows.ok());
+    EXPECT_EQ(rows.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(bind.ctx.udf_stats.table_calls, 1u);
+  }
+  EXPECT_EQ(guard.Stats().tracked_bytes, 0u);
+  EXPECT_GT(guard.Stats().peak_tracked_bytes, 4096u);
+  EXPECT_EQ(ExecContext::Current(), nullptr);
+  const uint64_t polls = guard.Stats().checkpoints;
+  auto rows = ordb::InvokeTable(*unnest, args, live);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows->size(), 2000u);
+  EXPECT_EQ(guard.Stats().checkpoints, polls);
 }
 
 }  // namespace

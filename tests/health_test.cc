@@ -9,6 +9,7 @@
 #include "ordb/database.h"
 #include "ordb/health.h"
 #include "ordb/page.h"
+#include "xadt/functions.h"
 
 namespace xorator {
 namespace {
@@ -425,6 +426,62 @@ TEST(HealthDegradedScanTest, SkipQuarantinedSelectSurvivesACorruptHeapPage) {
   EXPECT_EQ((*db)->buffer_pool()->PinnedFrameCount(), 0u);
 
   // A checkpoint over poisoned pages would be pointless; crash out.
+  (*db)->Kill();
+  RemoveDb(path);
+}
+
+// One skip_quarantined statement skips at both layers it reaches through
+// its one binding: heap pages in the scan, XADT fragments inside `unnest`.
+TEST(HealthDegradedScanTest, OneStatementCountsHeapAndFragmentSkips) {
+  const std::string path = NewDbPath("xorator_health_skipboth.db");
+  ordb::PageId first_page = ordb::kInvalidPageId;
+  constexpr int kRows = 400;  // enough to span several heap pages
+  {
+    DbOptions options;
+    options.path = path;
+    auto db = Database::Open(options);
+    ASSERT_TRUE(db.ok());
+    ASSERT_TRUE((*db)->Execute("CREATE TABLE t (a INTEGER, x XADT)").ok());
+    std::vector<ordb::Tuple> rows;
+    for (int i = 0; i < kRows; ++i) {
+      // Every tenth value no longer parses.
+      rows.push_back({ordb::Value::Int(i),
+                      ordb::Value::Xadt(i % 10 == 9
+                                            ? "R<a><unclosed>"
+                                            : "R<a>payload-payload-" +
+                                                  std::to_string(i) + "</a>")});
+    }
+    ASSERT_TRUE((*db)->BulkInsert("t", rows).ok());
+    const ordb::TableInfo* t = (*db)->catalog()->FindTable("t");
+    ASSERT_NE(t, nullptr);
+    first_page = t->heap->first_page();
+    ASSERT_TRUE((*db)->Close().ok());
+  }
+  {
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(static_cast<std::streamoff>(first_page) * kPageSize + 512);
+    for (int i = 0; i < 64; ++i) f.put('\xEE');
+  }
+  DbOptions options;
+  options.path = path;
+  auto db = Database::Open(options);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  ASSERT_TRUE(xadt::RegisterXadtFunctions((*db)->functions()).ok());
+  QueryOptions skip;
+  skip.skip_quarantined = true;
+  auto degraded =
+      (*db)->Query("SELECT u.out FROM t, table(unnest(x, 'a')) u", skip);
+  ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
+  ASSERT_TRUE(degraded->report.degraded.has_value());
+  const ordb::DegradedScan& skipped = *degraded->report.degraded;
+  EXPECT_EQ(skipped.skipped_pages, 1u);
+  EXPECT_GT(skipped.skipped_fragments, 0u);
+  // Each surviving row yields one element, each surviving broken value one
+  // skipped fragment; the skipped page took the rest.
+  EXPECT_LT(degraded->rows.size() + skipped.skipped_fragments,
+            static_cast<size_t>(kRows));
+  EXPECT_EQ(degraded->udf_stats.table_calls,
+            degraded->rows.size() + skipped.skipped_fragments);
   (*db)->Kill();
   RemoveDb(path);
 }

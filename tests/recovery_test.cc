@@ -13,6 +13,7 @@
 #include "datagen/dtds.h"
 #include "datagen/generators.h"
 #include "ordb/database.h"
+#include "ordb/exec_context.h"
 #include "ordb/page.h"
 #include "ordb/wal.h"
 #include "shred/loader.h"
@@ -509,7 +510,9 @@ TEST_F(RecoveryTest, ScrubSliceHonorsTheBoundGuard) {
   {
     ordb::QueryGuard guard(0, 0);
     guard.Cancel();
-    ordb::ScopedGuardBind bind(&guard);
+    ordb::ExecContext ctx;
+    ctx.guard = &guard;
+    ordb::ScopedExecContext bind(ctx);
     auto paced = (*db)->buffer_pool()->ScrubSlice(1000);
     ASSERT_FALSE(paced.ok());
     EXPECT_EQ(paced.status().code(), StatusCode::kCancelled);

@@ -1,10 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+
 #include "benchutil/fixture.h"
+#include "benchutil/workload.h"
 #include "datagen/dtds.h"
+#include "datagen/generators.h"
+#include "dtdgraph/simplify.h"
+#include "mapping/mapper.h"
+#include "mapping/xml_stats.h"
 #include "shred/loader.h"
 #include "shred/shredder.h"
+#include "xadt/functions.h"
 #include "xadt/xadt.h"
+#include "xml/dtd.h"
 #include "xml/parser.h"
 
 namespace xorator::shred {
@@ -300,6 +310,184 @@ TEST(LoaderTest, ForcedCompressionModes) {
     EXPECT_EQ(report->used_compression, compressed);
   }
 }
+
+// ---------------------------------------------------------------------------
+// Appends: ids stay unique across Load calls and a reopen.
+
+/// Six small Shakespeare plays: the base is plays 0-1, then one append
+/// each of plays 2 and 3, a reopen, and one append of plays 4-5.
+class AppendTest : public ::testing::TestWithParam<Mapping> {
+ protected:
+  void SetUp() override {
+    datagen::ShakespeareOptions opts;
+    opts.plays = 6;
+    opts.acts_per_play = 3;
+    opts.scenes_per_act = 3;
+    opts.speeches_per_scene = 8;
+    corpus_ = datagen::ShakespeareGenerator(opts).GenerateCorpus();
+    for (const auto& d : corpus_) docs_.push_back(d.get());
+    if (GetParam() == Mapping::kXoratorTuned) {
+      auto dtd = xml::ParseDtd(datagen::kShakespeareDtd);
+      ASSERT_TRUE(dtd.ok());
+      auto simplified = dtdgraph::Simplify(*dtd);
+      ASSERT_TRUE(simplified.ok());
+      auto tuned = mapping::MapXoratorTuned(
+          *simplified, mapping::CollectXmlStats(docs_), {});
+      ASSERT_TRUE(tuned.ok()) << tuned.status().ToString();
+      schema_ = std::move(*tuned);
+    } else {
+      auto mapped = MapDtd(datagen::kShakespeareDtd, GetParam());
+      ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+      schema_ = std::move(*mapped);
+    }
+    path_ = ::testing::TempDir() + "/append_" +
+            std::to_string(static_cast<int>(GetParam())) + ".db";
+    std::filesystem::remove(path_);
+    std::filesystem::remove(path_ + ".wal");
+  }
+
+  void TearDown() override {
+    std::filesystem::remove(path_);
+    std::filesystem::remove(path_ + ".wal");
+  }
+
+  std::unique_ptr<ordb::Database> Open(const std::string& path) {
+    ordb::DbOptions options;
+    options.path = path;
+    auto db = ordb::Database::Open(options);
+    EXPECT_TRUE(db.ok()) << db.status().ToString();
+    if (!db.ok()) return nullptr;
+    EXPECT_TRUE(xadt::RegisterXadtFunctions((*db)->functions()).ok());
+    return std::move(*db);
+  }
+
+  void Load(ordb::Database* db, size_t begin, size_t end) {
+    std::vector<const xml::Node*> batch(docs_.begin() + begin,
+                                        docs_.begin() + end);
+    auto report = Loader(db, &schema_).Load(batch);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->documents, end - begin);
+    EXPECT_TRUE(report->errors.empty());
+  }
+
+  void CreateIdIndexes(ordb::Database* db) {
+    for (const mapping::TableSpec& table : schema_.tables) {
+      const int id = table.RoleIndex(mapping::ColumnRole::kId);
+      ASSERT_TRUE(db->CreateIndex(table.name, table.columns[id].name).ok());
+    }
+  }
+
+  /// The base load, an append before and after the ID indexes exist (the
+  /// loader reads the largest id by a scan, then from the index), a reopen
+  /// and one more append.
+  std::unique_ptr<ordb::Database> LoadInBatches() {
+    auto db = Open(path_);
+    if (db == nullptr) return nullptr;
+    EXPECT_TRUE(Loader(db.get(), &schema_).CreateTables().ok());
+    Load(db.get(), 0, 2);
+    Load(db.get(), 2, 3);
+    CreateIdIndexes(db.get());
+    Load(db.get(), 3, 4);
+    EXPECT_TRUE(db->Close().ok());
+    db = Open(path_);
+    if (db == nullptr) return nullptr;
+    Load(db.get(), 4, 6);
+    return db;
+  }
+
+  /// Every row of every table has its own id.
+  void ExpectUniqueIds(ordb::Database* db) {
+    for (const mapping::TableSpec& table : schema_.tables) {
+      const std::string& id =
+          table.columns[table.RoleIndex(mapping::ColumnRole::kId)].name;
+      auto rows = db->Query("SELECT COUNT(*) AS n FROM " + table.name);
+      ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+      auto ids = db->Query("SELECT DISTINCT " + id + " FROM " + table.name);
+      ASSERT_TRUE(ids.ok()) << ids.status().ToString();
+      EXPECT_EQ(static_cast<int64_t>(ids->rows.size()),
+                rows->rows[0][0].AsInt())
+          << table.name;
+    }
+  }
+
+  std::vector<std::unique_ptr<xml::Node>> corpus_;
+  std::vector<const xml::Node*> docs_;
+  mapping::MappedSchema schema_;
+  std::string path_;
+};
+
+/// A statement's rows rendered and sorted, so answers compare as multisets.
+std::vector<std::string> SortedRows(ordb::Database* db, const std::string& sql) {
+  auto r = db->Query(sql);
+  EXPECT_TRUE(r.ok()) << sql << "\n -> " << r.status().ToString();
+  std::vector<std::string> out;
+  if (!r.ok()) return out;
+  for (const Tuple& row : r->rows) {
+    std::string line;
+    for (const Value& v : row) line += v.ToString() + "|";
+    out.push_back(std::move(line));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST_P(AppendTest, IdsStayUniqueAcrossAppendsAndReopen) {
+  auto db = LoadInBatches();
+  ASSERT_NE(db, nullptr);
+  ExpectUniqueIds(db.get());
+  ASSERT_TRUE(db->Close().ok());
+}
+
+/// The paper's queries are written for the Hybrid and XORator schemas.
+using AppendQueriesTest = AppendTest;
+
+TEST_P(AppendQueriesTest, PaperQueriesAnswerAsAfterOneLoad) {
+  const Mapping mapping = GetParam();
+  auto appended = LoadInBatches();
+  ASSERT_NE(appended, nullptr);
+  auto once = Open("");
+  ASSERT_NE(once, nullptr);
+  ASSERT_TRUE(Loader(once.get(), &schema_).CreateTables().ok());
+  Load(once.get(), 0, docs_.size());
+  for (const benchutil::PaperQuery& q : benchutil::ShakespeareQueries()) {
+    const std::string& sql =
+        mapping == Mapping::kHybrid ? q.hybrid_sql : q.xorator_sql;
+    const std::vector<std::string> expected = SortedRows(once.get(), sql);
+    EXPECT_FALSE(expected.empty()) << q.id;
+    EXPECT_EQ(SortedRows(appended.get(), sql), expected) << q.id;
+  }
+  ASSERT_TRUE(appended->Close().ok());
+}
+
+TEST_P(AppendTest, AppendAfterADeleteGapKeepsIdsUnique) {
+  auto db = Open(path_);
+  ASSERT_NE(db, nullptr);
+  ASSERT_TRUE(Loader(db.get(), &schema_).CreateTables().ok());
+  Load(db.get(), 0, 3);
+  CreateIdIndexes(db.get());
+  // Deleting the middle play leaves a gap: appends continue past the
+  // largest id, not past the row count.
+  const mapping::TableSpec* play = schema_.FindTable("play");
+  ASSERT_NE(play, nullptr);
+  const std::string& id =
+      play->columns[play->RoleIndex(mapping::ColumnRole::kId)].name;
+  ASSERT_TRUE(db->Execute("DELETE FROM play WHERE " + id + " = 2").ok());
+  Load(db.get(), 3, 5);
+  ExpectUniqueIds(db.get());
+  auto max = db->Query("SELECT MAX(" + id + ") FROM play");
+  ASSERT_TRUE(max.ok()) << max.status().ToString();
+  EXPECT_EQ(max->rows[0][0].AsInt(), 5);
+  ASSERT_TRUE(db->Close().ok());
+}
+
+INSTANTIATE_TEST_SUITE_P(BothDialects, AppendQueriesTest,
+                         ::testing::Values(Mapping::kHybrid,
+                                           Mapping::kXorator));
+
+INSTANTIATE_TEST_SUITE_P(
+    AllMappings, AppendTest,
+    ::testing::Values(Mapping::kHybrid, Mapping::kXorator, Mapping::kShared,
+                      Mapping::kPerElement, Mapping::kXoratorTuned));
 
 }  // namespace
 }  // namespace xorator::shred

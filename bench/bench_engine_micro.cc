@@ -27,6 +27,7 @@
 #include "ordb/heap_file.h"
 #include "ordb/pager.h"
 #include "ordb/planner.h"
+#include "ordb/query_guard.h"
 #include "ordb/row_codec.h"
 #include "ordb/tuple.h"
 #include "xadt/functions.h"
@@ -435,9 +436,13 @@ void BM_GuardOverhead(benchmark::State& state) {
     return;
   }
   const bool guarded = state.range(0) != 0;
-  QueryOptions options;
-  if (guarded) options.deadline_millis = 3'600'000;  // active, never trips
   for (auto _ : state) {
+    // One guard per statement, built by both arms so that they differ only
+    // in whether the statement polls it. Its deadline is active and never
+    // trips.
+    QueryGuard guard(3'600'000, 0);
+    QueryOptions options;
+    options.guard = &guard;
     auto r = guarded ? db->Query("SELECT COUNT(*) AS n FROM g", options)
                      : db->Query("SELECT COUNT(*) AS n FROM g");
     if (!r.ok()) {
@@ -450,11 +455,11 @@ void BM_GuardOverhead(benchmark::State& state) {
 }
 BENCHMARK(BM_GuardOverhead)->ArgName("guarded")->Arg(0)->Arg(1);
 
-// Cancellation latency: the wall time from Database::Cancel() returning to
-// the victim SELECT actually surfacing kCancelled. Bounded by the checkpoint
+// Cancellation latency: the wall time from the victim's QueryGuard::Cancel()
+// to the victim SELECT actually surfacing kCancelled. Bounded by the checkpoint
 // cadence — one poll per operator row, the clock read every 32nd poll — so
-// this should sit in the tens of microseconds, not milliseconds (measured
-// ~65 us median on the BM_GuardOverhead machine).
+// this should sit in microseconds, not milliseconds (1.5 us median on a
+// 4-CPU x86-64 host; BENCH_engine_micro.json, caller_owned_guard).
 void BM_CancelLatency(benchmark::State& state) {
   static Database* db = [] {
     auto opened = Database::Open({});
@@ -470,15 +475,15 @@ void BM_CancelLatency(benchmark::State& state) {
     state.SkipWithError("shared database setup failed");
     return;
   }
-  constexpr uint64_t kQueryId = 900;
   std::atomic<bool> victim_survived{false};
   for (auto _ : state) {
     // Nanoseconds-since-epoch of the moment Query() returned, written by
     // the victim thread right before it exits.
     std::atomic<int64_t> done_ns{0};
+    QueryGuard guard(0, 0);
     std::thread victim([&] {
       QueryOptions options;
-      options.query_id = kQueryId;
+      options.guard = &guard;
       // A three-way cross product (8e9 rows): never finishes on its own.
       auto r = db->Query("SELECT COUNT(*) AS n FROM c c1, c c2, c c3",
                          options);
@@ -489,9 +494,10 @@ void BM_CancelLatency(benchmark::State& state) {
         victim_survived.store(true, std::memory_order_relaxed);
       }
     });
-    // Registration happens before the statement lock, so this spin is
-    // short; once Cancel succeeds the stop is latched.
-    while (!db->Cancel(kQueryId).ok()) std::this_thread::yield();
+    // Cancel once the victim runs (it has polled its guard), so the timing
+    // covers a statement in flight; the stop is latched from here on.
+    while (guard.Stats().checkpoints == 0) std::this_thread::yield();
+    guard.Cancel();
     const int64_t t0 =
         std::chrono::steady_clock::now().time_since_epoch().count();
     victim.join();

@@ -61,7 +61,7 @@ int Run() {
 
   // Compression saving on the XADT column (paper: ~38%).
   ExperimentOptions raw_opts = xorator_opts;
-  raw_opts.load_options.force_raw = true;
+  raw_opts.load_options.compression = false;
   auto raw = BuildExperimentDb(datagen::kSigmodDtd, docs, raw_opts);
   if (!raw.ok()) {
     std::fprintf(stderr, "raw: %s\n", raw.status().ToString().c_str());

@@ -54,10 +54,6 @@ enum class LockRank : int {
   kLeafHealth = 100,
   /// Leaf: the process-wide close-status record (database.cc).
   kLeafCloseStatus = 110,
-  /// Leaf: Database::guards_mu_, the cancel registry. Deliberately outside
-  /// the statement-lock hierarchy (taken without mu_), but still a leaf —
-  /// Cancel() must never be able to wait on engine locks.
-  kLeafGuardRegistry = 120,
   /// Catalog::mu_ — registry lookups/registration. Pool allocations happen
   /// before it is taken, so it nests under nothing but the statement lock.
   kCatalog = 300,
@@ -91,8 +87,6 @@ inline const char* LockRankName(LockRank rank) {
       return "LeafHealth";
     case LockRank::kLeafCloseStatus:
       return "LeafCloseStatus";
-    case LockRank::kLeafGuardRegistry:
-      return "LeafGuardRegistry";
     case LockRank::kCatalog:
       return "Catalog";
     case LockRank::kWal:

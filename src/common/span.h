@@ -101,11 +101,6 @@ inline ByteSpan SpanOf(std::string_view s XO_LIFETIME_BOUND) {
   return ByteSpan(s.data(), s.size());
 }
 
-/// The string_view over a ByteSpan's bytes (same storage, same lifetime).
-inline std::string_view ViewOf(ByteSpan s XO_LIFETIME_BOUND) {
-  return std::string_view(s.data(), s.size());
-}
-
 namespace internal {
 /// True when [off, off+len) lies inside a span of `size` bytes, phrased
 /// so no intermediate sum can wrap.
@@ -131,9 +126,6 @@ template <typename T>
   return v;
 }
 
-[[nodiscard]] inline xorator::Result<uint8_t> LoadU8(ByteSpan s, size_t off) {
-  return LoadFixed<uint8_t>(s, off);
-}
 [[nodiscard]] inline xorator::Result<uint16_t> LoadU16(ByteSpan s,
                                                        size_t off) {
   return LoadFixed<uint16_t>(s, off);
@@ -141,10 +133,6 @@ template <typename T>
 [[nodiscard]] inline xorator::Result<uint32_t> LoadU32(ByteSpan s,
                                                        size_t off) {
   return LoadFixed<uint32_t>(s, off);
-}
-[[nodiscard]] inline xorator::Result<uint64_t> LoadU64(ByteSpan s,
-                                                       size_t off) {
-  return LoadFixed<uint64_t>(s, off);
 }
 
 /// Stores a little-endian `T` at `off`; kCorruption when the field escapes

@@ -62,15 +62,15 @@ enum class StatusCode {
   /// mutation entry points of an engine latched read-only — retryable in
   /// the wider sense that TryRecover() may re-arm the engine.
   kUnavailable,
-  /// The query's deadline (QueryOptions::deadline_millis) elapsed before it
+  /// The query's deadline (set on its QueryGuard) elapsed before it
   /// finished. The statement unwound cleanly; re-running with a longer
   /// deadline may succeed.
   kDeadlineExceeded,
-  /// The query was cooperatively cancelled (Database::Cancel or
-  /// QueryGuard::Cancel) and unwound at its next guard checkpoint.
+  /// The query was cooperatively cancelled (QueryGuard::Cancel) and unwound
+  /// at its next guard checkpoint.
   kCancelled,
-  /// The query exceeded its tracked-memory byte budget
-  /// (QueryOptions::max_memory_bytes). Deterministic, not retryable at the
+  /// The query exceeded its tracked-memory byte budget (set on its
+  /// QueryGuard). Deterministic, not retryable at the
   /// same budget.
   kResourceExhausted,
 };

@@ -312,31 +312,6 @@ Status Database::LoadCatalog() {
   return Status::OK();
 }
 
-Database::GuardRegistration::GuardRegistration(Database* db, uint64_t query_id,
-                                               QueryGuard* guard)
-    : db_(db), query_id_(guard != nullptr ? query_id : 0) {
-  if (query_id_ == 0) return;
-  xo::MutexLock lock(&db_->guards_mu_);
-  db_->guards_[query_id_] = guard;
-}
-
-Database::GuardRegistration::~GuardRegistration() {
-  if (query_id_ == 0) return;
-  xo::MutexLock lock(&db_->guards_mu_);
-  db_->guards_.erase(query_id_);
-}
-
-Status Database::Cancel(uint64_t query_id) {
-  xo::MutexLock lock(&guards_mu_);
-  auto it = guards_.find(query_id);
-  if (it == guards_.end()) {
-    return Status::NotFound("no in-flight statement registered as query id " +
-                            std::to_string(query_id));
-  }
-  it->second->Cancel();
-  return Status::OK();
-}
-
 Result<QueryResult> Database::RunSelect(const sql::SelectStmt& stmt,
                                         bool explain_only) {
   ExecContext* const ctx = ExecContext::Current();
@@ -396,14 +371,9 @@ Result<QueryResult> Database::Query(const std::string& sql_text,
   // shared and run in parallel with other readers; everything else is
   // exclusive.
   XO_ASSIGN_OR_RETURN(sql::Statement stmt, sql::ParseSql(sql_text));
-  // The guard's clock starts here, so the deadline covers time spent
-  // queued on the statement lock; registration also happens before the
-  // lock, so a statement stuck behind a writer is already cancellable.
-  QueryGuard guard(options.deadline_millis, options.max_memory_bytes);
   DegradedScan degraded;
   ExecContext ctx;
-  ctx.guard = options.guarded() ? &guard : nullptr;
-  GuardRegistration registration(this, options.query_id, ctx.guard);
+  ctx.guard = options.guard;
   // The statement's one binding (DESIGN.md §12): operators, UDFs, XADT
   // scans, heap scans, bulk inserts, DELETE and scrub slices all read the
   // guard and counters from here.

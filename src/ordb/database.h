@@ -4,7 +4,6 @@
 #include <atomic>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -37,36 +36,22 @@ struct DbOptions {
   std::optional<FaultOptions> fault;
 };
 
-/// Per-statement resource limits and cancellation identity (DESIGN.md
-/// §12). All fields default to "off"; a default-constructed QueryOptions
-/// runs the statement unguarded with zero overhead.
+/// How one statement runs (DESIGN.md §12). A default-constructed
+/// QueryOptions runs the statement unguarded and scanning strictly.
 struct QueryOptions {
-  /// Wall-clock budget in milliseconds from the moment Query() is called
-  /// (steady clock). 0 means no deadline. A statement past its deadline
-  /// unwinds at its next guard checkpoint with kDeadlineExceeded.
-  uint64_t deadline_millis = 0;
-  /// Byte budget for tracked materializations (join/sort/aggregate state,
-  /// decoded XADT fragments). 0 means no budget. Tripping it returns
-  /// kResourceExhausted.
-  uint64_t max_memory_bytes = 0;
-  /// Caller-chosen identity for Database::Cancel(). 0 means "not
-  /// cancellable by id" (the statement still honors the other limits).
-  /// The id is registered before the statement lock is taken, so even a
-  /// query waiting behind a writer is already cancellable.
-  uint64_t query_id = 0;
+  /// The statement's resource governor, owned by the caller: it sets the
+  /// deadline and memory budget when it builds the guard, and any thread
+  /// may stop the statement with guard->Cancel() while it runs. The clock
+  /// runs from the guard's construction, so time a caller spends before
+  /// Query() (waiting for a server slot, say) counts against the deadline.
+  /// Null runs the statement unguarded. One guard governs one statement.
+  QueryGuard* guard = nullptr;
 
   /// Degraded-scan mode (DESIGN.md §13): SELECTs skip quarantined/corrupt
   /// heap pages and damaged overflow/XADT fragments instead of failing,
   /// and count what they skipped in QueryResult::report.
   /// Off by default: normal queries must surface corruption.
   bool skip_quarantined = false;
-
-  /// True when any limit or the cancel identity is set — i.e. the
-  /// statement needs a QueryGuard at all (skip_quarantined alone does not:
-  /// it changes scan behavior, not resource governance).
-  bool guarded() const {
-    return deadline_millis != 0 || max_memory_bytes != 0 || query_id != 0;
-  }
 };
 
 /// What a SELECT or EXPLAIN observed besides its rows (DESIGN.md §12–13).
@@ -126,11 +111,11 @@ struct QueryResult {
 /// application-level exclusion — they bypass the statement lock.
 ///
 /// Guardrails: the Query/Execute overloads taking QueryOptions run the
-/// statement under a QueryGuard (deadline, cancel token, memory budget —
-/// DESIGN.md section 12). Cancel(query_id) stops a registered in-flight
-/// statement from any thread; it synchronizes only on the guard registry
-/// (guards_mu_, a leaf lock), so a reader holding the statement lock
-/// shared — or still queued behind a writer — remains cancellable.
+/// statement under the caller's QueryGuard (deadline, cancel token, memory
+/// budget — DESIGN.md section 12). The caller stops an in-flight statement
+/// from any thread with the guard's lock-free Cancel(), so a reader holding
+/// the statement lock shared — or still queued behind a writer — remains
+/// cancellable.
 class Database {
  public:
   /// Opens (creating or recovering) a database. For file-backed databases
@@ -172,12 +157,12 @@ class Database {
       XO_EXCLUDES(mu_);
 
   /// Like Query(sql), but governed by `options` (DESIGN.md §12): the
-  /// statement runs under a QueryGuard enforcing the deadline and memory
-  /// budget, and — when options.query_id is set — is registered for
-  /// Cancel() before the statement lock is taken. Guarded SELECTs carry
-  /// the guard's counters (checkpoints, peak tracked bytes, why-stopped)
-  /// in QueryResult::report. Readers stay cancellable while holding the
-  /// statement lock shared: Cancel() only touches guards_mu_, never mu_.
+  /// statement runs under options.guard, which enforces its deadline and
+  /// memory budget and stops the statement once the caller cancels it; a
+  /// cancel that lands while the statement still waits for the statement
+  /// lock stops it at its first checkpoint. Guarded SELECTs carry the
+  /// guard's counters (checkpoints, peak tracked bytes, why-stopped) in
+  /// QueryResult::report.
   [[nodiscard]] Result<QueryResult> Query(const std::string& sql,
                                           const QueryOptions& options)
       XO_EXCLUDES(mu_);
@@ -188,14 +173,6 @@ class Database {
   /// Execute() with guardrails; see Query(sql, options).
   [[nodiscard]] Status Execute(const std::string& sql,
                                const QueryOptions& options) XO_EXCLUDES(mu_);
-
-  /// Requests cooperative cancellation of the in-flight statement that was
-  /// started with QueryOptions::query_id == `query_id`. Returns NotFound
-  /// when no such statement is currently registered (it may have finished,
-  /// or not started yet — callers racing a startup can retry). Safe from
-  /// any thread; never blocks on the statement lock, so it works while the
-  /// target holds mu_ shared (or is still queued behind a writer).
-  [[nodiscard]] Status Cancel(uint64_t query_id) XO_EXCLUDES(guards_mu_);
 
   /// Returns the EXPLAIN plan of a SELECT without running it.
   [[nodiscard]] Result<std::string> Explain(const std::string& sql)
@@ -322,22 +299,6 @@ class Database {
   /// TryRecover() both run it; each then loads or creates the catalog.
   [[nodiscard]] Status BuildStorage() XO_REQUIRES(mu_);
 
-  /// RAII registration of a guard under a caller-chosen id in guards_,
-  /// keyed for Database::Cancel(). Registration happens in the constructor
-  /// — before the statement lock is taken — and is removed on destruction.
-  /// A query_id of 0 (or a null guard) registers nothing.
-  class GuardRegistration {
-   public:
-    GuardRegistration(Database* db, uint64_t query_id, QueryGuard* guard);
-    GuardRegistration(const GuardRegistration&) = delete;
-    GuardRegistration& operator=(const GuardRegistration&) = delete;
-    ~GuardRegistration();
-
-   private:
-    Database* db_;
-    uint64_t query_id_;
-  };
-
   /// Serializes the catalog into the meta page (page 0 of file-backed
   /// databases).
   [[nodiscard]] Status SaveCatalog() XO_REQUIRES(mu_);
@@ -371,16 +332,6 @@ class Database {
   bool opened_ XO_GUARDED_BY(mu_) = false;
   bool closed_ XO_GUARDED_BY(mu_) = false;
   std::atomic<bool> killed_{false};
-
-  /// Registry lock for guards_. A leaf in the hierarchy, independent of
-  /// mu_: Cancel() takes only guards_mu_, and registration happens before
-  /// mu_ is acquired — so cancellation can never deadlock against (or wait
-  /// on) the statement lock (DESIGN.md sections 10 and 12).
-  mutable xo::Mutex guards_mu_{xo::LockRank::kLeafGuardRegistry};
-  /// In-flight guarded statements by caller-chosen query id. Values point
-  /// at stack-allocated guards owned by Query(); GuardRegistration
-  /// guarantees removal before the guard dies.
-  std::unordered_map<uint64_t, QueryGuard*> guards_ XO_GUARDED_BY(guards_mu_);
 };
 
 }  // namespace xorator::ordb

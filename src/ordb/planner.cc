@@ -303,7 +303,9 @@ double BytesPerRow(const FromItem& item) {
 /// One B+-tree descent (an index scan's or an index join's probe).
 constexpr double kIndexProbeCost = 1.5;
 /// One record fetched by rid through the buffer pool and decoded: a bit
-/// more than a scanned row, whose page is pinned once for all its rows.
+/// more than a scanned row, though both pay one Fetch/Unpin pair (and its
+/// bucket latch) per row: the sequential scanner re-fetches its page for
+/// every record it returns.
 constexpr double kHeapFetchCost = 1.05;
 /// One row copied into an operator's memory (a hash-join build row, a
 /// sort-merge input row).

@@ -34,7 +34,9 @@ struct GuardStats {
 /// token, and a tracked-byte budget, polled cooperatively via CheckPoint()
 /// from operator loops, XADT fragment scans and the bulk loader.
 ///
-/// Protocol (DESIGN.md §12): the thread running the query calls
+/// Protocol (DESIGN.md §12): the caller builds the guard, hands it to the
+/// statement (QueryOptions::guard, shred::LoadOptions::guard) and keeps it
+/// alive until the statement returns. The thread running the query calls
 /// CheckPoint() every few rows / fragment events and Charge()/Uncharge()
 /// around materializations; any other thread may call Cancel() at any time.
 /// The first limit to trip is latched as `stop_code` and every subsequent
@@ -71,6 +73,14 @@ class QueryGuard {
   /// yet).
   bool cancel_requested() const {
     return cancelled_.load(std::memory_order_relaxed);
+  }
+
+  /// Wall time since construction in milliseconds (steady clock).
+  uint64_t elapsed_millis() const {
+    return static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            std::chrono::steady_clock::now() - start_)
+            .count());
   }
 
   /// Adds `bytes` to the tracked total (updating the peak). Returns

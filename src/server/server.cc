@@ -53,34 +53,13 @@ struct Outcome {
   bool ok = false;
 };
 
-/// Runs one admitted statement that holds an engine slot against `db` and
-/// encodes the response.
+/// Runs one admitted statement that holds an engine slot against `db`
+/// under `guard` and encodes the response.
 Outcome RunStatement(ordb::Database* db, FrameType type,
-                     const QueryRequest& request, uint64_t server_query_id,
-                     std::chrono::steady_clock::time_point admitted_at) {
-  // The deadline is measured from admission: the slot wait counts against
-  // the budget, and a statement that died waiting is answered without
-  // touching the engine — an overloaded server drains its backlog at
-  // rejection speed, not service speed.
+                     const QueryRequest& request, ordb::QueryGuard* guard) {
   ordb::QueryOptions query_options;
-  query_options.max_memory_bytes = request.max_memory_bytes;
-  query_options.query_id = server_query_id;
+  query_options.guard = guard;
   query_options.skip_quarantined = request.skip_quarantined;
-  if (request.deadline_millis > 0) {
-    const auto waited = std::chrono::duration_cast<std::chrono::milliseconds>(
-                            std::chrono::steady_clock::now() - admitted_at)
-                            .count();
-    if (waited >= static_cast<int64_t>(request.deadline_millis)) {
-      return {EncodeError(ErrorFromStatus(Status::DeadlineExceeded(
-                  "deadline of " + std::to_string(request.deadline_millis) +
-                  "ms expired after " + std::to_string(waited) +
-                  "ms in the admission queue"))),
-              false};
-    }
-    query_options.deadline_millis =
-        request.deadline_millis - static_cast<uint64_t>(waited);
-  }
-
   if (type == FrameType::kExecute) {
     Status executed = db->Execute(request.sql, query_options);
     if (!executed.ok()) {
@@ -297,10 +276,13 @@ void Server::HandleStatement(Connection* conn, FrameType type,
     }
   }
 
+  // The statement's guard lives on this thread's stack, and its clock
+  // starts at admission, so the slot wait counts against the deadline.
+  // Published in conn->guard before the slot wait, it takes CANCEL frames,
+  // the disconnect watch and Shutdown's cancel from then on: none can miss
+  // the statement.
+  ordb::QueryGuard guard(request.deadline_millis, request.max_memory_bytes);
   Status rejection = Status::OK();
-  std::chrono::steady_clock::time_point admitted_at;
-  uint64_t server_query_id = 0;
-  bool cancelled = false;
   {
     xo::MutexLock lock(&mu_);
     // Slots are handed straight from a finishing statement to the oldest
@@ -319,12 +301,10 @@ void Server::HandleStatement(Connection* conn, FrameType type,
                                     " statements queued)")
               .WithRetryAfter(options_.retry_after_millis);
     } else {
-      server_query_id = next_server_query_id_++;
-      admitted_at = std::chrono::steady_clock::now();
       ++stats_.statements_admitted;
-      conn->server_query_id = server_query_id;
+      conn->ticket = next_ticket_++;
       conn->client_query_id = request.query_id;
-      conn->cancel_requested = false;
+      conn->guard = &guard;
       conn->abandoned = false;
       if (must_wait) {
         conn->waiting = true;
@@ -339,7 +319,6 @@ void Server::HandleStatement(Connection* conn, FrameType type,
       } else {
         ++busy_slots_;
       }
-      cancelled = conn->cancel_requested;
     }
   }
   if (!rejection.ok()) {
@@ -347,13 +326,21 @@ void Server::HandleStatement(Connection* conn, FrameType type,
     return;
   }
 
+  // A statement cancelled (or abandoned) or expired while it waited is
+  // answered without touching the engine: an overloaded server drains its
+  // backlog at rejection speed, not service speed.
   Outcome outcome;
-  if (cancelled) {
-    // Cancelled (or abandoned) while waiting: answer without running.
+  const uint64_t waited = guard.elapsed_millis();
+  if (guard.cancel_requested()) {
     outcome.frame = EncodeError(ErrorFromStatus(
         Status::Cancelled("statement cancelled while queued")));
+  } else if (request.deadline_millis > 0 && waited >= request.deadline_millis) {
+    outcome.frame = EncodeError(ErrorFromStatus(Status::DeadlineExceeded(
+        "deadline of " + std::to_string(request.deadline_millis) +
+        "ms expired after " + std::to_string(waited) +
+        "ms in the admission queue")));
   } else {
-    outcome = RunStatement(db_, type, request, server_query_id, admitted_at);
+    outcome = RunStatement(db_, type, request, &guard);
   }
 
   bool abandoned;
@@ -366,8 +353,9 @@ void Server::HandleStatement(Connection* conn, FrameType type,
       ++stats_.statements_error;
     }
     abandoned = conn->abandoned;
-    conn->server_query_id = 0;
+    conn->ticket = 0;
     conn->client_query_id = 0;
+    conn->guard = nullptr;  // before the guard goes out of scope
   }
   if (!abandoned) {
     SendFrame(conn, outcome.frame);
@@ -375,13 +363,13 @@ void Server::HandleStatement(Connection* conn, FrameType type,
 }
 
 void Server::ReleaseSlot() {
-  // Server ids grow with admission, so the lowest waiting id has waited
+  // Tickets grow with admission, so the lowest waiting ticket has waited
   // longest.
   Connection* oldest = nullptr;
   if (stats_.queue_depth > 0) {
     for (const std::unique_ptr<Connection>& conn : connections_) {
-      if (conn->waiting && (oldest == nullptr || conn->server_query_id <
-                                                     oldest->server_query_id)) {
+      if (conn->waiting &&
+          (oldest == nullptr || conn->ticket < oldest->ticket)) {
         oldest = conn.get();
       }
     }
@@ -397,28 +385,24 @@ void Server::ReleaseSlot() {
 
 void Server::HandleCancel(Connection* conn, const CancelRequest& request) {
   // Client-chosen ids need not be unique: every in-flight statement
-  // carrying the id is cancelled. Id 0 means "none" and names nothing.
-  std::vector<uint64_t> server_ids;
+  // carrying the id is cancelled. Id 0 means "none" and names nothing. A
+  // running statement stops at its next guard checkpoint; a waiting one is
+  // answered kCancelled when it gets its slot.
+  bool found = false;
   {
     xo::MutexLock lock(&mu_);
     for (const std::unique_ptr<Connection>& other : connections_) {
-      if (request.query_id != 0 && other->server_query_id != 0 &&
+      if (request.query_id != 0 && other->guard != nullptr &&
           other->client_query_id == request.query_id) {
-        other->cancel_requested = true;
-        server_ids.push_back(other->server_query_id);
+        other->guard->Cancel();
+        found = true;
       }
     }
   }
-  if (server_ids.empty()) {
+  if (!found) {
     SendError(conn, Status::NotFound("no in-flight statement with query id " +
                                      std::to_string(request.query_id)));
     return;
-  }
-  // Reaches a statement that is already running; a waiting one is covered
-  // by the cancel_requested flag it checks when it gets its slot.
-  for (uint64_t id : server_ids) {
-    Status cancelled = db_->Cancel(id);
-    cancelled.IgnoreError();
   }
   SendFrame(conn, EncodeResultOrError(ResultPayload{}));
 }
@@ -454,49 +438,37 @@ void Server::HandleStats(Connection* conn) {
 size_t Server::WatchStatements() {
   struct InFlight {
     Connection* conn;
-    uint64_t server_query_id;
-    bool cancel_requested;
+    uint64_t ticket;
   };
-  std::vector<InFlight> in_flight;
+  size_t in_flight = 0;
+  std::vector<InFlight> to_probe;
   {
     xo::MutexLock lock(&mu_);
     for (const std::unique_ptr<Connection>& conn : connections_) {
-      if (conn->server_query_id != 0) {
-        in_flight.push_back(
-            {conn.get(), conn->server_query_id, conn->cancel_requested});
+      if (conn->guard == nullptr) continue;
+      ++in_flight;
+      if (!conn->guard->cancel_requested()) {
+        to_probe.push_back({conn.get(), conn->ticket});
       }
     }
   }
-  // The socket probes and the engine calls run outside the server lock.
-  // The Connection pointers stay valid without it because only the
-  // acceptor, or Shutdown after joining it, destroys Connections — and this
-  // runs on one of those two threads.
-  std::vector<uint64_t> cancel;
-  for (const InFlight& st : in_flight) {
-    if (st.cancel_requested) {
-      cancel.push_back(st.server_query_id);
-      continue;
-    }
+  // The socket probes run outside the server lock. The Connection pointers
+  // stay valid without it because only the acceptor, or Shutdown after
+  // joining it, destroys Connections — and this runs on one of those two
+  // threads.
+  for (const InFlight& st : to_probe) {
     // A client that disconnects mid-statement gets it cancelled instead of
     // burning an engine slot for nobody.
     if (!PeerDisconnected(st.conn->socket)) continue;
     xo::MutexLock lock(&mu_);
-    if (st.conn->server_query_id != st.server_query_id ||
-        st.conn->cancel_requested) {
+    if (st.conn->ticket != st.ticket || st.conn->guard->cancel_requested()) {
       continue;  // finished or cancelled since the snapshot
     }
-    st.conn->cancel_requested = true;
     st.conn->abandoned = true;
     ++stats_.cancelled_on_disconnect;
-    cancel.push_back(st.server_query_id);
+    st.conn->guard->Cancel();
   }
-  // NotFound means the statement is still waiting for its slot (it checks
-  // cancel_requested there) or already finished.
-  for (uint64_t id : cancel) {
-    Status cancelled = db_->Cancel(id);
-    cancelled.IgnoreError();
-  }
-  return in_flight.size();
+  return in_flight;
 }
 
 void Server::SendFrame(Connection* conn, std::string_view frame) {
@@ -540,13 +512,13 @@ void Server::Shutdown() {
   while (WatchStatements() > 0 && !drain.Expired()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(kTickMillis));
   }
-  // Hard timeout: cancel every straggler. Waiting statements are answered
-  // kCancelled when they get their slot; the watch fires Database::Cancel
-  // at running ones until every statement has been answered.
+  // Hard timeout: cancel every straggler, then wait until every statement
+  // has been answered. Waiting statements are answered kCancelled when
+  // they get their slot; running ones stop at their next guard checkpoint.
   {
     xo::MutexLock lock(&mu_);
     for (const std::unique_ptr<Connection>& conn : connections_) {
-      if (conn->server_query_id != 0) conn->cancel_requested = true;
+      if (conn->guard != nullptr) conn->guard->Cancel();
     }
   }
   while (WatchStatements() > 0) {

@@ -92,15 +92,14 @@ struct ServerStats {
 ///     rejected fast with a retryable kResourceExhausted carrying a
 ///     retry-after hint, so overload sheds in microseconds instead of
 ///     queuing into collapse.
-///   * Deadline & budget propagation — frame fields become QueryOptions;
-///     the deadline is measured from admission, so time spent waiting for
-///     a slot counts against it, and a statement whose deadline expired
-///     while it waited is answered kDeadlineExceeded without touching the
-///     engine.
-///   * Disconnect cancellation — every admitted statement runs under a
-///     server-assigned QueryGuard id; the acceptor probes the socket of
-///     every connection with a statement in flight once per tick and fires
-///     Database::Cancel the moment the client goes away.
+///   * Deadline & budget propagation — frame fields become the statement's
+///     QueryGuard, built by its connection thread at admission, so time
+///     spent waiting for a slot counts against the deadline, and a
+///     statement whose deadline expired while it waited is answered
+///     kDeadlineExceeded without touching the engine.
+///   * Disconnect cancellation — the acceptor probes the socket of every
+///     connection with a statement in flight once per tick and cancels the
+///     statement's guard the moment the client goes away.
 ///   * Graceful degradation — mutations are shed at admission with the
 ///     health latch's own status (state, detail, retry-after) while the
 ///     engine is read-only; STATS advertises the degraded state.
@@ -110,10 +109,11 @@ struct ServerStats {
 ///
 /// Locking: one xo::Mutex at rank kServer — above kStatement, per the
 /// descending-acquire rule, because connection threads call into the
-/// engine. The lock is never held across an engine call (Database::Cancel,
-/// which only touches the engine's leaf guard registry, included) or a
-/// socket call; a statement waiting for a slot sleeps on its connection's
-/// xo::CondVar until a finishing statement hands the slot over.
+/// engine. The lock is never held across an engine call or a socket call;
+/// cancelling a statement under it is a lock-free store into the
+/// statement's guard. A statement waiting for a slot sleeps on its
+/// connection's xo::CondVar until a finishing statement hands the slot
+/// over.
 ///
 /// Thread safety: Start/Shutdown/port/server_stats are safe from any
 /// thread; Shutdown is idempotent.
@@ -145,19 +145,21 @@ class Server {
   /// the one statement it has in flight (waiting for a slot or running).
   /// The statement fields are guarded by the server lock: the connection
   /// thread sets and clears them, CANCEL frames, the disconnect watch and
-  /// Shutdown flag them.
+  /// Shutdown cancel through them.
   struct Connection {
     Socket socket;
     std::thread thread;
     std::atomic<bool> finished{false};
 
-    /// Server-assigned guard id of the statement in flight (0 = none).
-    uint64_t server_query_id = 0;
+    /// The guard of the statement in flight (null = none), on the
+    /// connection thread's stack; the thread clears the pointer before the
+    /// guard goes out of scope. A statement cancelled while it waits is
+    /// answered kCancelled when it gets its slot, without running.
+    ordb::QueryGuard* guard = nullptr;
+    /// Its admission order: the lowest waiting ticket has waited longest.
+    uint64_t ticket = 0;
     /// Its client-chosen query_id (0 = none), named by CANCEL frames.
     uint64_t client_query_id = 0;
-    /// CANCEL frame, disconnect or shutdown: a statement still waiting is
-    /// answered kCancelled when it gets its slot, without running.
-    bool cancel_requested = false;
     /// The client is gone: the statement finishes, nobody gets a response.
     bool abandoned = false;
     /// The statement waits for an engine slot. The statement handing over
@@ -188,11 +190,9 @@ class Server {
   /// Handles a STATS frame: engine resilience rows + server counters.
   void HandleStats(Connection* conn) XO_EXCLUDES(mu_);
 
-  /// One tick of the in-flight watch: flags statements whose client
-  /// disconnected, then fires Database::Cancel at every statement with a
-  /// cancel requested (each tick, so a cancel that beat the statement's
-  /// guard registration still lands). Returns the statements in flight.
-  /// Runs only on the acceptor, or on Shutdown after joining it.
+  /// One tick of the in-flight watch: cancels the statements whose client
+  /// disconnected. Returns the statements in flight. Runs only on the
+  /// acceptor, or on Shutdown after joining it.
   size_t WatchStatements() XO_EXCLUDES(mu_);
 
   /// Gives up the caller's engine slot: hands it to the statement that has
@@ -219,7 +219,7 @@ class Server {
   /// Engine slots taken by running statements. A freed slot goes straight
   /// to a waiter, so statements wait only while every slot is busy.
   size_t busy_slots_ XO_GUARDED_BY(mu_) = 0;
-  uint64_t next_server_query_id_ XO_GUARDED_BY(mu_) = 1;
+  uint64_t next_ticket_ XO_GUARDED_BY(mu_) = 1;
   /// stats_.queue_depth doubles as the count of slot waiters.
   ServerStats stats_ XO_GUARDED_BY(mu_);
 

@@ -65,8 +65,8 @@ Result<LoadReport> Loader::Load(const std::vector<const xml::Node*>& documents,
       if (c.type == mapping::ColumnType::kXadt) schema_has_xadt = true;
     }
   }
-  bool compress = options.force_compression;
-  if (schema_has_xadt && !options.force_compression && !options.force_raw) {
+  bool compress = options.compression.value_or(false);
+  if (schema_has_xadt && !options.compression.has_value()) {
     size_t samples = std::min(kCompressionSampleDocs, documents.size());
     uint64_t raw_bytes = 0;
     uint64_t compressed_bytes = 0;

@@ -1,6 +1,7 @@
 #ifndef XORATOR_SHRED_LOADER_H_
 #define XORATOR_SHRED_LOADER_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -14,12 +15,11 @@ namespace xorator::shred {
 
 /// Knobs for shredding documents into the mapped tables.
 struct LoadOptions {
-  /// The loader picks the XADT representation by sampling (Section 4.1):
-  /// compression is used only when xadt::ChooseCompression accepts it on
-  /// the first three documents. Set `force_compression`/`force_raw` to skip
-  /// the sampling.
-  bool force_compression = false;
-  bool force_raw = false;
+  /// The XADT representation: true stores fragments compressed, false
+  /// raw. Unset, the loader picks by sampling (Section 4.1): compression is
+  /// used only when xadt::ChooseCompression accepts it on the first three
+  /// documents.
+  std::optional<bool> compression;
   /// Abort the batch on the first failed document instead of isolating the
   /// error and continuing with the rest (see LoadReport::errors).
   bool stop_on_error = false;

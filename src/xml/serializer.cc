@@ -82,18 +82,6 @@ void SerializeNode(const Node& node, int indent, int depth, std::string* out) {
 
 }  // namespace
 
-std::string EscapeText(std::string_view raw) {
-  std::string out;
-  AppendEscaped(raw, /*attribute=*/false, &out);
-  return out;
-}
-
-std::string EscapeAttribute(std::string_view raw) {
-  std::string out;
-  AppendEscaped(raw, /*attribute=*/true, &out);
-  return out;
-}
-
 std::string Serialize(const Node& node, const SerializeOptions& options) {
   std::string out;
   SerializeNode(node, options.indent, 0, &out);

@@ -15,10 +15,6 @@ struct SerializeOptions {
   int indent = -1;
 };
 
-/// Escapes `<`, `>`, `&` (and in attribute context also quotes) as entities.
-std::string EscapeText(std::string_view raw);
-std::string EscapeAttribute(std::string_view raw);
-
 /// Serializes the subtree rooted at `node`. A synthetic `#fragment` root is
 /// serialized as its children only.
 std::string Serialize(const Node& node, const SerializeOptions& options = {});

@@ -15,6 +15,7 @@
 #include "datagen/dtds.h"
 #include "datagen/generators.h"
 #include "ordb/database.h"
+#include "ordb/query_guard.h"
 #include "shred/loader.h"
 #include "xml/dom.h"
 
@@ -24,6 +25,7 @@ namespace {
 using ordb::Database;
 using ordb::DbOptions;
 using ordb::HealthState;
+using ordb::QueryGuard;
 using ordb::QueryOptions;
 
 /// The chaos soak harness (DESIGN.md §13): a deterministic, seeded mix of
@@ -220,7 +222,6 @@ TEST_F(ChaosTest, SeededSoakSurvivesFaultsAndCrashes) {
         prev_severity = severity;
       };
 
-      uint64_t next_query_id = 1;
       const int ops = 24 + static_cast<int>(rng() % 24);
       for (int op = 0; op < ops; ++op) {
         SCOPED_TRACE("op " + std::to_string(op));
@@ -248,19 +249,26 @@ TEST_F(ChaosTest, SeededSoakSurvivesFaultsAndCrashes) {
           case 3:
           case 4: {  // a paper query, sometimes guarded and/or cancelled
             const auto& q = queries[rng() % queries.size()];
-            QueryOptions qo;
-            if (rng() % 3 == 0) qo.deadline_millis = 1 + rng() % 20;
-            if (rng() % 5 == 0) qo.max_memory_bytes = 1 << (12 + rng() % 10);
+            uint64_t deadline_millis = 0;
+            uint64_t max_memory_bytes = 0;
+            if (rng() % 3 == 0) deadline_millis = 1 + rng() % 20;
+            if (rng() % 5 == 0) max_memory_bytes = 1 << (12 + rng() % 10);
             const bool cancel = rng() % 4 == 0;
+            QueryGuard guard(deadline_millis, max_memory_bytes);
+            QueryOptions qo;
+            if (deadline_millis != 0 || max_memory_bytes != 0 || cancel) {
+              qo.guard = &guard;
+            }
             std::atomic<bool> done{false};
             std::thread canceller;
             if (cancel) {
-              qo.query_id = next_query_id++;
-              canceller = std::thread([db, qid = qo.query_id, &done] {
-                while (!done.load(std::memory_order_relaxed)) {
-                  if (db->Cancel(qid).ok()) return;
+              // Cancels once the statement runs (or has ended).
+              canceller = std::thread([&guard, &done] {
+                while (!done.load(std::memory_order_relaxed) &&
+                       guard.Stats().checkpoints == 0) {
                   std::this_thread::yield();
                 }
+                guard.Cancel();
               });
             }
             auto r = db->Query(q.xorator_sql, qo);

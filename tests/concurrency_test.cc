@@ -26,6 +26,7 @@
 #include "datagen/dtds.h"
 #include "datagen/generators.h"
 #include "ordb/database.h"
+#include "ordb/query_guard.h"
 
 namespace xorator {
 namespace {
@@ -193,38 +194,34 @@ TEST(SharedStatementLockTest, ReadersRunInParallel) {
 
 TEST_F(ConcurrencyTest, CrossThreadCancelStopsALongSelect) {
   // A reader holding the statement lock shared must stay cancellable from
-  // another thread: Database::Cancel() synchronizes only on the guard
-  // registry, never on the statement lock (DESIGN.md section 12). The
+  // another thread: the caller's QueryGuard::Cancel() is a lock-free store
+  // that never waits on the statement lock (DESIGN.md section 12). The
   // query projects findKeyInElm over a three-way self cross product —
   // ~370k XADT fragment scans, far too slow to finish before the
   // canceller lands. (The UDF sits in the SELECT list on purpose: a
   // single-table WHERE predicate would be pushed down to one scan and
   // evaluated only once per base row.)
-  constexpr uint64_t kQueryId = 77;
-  std::atomic<bool> cancelled{false};
+  ordb::QueryGuard guard(0, 0);
   std::thread canceller([&] {
-    // Spin until the statement has registered itself, then cancel it. The
-    // registration happens before Query() queues on the statement lock, so
-    // this terminates quickly; the time bound is a safety valve only.
+    // Wait until the statement runs (it has polled its guard), then cancel
+    // it. The time bound is a safety valve only.
     auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(30);
-    while (std::chrono::steady_clock::now() < give_up) {
-      if (xadt_db_->db->Cancel(kQueryId).ok()) {
-        cancelled.store(true, std::memory_order_relaxed);
-        return;
-      }
+    while (guard.Stats().checkpoints == 0 &&
+           std::chrono::steady_clock::now() < give_up) {
       std::this_thread::yield();
     }
+    guard.Cancel();
   });
   ordb::QueryOptions options;
-  options.query_id = kQueryId;
+  options.guard = &guard;
   auto r = xadt_db_->db->Query(
       "SELECT findKeyInElm(s1.speech_line, 'LINE', 'zzznotthere') AS k "
       "FROM speech s1, speech s2, speech s3",
       options);
   canceller.join();
-  EXPECT_TRUE(cancelled.load());
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kCancelled) << r.status().ToString();
+  EXPECT_EQ(guard.Stats().stop_code, StatusCode::kCancelled);
   // Graceful degradation: every pin released, and the database is fully
   // usable afterwards.
   EXPECT_EQ(xadt_db_->db->buffer_pool()->PinnedFrameCount(), 0u);
@@ -233,18 +230,28 @@ TEST_F(ConcurrencyTest, CrossThreadCancelStopsALongSelect) {
 }
 
 TEST_F(ConcurrencyTest, CancelRacesManyGuardedReaders) {
-  // Several guarded readers run while a canceller sprays Cancel() at every
-  // id, registered or not. Every query must end in exactly one of two
-  // clean states (finished or kCancelled), with no pins left behind.
+  // Several guarded readers run while a canceller sprays Cancel() at the
+  // guard each reader is on — before its statement starts, while it runs,
+  // or after it finished. Every query must end in exactly one of two clean
+  // states (finished or kCancelled), with no pins left behind.
   constexpr int kReaders = 4;
+  constexpr int kRounds = 6;
+  // Every guard outlives both sides of the race.
+  std::vector<std::unique_ptr<ordb::QueryGuard>> guards;
+  for (int i = 0; i < kReaders * kRounds; ++i) {
+    guards.push_back(std::make_unique<ordb::QueryGuard>(0, 0));
+  }
+  // The round each reader is on; indexes its guard.
+  std::atomic<int> round[kReaders] = {};
   std::atomic<int> bad{0};
   std::atomic<bool> stop{false};
   std::vector<std::thread> threads;
   for (int t = 0; t < kReaders; ++t) {
     threads.emplace_back([&, t] {
-      for (int i = 0; i < 6; ++i) {
+      for (int i = 0; i < kRounds; ++i) {
+        round[t].store(i, std::memory_order_relaxed);
         ordb::QueryOptions options;
-        options.query_id = 100 + t;
+        options.guard = guards[t * kRounds + i].get();
         auto r = xadt_db_->db->Query(
             "SELECT findKeyInElm(s1.speech_line, 'LINE', 'zzznotthere') AS k "
             "FROM speech s1, speech s2",
@@ -258,11 +265,8 @@ TEST_F(ConcurrencyTest, CancelRacesManyGuardedReaders) {
   threads.emplace_back([&] {
     while (!stop.load(std::memory_order_relaxed)) {
       for (int t = 0; t < kReaders; ++t) {
-        // NotFound (nothing registered under the id right now) is fine.
-        Status s = xadt_db_->db->Cancel(100 + t);
-        if (!s.ok() && s.code() != StatusCode::kNotFound) {
-          bad.fetch_add(1, std::memory_order_relaxed);
-        }
+        guards[t * kRounds + round[t].load(std::memory_order_relaxed)]
+            ->Cancel();
       }
       std::this_thread::yield();
     }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -298,8 +299,9 @@ TEST(GuardrailSqlTest, DeadlineExpiryMidScanReturnsPromptly) {
   // A 300^3 cross product (no equality predicate, so the planner cannot
   // pick a hash join) grinds through ~27M nested-loop rows — far longer
   // than 50 ms unguarded; the deadline must cut it short.
+  QueryGuard guard(50, 0);
   QueryOptions options;
-  options.deadline_millis = 50;
+  options.guard = &guard;
   Timer timer;
   auto r = db->Query("SELECT COUNT(*) AS n FROM t t1, t t2, t t3", options);
   double elapsed = timer.ElapsedMillis();
@@ -317,8 +319,9 @@ TEST(GuardrailSqlTest, MemoryBudgetTripsOnJoinMaterialization) {
   SeedIntTable(db.get(), 2000);
   // The nested-loop join materializes its right side into a tracked arena;
   // a 16 KB budget cannot hold 2000 rows.
+  QueryGuard guard(0, 16 * 1024);
   QueryOptions options;
-  options.max_memory_bytes = 16 * 1024;
+  options.guard = &guard;
   auto r = db->Query("SELECT COUNT(*) AS n FROM t t1, t t2 WHERE t1.a = t2.a",
                      options);
   ASSERT_FALSE(r.ok());
@@ -344,39 +347,98 @@ TEST(GuardrailSqlTest, MemoryBudgetTripsOnLargeUnnest) {
 
   // With a budget far below the expansion size, the XADT layer's charges
   // trip the guard mid-expansion.
-  QueryOptions options;
-  options.max_memory_bytes = 8 * 1024;
-  auto r = db->Query("SELECT u.out FROM t, table(unnest(x, 'a')) u", options);
+  QueryGuard tight_guard(0, 8 * 1024);
+  QueryOptions tight;
+  tight.guard = &tight_guard;
+  auto r = db->Query("SELECT u.out FROM t, table(unnest(x, 'a')) u", tight);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted)
       << r.status().ToString();
   EXPECT_EQ(db->buffer_pool()->PinnedFrameCount(), 0u);
   // The same statement with a roomy budget still works.
-  options.max_memory_bytes = 64u << 20;
-  auto ok = db->Query("SELECT u.out FROM t, table(unnest(x, 'a')) u", options);
+  QueryGuard roomy_guard(0, 64u << 20);
+  QueryOptions roomy;
+  roomy.guard = &roomy_guard;
+  auto ok = db->Query("SELECT u.out FROM t, table(unnest(x, 'a')) u", roomy);
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_EQ(ok->rows.size(), 5000u);
 }
 
-TEST(GuardrailSqlTest, CancelUnknownIdIsNotFound) {
+TEST(GuardrailSqlTest, GuardCancelledBeforeQueryStopsIt) {
   auto db = OpenDb();
-  Status s = db->Cancel(12345);
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kNotFound);
+  SeedIntTable(db.get(), 300);
+  // The caller owns the guard, so a cancel may land before the statement
+  // even starts; the statement stops at its first checkpoint.
+  QueryGuard guard(0, 0);
+  guard.Cancel();
+  QueryOptions options;
+  options.guard = &guard;
+  auto r = db->Query("SELECT COUNT(*) AS n FROM t t1, t t2, t t3", options);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kCancelled) << r.status().ToString();
+  ExpectUsable(db.get());
+}
+
+TEST(GuardrailSqlTest, CancellingOneGuardLeavesAnotherStatementRunning) {
+  auto db = OpenDb();
+  constexpr int kRows = 120;
+  SeedIntTable(db.get(), kRows);
+  // Two readers run the same cross product in parallel, each under its own
+  // guard. Cancelling one must stop exactly that one: the other counts to
+  // the end.
+  const std::string sql = "SELECT COUNT(*) AS n FROM t t1, t t2, t t3";
+  QueryGuard cancelled_guard(0, 0);
+  QueryGuard running_guard(0, 0);
+  std::optional<Result<ordb::QueryResult>> cancelled;
+  std::optional<Result<ordb::QueryResult>> running;
+  std::thread cancelled_reader([&] {
+    QueryOptions options;
+    options.guard = &cancelled_guard;
+    cancelled.emplace(db->Query(sql, options));
+  });
+  std::thread running_reader([&] {
+    QueryOptions options;
+    options.guard = &running_guard;
+    running.emplace(db->Query(sql, options));
+  });
+  // Cancel once both statements run (both have polled their guards).
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while ((cancelled_guard.Stats().checkpoints == 0 ||
+          running_guard.Stats().checkpoints == 0) &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::yield();
+  }
+  cancelled_guard.Cancel();
+  cancelled_reader.join();
+  running_reader.join();
+
+  ASSERT_FALSE(cancelled->ok());
+  EXPECT_EQ(cancelled->status().code(), StatusCode::kCancelled)
+      << cancelled->status().ToString();
+  ASSERT_TRUE(running->ok()) << running->status().ToString();
+  EXPECT_EQ((*running)->rows[0][0].AsInt(),
+            static_cast<int64_t>(kRows) * kRows * kRows);
+  EXPECT_EQ(running_guard.Stats().stop_code, StatusCode::kOk);
+  ExpectUsable(db.get());
 }
 
 TEST(GuardrailSqlTest, GuardStatsReportedInExplain) {
   auto db = OpenDb();
   SeedIntTable(db.get(), 10);
+  QueryGuard guard(10000, 0);
   QueryOptions options;
-  options.deadline_millis = 10000;
+  options.guard = &guard;
   auto r = db->Query("SELECT a FROM t", options);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_TRUE(r->report.guard.has_value());
   EXPECT_EQ(r->report.guard->stop_code, StatusCode::kOk);
 
   // EXPLAIN carries the stats line in its plan row as well.
-  auto ex = db->Query("EXPLAIN SELECT a FROM t", options);
+  QueryGuard explain_guard(10000, 0);
+  QueryOptions explain;
+  explain.guard = &explain_guard;
+  auto ex = db->Query("EXPLAIN SELECT a FROM t", explain);
   ASSERT_TRUE(ex.ok());
   EXPECT_NE(ex->rows[0][0].AsString().find("guard:"), std::string::npos);
 
@@ -389,20 +451,22 @@ TEST(GuardrailSqlTest, GuardStatsReportedInExplain) {
 TEST(GuardrailSqlTest, GuardedWriteStatementsWork) {
   auto db = OpenDb();
   SeedIntTable(db.get(), 100);
-  QueryOptions options;
-  options.deadline_millis = 10000;
-  options.query_id = 42;
-  ASSERT_TRUE(db->Execute("INSERT INTO t VALUES (100, 'new')", options).ok());
-  ASSERT_TRUE(db->Execute("DELETE FROM t WHERE a = 100", options).ok());
-  // The registration is gone once the statement finished.
-  EXPECT_EQ(db->Cancel(42).code(), StatusCode::kNotFound);
+  QueryGuard insert_guard(10000, 0);
+  QueryOptions insert;
+  insert.guard = &insert_guard;
+  ASSERT_TRUE(db->Execute("INSERT INTO t VALUES (100, 'new')", insert).ok());
+  QueryGuard delete_guard(10000, 0);
+  QueryOptions del;
+  del.guard = &delete_guard;
+  ASSERT_TRUE(db->Execute("DELETE FROM t WHERE a = 100", del).ok());
 }
 
 TEST(GuardrailSqlTest, DeleteScanHonorsTheBudget) {
   auto db = OpenDb();
   SeedIntTable(db.get(), 2000);
+  QueryGuard guard(0, 1024);
   QueryOptions options;
-  options.max_memory_bytes = 1024;
+  options.guard = &guard;
   // The scan phase charges each doomed row; an absurdly small budget trips
   // before any row is deleted, so the table is untouched.
   auto r = db->Query("DELETE FROM t", options);
@@ -416,8 +480,8 @@ TEST(GuardrailSqlTest, DeleteScanHonorsTheBudget) {
 TEST(GuardrailSqlTest, ZeroOptionsRunUnguarded) {
   auto db = OpenDb();
   SeedIntTable(db.get(), 5);
-  QueryOptions options;  // all zero: guarded() == false
-  EXPECT_FALSE(options.guarded());
+  QueryOptions options;  // no guard
+  EXPECT_EQ(options.guard, nullptr);
   auto r = db->Query("SELECT a FROM t", options);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->rows.size(), 5u);
@@ -432,8 +496,9 @@ TEST(GuardrailSqlTest, AStoppedStatementLeavesNoBindingBehind) {
   ASSERT_TRUE(db->Execute("CREATE TABLE x (a XADT)").ok());
   ASSERT_TRUE(db->BulkInsert("x", {{Value::Xadt(EncodedLines(false))}}).ok());
   const std::string sql = "SELECT u.out FROM x, table(unnest(a, 'LINE')) u";
+  QueryGuard guard(0, 4096);
   QueryOptions tight;
-  tight.max_memory_bytes = 4096;
+  tight.guard = &guard;
   auto stopped = db->Query(sql, tight);
   ASSERT_FALSE(stopped.ok());
   EXPECT_EQ(stopped.status().code(), StatusCode::kResourceExhausted);

@@ -3,8 +3,10 @@
 #include <atomic>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <random>
 #include <thread>
+#include <vector>
 
 #include "benchutil/fixture.h"
 #include "datagen/dtds.h"
@@ -614,19 +616,22 @@ TEST(FaultInjectionTest, FaultsAndGuardsInterleaveCleanly) {
            ordb::QueryGuard::IsStopCode(c);
   };
 
+  // One guard per query, each published (by index) once built and alive
+  // until the canceller is joined; the canceller keeps cancelling the
+  // latest one.
+  constexpr int kQueries = 40;
+  std::vector<std::unique_ptr<ordb::QueryGuard>> guards(kQueries);
+  std::atomic<int> current{-1};
   std::atomic<bool> stop{false};
   std::thread canceller([&] {
     while (!stop.load(std::memory_order_relaxed)) {
-      for (uint64_t id = 500; id < 504; ++id) {
-        Status s = db->Cancel(id);
-        // NotFound just means nothing is registered under the id.
-        if (!s.ok() && s.code() != StatusCode::kNotFound) ADD_FAILURE();
-      }
+      const int i = current.load(std::memory_order_acquire);
+      if (i >= 0) guards[i]->Cancel();
       std::this_thread::yield();
     }
   });
 
-  for (int i = 0; i < 40; ++i) {
+  for (int i = 0; i < kQueries; ++i) {
     std::vector<Tuple> rows;
     for (int r = 0; r < 50; ++r) {
       rows.push_back({Value::Int(i * 50 + r),
@@ -636,10 +641,11 @@ TEST(FaultInjectionTest, FaultsAndGuardsInterleaveCleanly) {
     EXPECT_TRUE(clean_code(ins.code())) << ins.ToString();
     EXPECT_EQ(db->buffer_pool()->PinnedFrameCount(), 0u);
 
+    guards[i] = std::make_unique<ordb::QueryGuard>(i % 3 == 0 ? 1 : 0,
+                                                   i % 5 == 0 ? 4096 : 0);
+    current.store(i, std::memory_order_release);
     ordb::QueryOptions qopts;
-    qopts.query_id = 500 + static_cast<uint64_t>(i % 4);
-    if (i % 3 == 0) qopts.deadline_millis = 1;
-    if (i % 5 == 0) qopts.max_memory_bytes = 4096;
+    qopts.guard = guards[i].get();
     auto q = db->Query(
         "SELECT COUNT(*) AS n FROM t t1, t t2 WHERE t1.a < 5", qopts);
     EXPECT_TRUE(clean_code(q.status().code())) << q.status().ToString();

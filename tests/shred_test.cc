@@ -303,8 +303,7 @@ TEST(LoaderTest, ForcedCompressionModes) {
     Loader loader(db->get(), &*schema);
     ASSERT_TRUE(loader.CreateTables().ok());
     LoadOptions opts;
-    opts.force_compression = compressed;
-    opts.force_raw = !compressed;
+    opts.compression = compressed;
     auto report = loader.Load({doc->root.get()}, opts);
     ASSERT_TRUE(report.ok());
     EXPECT_EQ(report->used_compression, compressed);
